@@ -11,17 +11,15 @@ from .analytic import (SingularLayer, one_turn_density, one_turn_density_r3,
                        one_turn_profile, singular_layer)
 from .cf import (CFLadder, laplace_identity_error, layer_fourier,
                  next_conv_power, psi_ladder, sphere_cf, volterra_cf)
-from .convolution import (IntersectionCase, IntersectionRegion, StepConfig,
-                          ac_profile, classify_intersection, conditional_layer,
+from .convolution import (StepConfig, ac_profile, conditional_layer,
                           next_layer, residual_check, seed_layer,
-                          surface_integral, transition_density)
+                          transition_density)
 from .core import (DensityField, DensityLayer, EvalPoint, FlightParams,
                    PolarGrid, RadialGrid, poisson_weight, tail_mass)
 from .dissipation import (CircularGaussianLaw, DissipationLaw, UniformLaw,
                           law_from_config)
 from .errors import DomainError, EstimationError, NumericError
-from .sampler import (DensityEstimate, FlightSample, estimate_density,
-                      simulate_batch, simulate_flight)
+from .sampler import DensityEstimate, estimate_density, simulate_batch
 from .specfun import (SeriesControl, bessel_i0, bessel_j0, gamma_half,
                       gauss_2f1)
 
@@ -35,11 +33,9 @@ __all__ = [
     "DissipationLaw", "UniformLaw", "CircularGaussianLaw", "law_from_config",
     "SingularLayer", "singular_layer", "one_turn_density",
     "one_turn_density_r3", "one_turn_profile",
-    "FlightSample", "DensityEstimate", "simulate_flight", "simulate_batch",
-    "estimate_density",
-    "IntersectionCase", "IntersectionRegion", "StepConfig",
-    "classify_intersection", "surface_integral", "seed_layer", "next_layer",
-    "conditional_layer", "transition_density", "ac_profile", "residual_check",
+    "DensityEstimate", "simulate_batch", "estimate_density",
+    "StepConfig", "seed_layer", "next_layer", "conditional_layer",
+    "transition_density", "ac_profile", "residual_check",
     "CFLadder", "sphere_cf", "psi_ladder", "next_conv_power", "volterra_cf",
     "laplace_identity_error", "layer_fourier",
     "DomainError", "NumericError", "EstimationError",

@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convolution import _gl_cached, _one_turn_reg_planar
 from .core import DensityLayer, FlightParams, PolarGrid
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError, NumericError
@@ -97,10 +98,6 @@ class CFLadder:
     @property
     def step(self) -> float:
         return float(self.times[1] - self.times[0])
-
-    def at(self, t: float) -> complex:
-        return complex(np.interp(t, self.times, self.values.real)
-                       + 1j * np.interp(t, self.times, self.values.imag))
 
 
 def psi_ladder(params: FlightParams, law: DissipationLaw, alpha,
@@ -220,11 +217,6 @@ def laplace_identity_error(params: FlightParams, law: DissipationLaw,
 # Fourier transforms of spatial layers
 # --------------------------------------------------------------------------
 
-def _gl(n: int) -> tuple[np.ndarray, np.ndarray]:
-    x, w = np.polynomial.legendre.leggauss(n)
-    return 0.5 * (x + 1.0), 0.5 * w
-
-
 def _radial_kernel(m: int, a: float, r: np.ndarray) -> np.ndarray:
     if m == 2:
         return np.array([bessel_j0(v) for v in a * r])
@@ -244,7 +236,7 @@ def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
     if layer.kind != "joint":
         raise DomainError("layer_fourier expects a joint layer")
     a = _alpha_norm(alpha)
-    ladder = getattr(layer, "_ladder", None)
+    ladder = layer.ladder
     grid = layer.grid
     m = params.m
     t = grid.t
@@ -257,12 +249,11 @@ def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
         phi_a = math.atan2(alpha_v[1], alpha_v[0])
         ths = grid.thetas
         if ladder is not None and ladder.n == 1 and ladder.reg == "inv_sqrt":
-            z, w = _gl(128)
+            z, w = _gl_cached(128)
             u = 0.5 * np.pi * z
             wu = 0.5 * np.pi * w
             r = R * np.sin(u)
             acc = 0.0 + 0.0j
-            from .convolution import _one_turn_reg_planar
             for th in ths:
                 g = _one_turn_reg_planar(params, ladder.law, r,
                                          np.full_like(r, th), t)
@@ -282,16 +273,15 @@ def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
     # rotation-invariant layers
     if ladder is not None and ladder.n == 1:
         if m == 2:
-            z, w = _gl(128)
+            z, w = _gl_cached(128)
             u = 0.5 * np.pi * z
             wu = 0.5 * np.pi * w
             r = R * np.sin(u)
-            from .convolution import _one_turn_reg_planar
             g = _one_turn_reg_planar(params, ladder.law, r, np.zeros_like(r), t)
             kern = _radial_kernel(2, a, r)
             return float(2.0 * np.pi * R * np.sum(wu * g * kern * np.sin(u)))
         # m == 3: log endpoint softened by the sin^2 map
-        z, w = _gl(160)
+        z, w = _gl_cached(160)
         r = R * np.sin(0.5 * np.pi * z) ** 2
         wr = w * R * (0.5 * np.pi) * np.sin(np.pi * z)
         B = params.lam * math.exp(-params.lam * t) / (4.0 * math.pi

@@ -8,7 +8,8 @@ the resolved configuration, seed, package version, wall time and the
 mass accounting.  Outputs are byte-identical for identical
 (configuration, seed, worker count).
 
-Exit codes: 0 success, 2 configuration/usage error, 3 numerical failure.
+Exit codes: 0 success, 1 a ``validate`` check failed, 2 configuration/usage
+error, 3 numerical failure.
 """
 
 from __future__ import annotations
@@ -34,6 +35,8 @@ from .errors import DomainError, EstimationError, NumericError
 from .sampler import estimate_density, simulate_batch
 
 SCHEMA_VERSION = 1
+
+_SUITES = ("core", "specfun", "sampler", "convolution")
 
 
 @dataclass
@@ -111,9 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run invariant suites")
     common(sp)
-    sp.add_argument("--suite", default="all",
-                    choices=["all", "quick", "core", "specfun", "sampler",
-                             "convolution"])
+    sp.add_argument("--suite", default="all", choices=("all",) + _SUITES)
     return p
 
 
@@ -122,7 +123,26 @@ def _env_threads() -> int | None:
     return int(v) if v else None
 
 
+def _floats(values) -> tuple:
+    return tuple(float(v) for v in values)
+
+
+#: config-file key, which is also the dest of the flag of the same name ->
+#: (RunConfig field, converter or None).  The --law and --alphas flags have
+#: forms of their own and are resolved after the table.
+_CONFIG_KEYS = {
+    "m": ("m", None), "law": ("law", None), "lam": ("lam", None),
+    "c": ("c", None), "t": ("t", None), "K": ("K", None),
+    "nr": ("n_r", int), "ntheta": ("n_theta", int),
+    "n_samples": ("n_samples", None), "seed": ("seed", None),
+    "out": ("out", None), "fmt": ("fmt", None), "threads": ("threads", None),
+    "suite": ("suite", None), "conditioning": ("conditioning", None),
+    "alphas": ("alphas", _floats), "s_values": ("s_values", _floats),
+}
+
+
 def load_config(args: argparse.Namespace) -> RunConfig:
+    """Resolve a run: defaults, then the --config file, then the flags."""
     base: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -131,28 +151,12 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         if schema != SCHEMA_VERSION:
             raise DomainError(f"unsupported config schema {schema}")
     cfg = RunConfig(command=args.command)
-    for key in ("m", "law", "lam", "c", "t", "K", "n_samples", "seed",
-                "out", "fmt", "threads", "suite", "conditioning"):
-        if key in base and base[key] is not None:
-            setattr(cfg, key, base[key])
-    if "nr" in base:
-        cfg.n_r = int(base["nr"])
-    if "ntheta" in base:
-        cfg.n_theta = int(base["ntheta"])
-    if "alphas" in base:
-        cfg.alphas = tuple(float(v) for v in base["alphas"])
-    if "s_values" in base:
-        cfg.s_values = tuple(float(v) for v in base["s_values"])
-
-    for key in ("m", "lam", "c", "t", "K", "n_samples", "seed", "out",
-                "fmt", "threads", "suite", "conditioning"):
-        v = getattr(args, key, None)
-        if v is not None:
-            setattr(cfg, key, v)
-    if getattr(args, "nr", None) is not None:
-        cfg.n_r = args.nr
-    if getattr(args, "ntheta", None) is not None:
-        cfg.n_theta = args.ntheta
+    flags = {k: v for k, v in vars(args).items() if k not in ("law", "alphas")}
+    for source in (base, flags):
+        for key, (name, convert) in _CONFIG_KEYS.items():
+            v = source.get(key)
+            if v is not None:
+                setattr(cfg, name, convert(v) if convert else v)
     if getattr(args, "law", None) is not None:
         cfg.law = {"kind": args.law}
         if args.law == "circular_gaussian":
@@ -163,7 +167,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             cfg.law.get("kind") == "circular_gaussian":
         cfg.law["k"] = args.k
     if getattr(args, "alphas", None):
-        cfg.alphas = tuple(float(v) for v in args.alphas.split(","))
+        cfg.alphas = _floats(args.alphas.split(","))
 
     _validate_config(cfg)
     return cfg
@@ -361,8 +365,7 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
 
     params = cfg.params()
     law = law_from_config(cfg.law, params)
-    suites = ("core", "specfun", "sampler", "convolution") \
-        if cfg.suite in ("all", "quick") else (cfg.suite,)
+    suites = _SUITES if cfg.suite == "all" else (cfg.suite,)
     checks = []
 
     if "core" in suites:

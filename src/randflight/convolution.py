@@ -33,26 +33,21 @@ the latter case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-from enum import Enum
+from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
 
-from .analytic import one_turn_profile, singular_layer
-from .core import (DensityField, DensityLayer, EvalPoint, FlightParams,
-                   PolarGrid, RadialGrid, conditional_weight_or_raise,
+from .analytic import one_turn_coefficient, one_turn_profile, singular_layer
+from .core import (DensityField, DensityLayer, FlightParams, PolarGrid,
+                   RadialGrid, _radial_mass, conditional_weight_or_raise,
                    tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError
-from .specfun import SeriesControl, gamma_half, gauss_2f1
+from .specfun import SeriesControl, gauss_2f1
 
 __all__ = [
-    "IntersectionCase",
-    "IntersectionRegion",
     "StepConfig",
-    "classify_intersection",
-    "surface_integral",
     "seed_layer",
     "next_layer",
     "conditional_layer",
@@ -64,131 +59,6 @@ __all__ = [
 _TINY = 1e-300
 _SIGMA_CAP = 1.0 - 1e-4  # plain tables stop short of the measure-zero edge
 _R_TINY_REL = 1e-7
-
-
-# --------------------------------------------------------------------------
-# intersection geometry
-# --------------------------------------------------------------------------
-
-class IntersectionCase(str, Enum):
-    EMPTY = "empty"
-    PARTIAL_CAP = "partial_cap"
-    FULL_SPHERE = "full_sphere"
-
-
-@dataclass(frozen=True)
-class IntersectionRegion:
-    """The reachable part of the last-leg sphere S(x, c(t-tau)).
-
-    ``gamma0`` is the boundary colatitude measured from the direction of
-    x: admissible directions have colatitude in (gamma0, pi].  In the
-    plane the region is the arc (gamma0, 2 pi - gamma0) around the
-    direction of x; in dimension 3 it is the cap beyond gamma0.
-    """
-
-    case: IntersectionCase
-    center: tuple
-    radius: float
-    tau: float
-    t: float
-    cos_bound: float
-    gamma0: float
-
-    @property
-    def arc_bounds(self) -> tuple[float, float]:
-        return (self.gamma0, 2.0 * math.pi - self.gamma0)
-
-
-def classify_intersection(params: FlightParams, point: EvalPoint,
-                          tau: float) -> IntersectionRegion:
-    """Classify M(x, tau) as empty, a partial cap, or the full sphere.
-
-    Empty for tau <= t/2 - |x|/(2c) (the last-leg sphere still encloses
-    the whole reachable ball), full sphere for tau > t/2 + |x|/(2c)
-    (sphere strictly inside the ball), partial cap between.  Both
-    tangency instants carry zero quadrature measure; they are assigned
-    to the empty and partial-cap cases respectively.
-    """
-    t, r = point.t, point.r
-    c = params.c
-    if not 0.0 < tau < t:
-        raise DomainError(f"tau must lie in (0, t), got tau={tau}, t={t}")
-    if r >= params.radius(t):
-        raise DomainError(f"point radius {r} outside the open support ball")
-    rho = c * (t - tau)
-    if tau <= 0.5 * t - 0.5 * r / c:
-        return IntersectionRegion(IntersectionCase.EMPTY, point.x, rho, tau,
-                                  t, -1.0, math.pi)
-    if tau > 0.5 * t + 0.5 * r / c:
-        return IntersectionRegion(IntersectionCase.FULL_SPHERE, point.x, rho,
-                                  tau, t, 1.0, 0.0)
-    a = c * tau
-    d = (a * a - r * r - rho * rho) / max(2.0 * r * rho, _TINY)
-    d = min(1.0, max(-1.0, d))
-    return IntersectionRegion(IntersectionCase.PARTIAL_CAP, point.x, rho, tau,
-                              t, d, math.acos(d))
-
-
-def surface_integral(params: FlightParams, law: DissipationLaw | None,
-                     region: IntersectionRegion, integrand, tau: float,
-                     n_quad: int = 96) -> float:
-    """Integral of the scaled dissipation density times ``integrand``
-    over the region, with respect to the surface measure.
-
-    ``integrand`` maps an (N, m) array of points to values.  With
-    ``law=None`` the dissipation weight is replaced by the constant 1,
-    turning the result into the raw surface integral (arc-length and
-    sphere-area checks use this).  In dimension 3 the integrand must be
-    rotation-invariant: the cap integral reduces to a chord-radius
-    integral and the integrand is probed along the axis through x.
-
-    An empty region integrates to zero; that is a regular outcome of the
-    recurrence, not an error.
-    """
-    if tau != region.tau:
-        raise DomainError("tau does not match the classified region")
-    if region.case is IntersectionCase.EMPTY:
-        return 0.0
-    x = np.asarray(region.center, dtype=float)
-    r = float(np.linalg.norm(x))
-    rho = region.radius
-    z, w = _gl_cached(n_quad)
-    if params.m == 2:
-        g0 = region.gamma0
-        gam = g0 + (math.pi - g0) * z  # one arc branch; mirror the other
-        wg = w * (math.pi - g0)
-        e1 = x / r if r > 0 else np.array([1.0, 0.0])
-        e2 = np.array([-e1[1], e1[0]])
-        total = 0.0
-        for sgn in (1.0, -1.0):
-            u = np.outer(np.cos(sgn * gam), e1) + np.outer(np.sin(sgn * gam), e2)
-            f = np.asarray(integrand(x[None, :] + rho * u), dtype=float)
-            if law is None:
-                total += rho * float(np.sum(wg * f))
-            else:
-                total += float(np.sum(wg * law.density_from_axis_cos(-u[:, 0]) * f))
-        return total
-    if params.m == 3:
-        a = params.c * tau
-        if r < 1e-12 * a:
-            pts = np.array([[rho, 0.0, 0.0]])
-            f = float(np.asarray(integrand(pts), dtype=float)[0])
-            return 4.0 * math.pi * rho * rho * f if law is None else f
-        s_hi = min(r + rho, a) if region.case is IntersectionCase.PARTIAL_CAP \
-            else r + rho
-        s_lo = abs(r - rho)
-        if s_hi <= s_lo:
-            return 0.0
-        s = s_lo + (s_hi - s_lo) * z
-        ws = w * (s_hi - s_lo)
-        f = np.asarray(integrand(s[:, None] * (x / r)[None, :]), dtype=float)
-        raw = 2.0 * math.pi * rho / r * float(np.sum(ws * s * f))
-        if law is None:
-            return raw
-        if not isinstance(law, UniformLaw):
-            raise DomainError("non-symmetric laws are planar only")
-        return raw / (4.0 * math.pi * rho * rho)
-    raise DomainError(f"surface_integral supports m in {{2, 3}}, got {params.m}")
 
 
 # --------------------------------------------------------------------------
@@ -367,16 +237,9 @@ class _Ladder:
             B = p.lam * math.exp(-p.lam * self.t) / (4.0 * math.pi
                                                      * p.c**2 * self.t)
             return 4.0 * math.pi * B * R * R
-        r = self.sigma * R
         prof = self.tab[-1, :, 0] if self.tab.shape[2] == 1 \
             else self.tab[-1].mean(axis=1)
-        if p.m == 2:
-            mass = float(np.trapezoid(2.0 * np.pi * r * prof, r))
-            mass += float(prof[-1]) * math.pi * (R * R - r[-1] ** 2)
-        else:
-            mass = float(np.trapezoid(4.0 * np.pi * r * r * prof, r))
-            mass += float(prof[-1]) * (4.0 / 3.0) * math.pi * (R**3 - r[-1] ** 3)
-        return mass
+        return _radial_mass(self.sigma * R, prof, p.m, R)
 
 
 # --------------------------------------------------------------------------
@@ -429,9 +292,7 @@ def _seed_profile_generic(params: FlightParams, r: np.ndarray,
     paths in :mod:`randflight.analytic`)."""
     m = params.m
     ct = params.radius(t)
-    coeff = (params.lam * math.exp(-params.lam * t) * 2.0 ** (m - 3)
-             * gamma_half(m)
-             / (math.pi ** (m / 2.0) * params.c**m * t ** (m - 1)))
+    coeff = one_turn_coefficient(params, t)
     ctrl = SeriesControl(rel_tol=1e-14, max_terms=200_000)
     out = np.empty(len(r))
     for i, ri in enumerate(r):
@@ -713,18 +574,21 @@ def _step_ladder(params: FlightParams, law: DissipationLaw, ladder: _Ladder,
 # public layer operations
 # --------------------------------------------------------------------------
 
+def _node_values(ladder: _Ladder, grid: RadialGrid | PolarGrid) -> np.ndarray:
+    """Top-slot values of a ladder at the grid nodes: shape (n_r,) on a
+    radial grid, (n_r, n_theta) on a polar one."""
+    if isinstance(grid, PolarGrid):
+        return np.stack([ladder.top_values(grid.nodes, np.full(grid.n_r, th))
+                         for th in grid.thetas], axis=1)
+    return ladder.top_values(grid.nodes)
+
+
 def _public_layer(ladder: _Ladder, grid: RadialGrid | PolarGrid,
                   values: np.ndarray | None = None) -> DensityLayer:
     if values is None:
-        if isinstance(grid, PolarGrid):
-            values = np.stack(
-                [ladder.top_values(grid.nodes, np.full(grid.n_r, th))
-                 for th in grid.thetas], axis=1)
-        else:
-            values = ladder.top_values(grid.nodes)
-    layer = DensityLayer(ladder.n, grid, np.maximum(values, 0.0), "joint")
-    object.__setattr__(layer, "_ladder", ladder)
-    return layer
+        values = _node_values(ladder, grid)
+    return DensityLayer(ladder.n, grid, np.maximum(values, 0.0), "joint",
+                        ladder=ladder)
 
 
 def _check_grid(params: FlightParams, law: DissipationLaw, t: float,
@@ -768,14 +632,13 @@ def next_layer(params: FlightParams, law: DissipationLaw,
     """Apply the recurrence once: joint layer n -> joint layer n+1."""
     if layer.kind != "joint":
         raise DomainError("the recurrence consumes joint layers")
-    ladder = getattr(layer, "_ladder", None)
-    if ladder is None:
+    if layer.ladder is None:
         raise DomainError(
             "layer lacks its time ladder; build it with seed_layer/next_layer")
     cfg = config or _default_config(law)
     out_grid = grid if grid is not None else layer.grid
-    _check_grid(params, law, ladder.t, out_grid)
-    return _public_layer(_step_ladder(params, law, ladder, cfg), out_grid)
+    _check_grid(params, law, layer.ladder.t, out_grid)
+    return _public_layer(_step_ladder(params, law, layer.ladder, cfg), out_grid)
 
 
 def conditional_layer(layer: DensityLayer,
@@ -785,11 +648,7 @@ def conditional_layer(layer: DensityLayer,
     if layer.kind != "joint":
         raise DomainError("layer is already conditional")
     w = conditional_weight_or_raise(layer.n, params, layer.grid.t)
-    out = DensityLayer(layer.n, layer.grid, layer.values / w, "conditional")
-    ladder = getattr(layer, "_ladder", None)
-    if ladder is not None:
-        object.__setattr__(out, "_ladder", ladder)
-    return out
+    return replace(layer, values=layer.values / w, kind="conditional")
 
 
 def transition_density(params: FlightParams, law: DissipationLaw, t: float,
@@ -799,26 +658,13 @@ def transition_density(params: FlightParams, law: DissipationLaw, t: float,
     the recurrence, and the Poisson tail of the truncation."""
     if K < 1:
         raise DomainError("need at least one layer (K >= 1)")
-    cfg = config or _default_config(law)
-    if params.m not in (2, 3):
-        raise DomainError("the convolution engine covers m in {2, 3}")
-    _check_grid(params, law, t, grid)
-    sing = singular_layer(params, law, t)
-    ladders = [_make_seed_ladder(params, law, t, cfg)]
+    layers = [seed_layer(params, law, t, grid, config)]
     for _ in range(K - 1):
-        ladders.append(_step_ladder(params, law, ladders[-1], cfg))
-    layers = []
-    for lad in ladders:
-        if lad.n == 1 and isinstance(law, UniformLaw) \
-                and isinstance(grid, RadialGrid):
-            layers.append(_public_layer(
-                lad, grid, _seed_profile_generic(params, grid.nodes, t)))
-        else:
-            layers.append(_public_layer(lad, grid))
-    masses = tuple(lad.mass() for lad in ladders)
-    return DensityField(params, t, sing, tuple(layers), masses,
-                        tail_mass(K, params, t), law=law,
-                        ladders=tuple(ladders))
+        layers.append(next_layer(params, law, layers[-1], config=config))
+    masses = tuple(layer.ladder.mass() for layer in layers)
+    return DensityField(params, t, singular_layer(params, law, t),
+                        tuple(layers), masses, tail_mass(K, params, t),
+                        law=law)
 
 
 def ac_profile(field_obj: DensityField, r, theta=None) -> np.ndarray:
@@ -832,8 +678,8 @@ def ac_profile(field_obj: DensityField, r, theta=None) -> np.ndarray:
         th = None if theta is None \
             else np.atleast_1d(np.asarray(theta, dtype=float))[inside]
         acc = 0.0
-        for lad in field_obj.ladders:
-            acc = acc + lad.top_values(r[inside], th)
+        for layer in field_obj.layers:
+            acc = acc + layer.ladder.top_values(r[inside], th)
         out[inside] = acc
     return out
 
@@ -854,22 +700,18 @@ def residual_check(field_obj: DensityField,
     cfg = config or _default_config(law)
     t = field_obj.t
     grid = field_obj.layers[0].grid
-    polar = isinstance(grid, PolarGrid)
-    th_targets = grid.thetas if polar else np.zeros(1)
+    th_targets = grid.thetas if isinstance(grid, PolarGrid) else np.zeros(1)
+    ladders = [layer.ladder for layer in field_obj.layers]
 
     def node_values(lad: _Ladder) -> np.ndarray:
-        if polar:
-            return np.stack([lad.top_values(grid.nodes, np.full(grid.n_r, th))
-                             for th in th_targets], axis=1)
-        return lad.top_values(grid.nodes)[:, None]
+        return _node_values(lad, grid).reshape(grid.n_r, -1)
 
     lhs = 0.0
-    for lad in field_obj.ladders:
+    for lad in ladders:
         lhs = lhs + node_values(lad)
 
-    seed_lad = field_obj.ladders[0]
-    rhs = node_values(seed_lad)
-    for lad in field_obj.ladders:
+    rhs = node_values(ladders[0])
+    for lad in ladders:
         if params.m == 2:
             rhs = rhs + _step_values_planar(params, law, lad, grid.nodes,
                                             th_targets, t, cfg)

@@ -123,13 +123,6 @@ class RadialGrid:
     def support_radius(self) -> float:
         return float(self.nodes[-1]) + self.epsilon
 
-    def interp(self, values: np.ndarray, r: np.ndarray) -> np.ndarray:
-        """Piecewise-linear evaluation; zero outside [0, support_radius],
-        constant on the standoff sliver beyond the last node."""
-        r = np.asarray(r, dtype=float)
-        out = np.interp(r, self.nodes, values, left=values[0], right=values[-1])
-        return np.where(r > self.support_radius, 0.0, out)
-
 
 @dataclass(frozen=True)
 class PolarGrid:
@@ -178,35 +171,21 @@ class PolarGrid:
     def support_radius(self) -> float:
         return float(self.nodes[-1]) + self.epsilon
 
-    def interp(self, values: np.ndarray, r: np.ndarray,
-               theta: np.ndarray) -> np.ndarray:
-        """Bilinear evaluation with angular wraparound."""
-        r = np.asarray(r, dtype=float)
-        theta = np.asarray(theta, dtype=float)
-        n_th = self.n_theta
-        dth = 2.0 * np.pi / n_th
-        tf = (theta + np.pi) / dth
-        j0 = np.floor(tf).astype(int) % n_th
-        j1 = (j0 + 1) % n_th
-        ft = tf - np.floor(tf)
-        i0 = np.clip(np.searchsorted(self.nodes, r, side="right") - 1,
-                     0, self.n_r - 2)
-        fr = np.clip((r - self.nodes[i0]) / (self.nodes[i0 + 1] - self.nodes[i0]),
-                     0.0, 1.0)
-        v = ((1 - fr) * ((1 - ft) * values[i0, j0] + ft * values[i0, j1])
-             + fr * ((1 - ft) * values[i0 + 1, j0] + ft * values[i0 + 1, j1]))
-        return np.where(r > self.support_radius, 0.0, v)
-
 
 @dataclass(frozen=True)
 class DensityLayer:
     """Grid-sampled density of position jointly with (or conditioned on)
-    exactly ``n`` direction changes, at the fixed time of its grid."""
+    exactly ``n`` direction changes, at the fixed time of its grid.
+
+    ``ladder`` holds the layer's time tables (a ``convolution._Ladder``)
+    when the recurrence built it; ``next_layer`` consumes them.
+    """
 
     n: int
     grid: RadialGrid | PolarGrid
     values: np.ndarray
     kind: str = "joint"
+    ladder: object = field(default=None, compare=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -227,20 +206,19 @@ class DensityLayer:
         radial grid; polar grids are planar by construction.
         """
         g = self.grid
-        r = g.nodes
-        r_sup = g.support_radius
         if isinstance(g, PolarGrid):
-            prof = self.values.mean(axis=1)  # periodic trapezoid over angles
-            mass = float(np.trapezoid(2.0 * np.pi * r * prof, r))
-            mass += float(prof[-1]) * np.pi * (r_sup**2 - r[-1] ** 2)
-            return mass
+            # periodic trapezoid over angles
+            return _radial_mass(g.nodes, self.values.mean(axis=1), 2,
+                                g.support_radius)
         if self.values.ndim != 1:
             raise DomainError("radial layer values must be one-dimensional")
-        return _radial_mass(r, self.values, m, r_sup)
+        return _radial_mass(g.nodes, self.values, m, g.support_radius)
 
 
 def _radial_mass(r: np.ndarray, values: np.ndarray, m: int,
                  r_sup: float) -> float:
+    """Trapezoid mass of a radial profile on nodes ``r`` plus its last
+    value times the volume of the sliver out to ``r_sup``."""
     if m == 2:
         mass = float(np.trapezoid(2.0 * np.pi * r * values, r))
         mass += float(values[-1]) * np.pi * (r_sup**2 - r[-1] ** 2)
@@ -264,7 +242,6 @@ class DensityField:
     layer_masses: tuple
     tail: float
     law: object = None
-    ladders: tuple = ()
 
     @property
     def singular_weight(self) -> float:

@@ -56,10 +56,6 @@ class DissipationLaw(ABC):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` exact unit-vector samples, shape (size, m)."""
 
-    @abstractmethod
-    def config(self) -> dict:
-        """JSON-serializable description used by the CLI."""
-
     def _check_unit(self, u) -> np.ndarray:
         u = np.asarray(u, dtype=float)
         if u.shape != (self.m,):
@@ -101,9 +97,6 @@ class UniformLaw(DissipationLaw):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         v = rng.standard_normal((size, self.m))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
-
-    def config(self) -> dict:
-        return {"kind": "uniform"}
 
 
 class CircularGaussianLaw(DissipationLaw):
@@ -149,9 +142,6 @@ class CircularGaussianLaw(DissipationLaw):
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         th = self.sample_angles(rng, size)
         return np.column_stack([np.cos(th), np.sin(th)])
-
-    def config(self) -> dict:
-        return {"kind": "circular_gaussian", "k": self.k}
 
 
 def law_from_config(config: dict, params: FlightParams) -> DissipationLaw:

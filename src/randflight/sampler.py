@@ -9,7 +9,6 @@ fixed order, so results do not depend on the worker count.
 
 from __future__ import annotations
 
-import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -20,38 +19,12 @@ from .dissipation import DissipationLaw
 from .errors import DomainError, EstimationError
 
 __all__ = [
-    "FlightSample",
     "DensityEstimate",
-    "simulate_flight",
     "simulate_batch",
     "estimate_density",
 ]
 
 _BOUNDARY_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class FlightSample:
-    """Terminal position of one flight and its number of turns."""
-
-    position: np.ndarray
-    n_events: int
-
-
-def simulate_flight(params: FlightParams, law: DissipationLaw, t: float,
-                    rng: np.random.Generator) -> FlightSample:
-    """Simulate a single flight up to time t."""
-    if not t > 0:
-        raise DomainError(f"time must be positive, got {t}")
-    n = int(rng.poisson(params.lam * t))
-    if n == 0:
-        u = law.sample(rng, 1)[0]
-        return FlightSample(params.c * t * u, 0)
-    times = np.sort(rng.random(n)) * t
-    durations = np.diff(np.concatenate([[0.0], times, [t]]))
-    dirs = law.sample(rng, n + 1)
-    position = params.c * durations @ dirs
-    return FlightSample(position, n)
 
 
 def simulate_batch(params: FlightParams, law: DissipationLaw, t: float,
@@ -117,21 +90,23 @@ def _bin_volumes(edges: np.ndarray, m: int) -> np.ndarray:
 def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
                      n_samples: int, grid: RadialGrid | PolarGrid,
                      conditioning: str | int = "all",
-                     seed: int | np.random.Generator = 0,
+                     seed: int = 0,
                      block_size: int = 1_000_000,
                      threads: int | None = None) -> DensityEstimate:
-    """Bin-count density estimate from ``n_samples`` simulated flights."""
+    """Bin-count density estimate from ``n_samples`` simulated flights.
+
+    ``seed`` is a nonnegative integer: it roots one ``SeedSequence`` whose
+    children seed the blocks, so equal seeds give equal estimates.
+    """
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     if n_samples < 10_000:
         raise DomainError("estimate_density needs at least 1e4 samples")
     if isinstance(grid, PolarGrid) and params.m != 2:
         raise DomainError("polar binning is planar only")
 
-    if isinstance(seed, np.random.Generator):
-        root = seed.bit_generator.seed_seq
-    else:
-        root = np.random.SeedSequence(seed)
     n_blocks = (n_samples + block_size - 1) // block_size
-    child_seeds = root.spawn(n_blocks)
+    child_seeds = np.random.SeedSequence(seed).spawn(n_blocks)
     sizes = [min(block_size, n_samples - i * block_size) for i in range(n_blocks)]
 
     edges_r = _radial_bin_edges(grid)
@@ -193,13 +168,3 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
     errors = np.sqrt(hist) / (norm * vols)
     return DensityEstimate(grid, values, errors, n_samples, conditioning,
                            n_kept, n_boundary / max(n_kept, 1))
-
-
-def zero_event_fraction(params: FlightParams, law: DissipationLaw, t: float,
-                        n_samples: int,
-                        seed: int = 0) -> tuple[float, float]:
-    """Fraction of flights with no turns and its binomial standard error."""
-    rng = np.random.default_rng(seed)
-    counts = rng.poisson(params.lam * t, n_samples)
-    p = np.count_nonzero(counts == 0) / n_samples
-    return p, math.sqrt(max(p * (1 - p), 1e-300) / n_samples)

@@ -140,24 +140,6 @@ def bessel_i0(x: float, control: SeriesControl | None = None) -> float:
             raise NumericError(f"bessel_i0 series did not converge for x={x}")
 
 
-def bessel_i1(x: float) -> float:
-    """Modified Bessel function I1(x) (odd in x)."""
-    if abs(x) > 700.0:
-        raise NumericError(f"bessel_i1 overflow for |x|={abs(x)} > 700")
-    q = 0.25 * x * x
-    total = 0.5 * x
-    term = 0.5 * x
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * (k + 1))
-        total += term
-        if abs(term) <= 1e-16 * abs(total) + 1e-300:
-            return total
-        if k >= 600:
-            raise NumericError(f"bessel_i1 series did not converge for x={x}")
-
-
 _SQRT_PI = math.sqrt(math.pi)
 
 

@@ -38,8 +38,7 @@ def subfield(field: DensityField, K: int) -> DensityField:
     """Truncate an assembled field to its first K layers."""
     return DensityField(field.params, field.t, field.singular,
                         field.layers[:K], field.layer_masses[:K],
-                        tail_mass(K, field.params, field.t), law=field.law,
-                        ladders=field.ladders[:K])
+                        tail_mass(K, field.params, field.t), law=field.law)
 
 
 @pytest.fixture(scope="module")

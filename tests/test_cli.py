@@ -3,7 +3,7 @@ import math
 
 import pytest
 
-from randflight.cli import main
+from randflight.cli import _build_parser, load_config, main
 
 
 def run_cli(args):
@@ -72,6 +72,30 @@ def test_config_file_with_flag_override(tmp_path):
     assert len(meta["mass_accounting"]["layer_masses"]) == 3
 
 
+def test_config_resolution_file_then_flags(tmp_path):
+    # every key of the config file lands in its field; flags win over it
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({
+        "schema": 1, "m": 3, "law": {"kind": "uniform"}, "lam": 2.0,
+        "c": 0.5, "t": 1.5, "K": 4, "nr": 12.0, "ntheta": 10,
+        "n_samples": 30000, "seed": 11, "out": "file.csv", "fmt": "json",
+        "threads": 3, "suite": "core", "conditioning": "2",
+        "alphas": [1, 2], "s_values": [0.25]}))
+    args = _build_parser().parse_args(
+        ["cf", "--config", str(cfgfile), "--nr", "20", "--seed", "4",
+         "--alphas", "0.5,3", "--law", "circular_gaussian", "--k", "1.5",
+         "--m", "2", "--threads", "1"])
+    cfg = load_config(args)
+    assert (cfg.m, cfg.lam, cfg.c, cfg.t, cfg.K) == (2, 2.0, 0.5, 1.5, 4)
+    assert cfg.law == {"kind": "circular_gaussian", "k": 1.5}
+    assert cfg.n_r == 20 and cfg.n_theta == 10
+    assert isinstance(cfg.n_theta, int)
+    assert (cfg.n_samples, cfg.seed, cfg.out, cfg.fmt) == \
+        (30000, 4, "file.csv", "json")
+    assert (cfg.threads, cfg.suite, cfg.conditioning) == (1, "core", 2)
+    assert cfg.alphas == (0.5, 3.0) and cfg.s_values == (0.25,)
+
+
 def test_circular_gaussian_cli(tmp_path):
     out = tmp_path / "cg.csv"
     code = run_cli(["density", "--m", "2", "--law", "circular_gaussian",
@@ -85,6 +109,8 @@ def test_invalid_config_exits_2(tmp_path):
     assert run_cli(["density", "--m", "1",
                     "--out", str(tmp_path / "x.csv")]) == 2
     assert run_cli(["density", "--law", "circular_gaussian",
+                    "--out", str(tmp_path / "x.csv")]) == 2
+    assert run_cli(["simulate", "--seed", "-1", "--n", "20000",
                     "--out", str(tmp_path / "x.csv")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{\"schema\": 99}")

@@ -90,14 +90,6 @@ def test_radial_grid_shape(params):
     assert d[-1] < 0.2 * d[0]
 
 
-def test_radial_grid_interp_support(params):
-    grid = RadialGrid.build(params, 1.0, 16)
-    vals = np.ones(16)
-    out = grid.interp(vals, np.array([0.0, 0.5, grid.support_radius + 1e-9, 2.0]))
-    assert out[0] == 1.0 and out[1] == 1.0
-    assert out[2] == 0.0 and out[3] == 0.0
-
-
 def test_polar_grid_validation(params):
     with pytest.raises(DomainError):
         PolarGrid.build(params, 1.0, 16, n_theta=6)
@@ -106,11 +98,3 @@ def test_polar_grid_validation(params):
     grid = PolarGrid.build(params, 1.0, 16, n_theta=8)
     assert grid.thetas[0] == -np.pi
     assert 0.0 in grid.thetas
-
-
-def test_polar_interp_wraparound(params):
-    grid = PolarGrid.build(params, 1.0, 12, n_theta=8)
-    vals = np.tile(np.cos(grid.thetas), (12, 1))
-    got = grid.interp(vals, np.array([0.4, 0.4]), np.array([np.pi - 1e-9, -np.pi]))
-    assert got[0] == pytest.approx(math.cos(np.pi), abs=1e-6)
-    assert got[1] == pytest.approx(math.cos(-np.pi), abs=1e-12)
