@@ -20,8 +20,7 @@ from .dissipation import (CircularGaussianLaw, DissipationLaw, UniformLaw,
                           law_from_config)
 from .errors import DomainError, EstimationError, NumericError
 from .sampler import DensityEstimate, estimate_density, simulate_batch
-from .specfun import (SeriesControl, bessel_i0, bessel_j0, gamma_half,
-                      gauss_2f1)
+from .specfun import SeriesControl, bessel_j0, gamma_half, gauss_2f1
 
 __version__ = "0.1.0"
 
@@ -29,7 +28,7 @@ __all__ = [
     "__version__",
     "FlightParams", "EvalPoint", "RadialGrid", "PolarGrid",
     "DensityLayer", "DensityField", "poisson_weight", "tail_mass",
-    "SeriesControl", "gauss_2f1", "bessel_j0", "bessel_i0", "gamma_half",
+    "SeriesControl", "gauss_2f1", "bessel_j0", "gamma_half",
     "DissipationLaw", "UniformLaw", "CircularGaussianLaw", "law_from_config",
     "SingularLayer", "singular_layer", "one_turn_density",
     "one_turn_density_r3", "one_turn_profile",

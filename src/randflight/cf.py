@@ -8,7 +8,8 @@ lam * exp(-lam (t - tau)) * psi(alpha, t - tau).  This module evaluates
 psi, iterates the convolution powers on a uniform time ladder, solves
 the Volterra equation by product-trapezoid marching, checks the
 Laplace-domain identity, and Fourier-transforms spatial layers for the
-cross-pipeline comparison.
+cross-pipeline comparison; a layer's transform and its mass are one
+radial moment taken against different kernels.
 
 Values are complex throughout: for the isotropic law they are real up
 to rounding, but the circular Gaussian law is skewed along the first
@@ -24,8 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convolution import _gl_cached, _one_turn_reg_planar
-from .core import DensityLayer, FlightParams, PolarGrid
+from .core import DensityLayer, FlightParams, PolarGrid, _radial_mass
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError, NumericError
 from .specfun import bessel_j0
@@ -55,6 +55,15 @@ def _sinc(x: np.ndarray) -> np.ndarray:
     return np.where(small, 1.0 - x * x / 6.0, np.sin(xs) / xs)
 
 
+def _radial_kernel(m: int, a: float, r) -> np.ndarray:
+    """Angular average of cos(a r cos(angle)) over the unit sphere in
+    dimension m: J0(a r) in the plane, sinc(a r) in dimension 3."""
+    x = a * np.asarray(r, dtype=float)
+    if m == 2:
+        return np.reshape([bessel_j0(v) for v in x.ravel()], x.shape)
+    return _sinc(x)
+
+
 def sphere_cf(params: FlightParams, law: DissipationLaw, alpha,
               t: float) -> complex:
     """Transform psi(alpha, t) of the scaled dissipation density on the
@@ -68,12 +77,10 @@ def sphere_cf_values(params: FlightParams, law: DissipationLaw, alpha,
     times = np.asarray(times, dtype=float)
     ct = params.c * times
     if isinstance(law, UniformLaw):
-        a = _alpha_norm(alpha)
-        if params.m == 2:
-            return np.array([bessel_j0(v) for v in ct * a], dtype=complex)
-        if params.m == 3:
-            return _sinc(ct * a).astype(complex)
-        raise DomainError("sphere_cf supports the uniform law for m in {2, 3}")
+        if params.m not in (2, 3):
+            raise DomainError(
+                "sphere_cf supports the uniform law for m in {2, 3}")
+        return _radial_kernel(params.m, _alpha_norm(alpha), ct).astype(complex)
     if isinstance(law, CircularGaussianLaw):
         alpha = np.asarray(alpha, dtype=float)
         if alpha.ndim == 0:
@@ -217,90 +224,37 @@ def laplace_identity_error(params: FlightParams, law: DissipationLaw,
 # Fourier transforms of spatial layers
 # --------------------------------------------------------------------------
 
-def _radial_kernel(m: int, a: float, r: np.ndarray) -> np.ndarray:
-    if m == 2:
-        return np.array([bessel_j0(v) for v in a * r])
-    return _sinc(a * r)
-
-
 def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
-    """Fourier transform of a joint layer at the inversion vector alpha.
+    """Real part of the Fourier transform of a joint layer at the
+    inversion vector alpha (the whole transform for symmetric laws).
 
-    Rotation-invariant layers transform through the radial kernel (J0
-    weight in the plane, sinc in dimension 3); polar layers through the
-    full angular quadrature with alpha's actual direction.  The real
-    part is returned: it is the whole transform for symmetric laws, and
-    the symmetric part of it otherwise.  At alpha = 0 the result is the
-    layer mass.
+    The kernel is cos(|alpha| r cos(theta - phi)) on angular layers and
+    its angular average, J0(|alpha| r) in the plane or sinc(|alpha| r)
+    in dimension 3, on isotropic ones (radial grids, and polar grids of
+    an isotropic law).  One-turn layers integrate their exact profile
+    (`_Ladder.moment`), later layers their grid values; at alpha = 0 the
+    kernel is exactly 1 and the result is the layer mass.
     """
     if layer.kind != "joint":
         raise DomainError("layer_fourier expects a joint layer")
     a = _alpha_norm(alpha)
-    ladder = layer.ladder
-    grid = layer.grid
-    m = params.m
-    t = grid.t
-    R = params.radius(t)
-
-    if isinstance(grid, PolarGrid):
+    grid, ladder = layer.grid, layer.ladder
+    polar = isinstance(grid, PolarGrid)
+    if polar and (ladder is None or ladder.thetas is not None):
         alpha_v = np.atleast_1d(np.asarray(alpha, dtype=float))
-        if alpha_v.size == 1:
-            alpha_v = np.array([float(alpha_v[0]), 0.0])
-        phi_a = math.atan2(alpha_v[1], alpha_v[0])
-        ths = grid.thetas
-        if ladder is not None and ladder.n == 1 and ladder.reg == "inv_sqrt":
-            z, w = _gl_cached(128)
-            u = 0.5 * np.pi * z
-            wu = 0.5 * np.pi * w
-            r = R * np.sin(u)
-            acc = 0.0 + 0.0j
-            for th in ths:
-                g = _one_turn_reg_planar(params, ladder.law, r,
-                                         np.full_like(r, th), t)
-                phase = np.exp(1j * a * r * math.cos(th - phi_a))
-                acc += np.sum(wu * g * phase * np.sin(u)) * R
-            return float((acc * 2.0 * np.pi / len(ths)).real)
-        r = grid.nodes
-        acc = 0.0 + 0.0j
-        for k, th in enumerate(ths):
-            phase = np.exp(1j * a * r * math.cos(th - phi_a))
-            f = layer.values[:, k]
-            acc += np.trapezoid(f * phase * r, r)
-            acc += f[-1] * np.exp(1j * a * r[-1] * math.cos(th - phi_a)) \
-                * 0.5 * (R * R - r[-1] ** 2)
-        return float((acc * 2.0 * np.pi / len(ths)).real)
+        phi = math.atan2(alpha_v[1], alpha_v[0]) if alpha_v.size > 1 else 0.0
 
-    # rotation-invariant layers
-    if ladder is not None and ladder.n == 1:
-        if m == 2:
-            z, w = _gl_cached(128)
-            u = 0.5 * np.pi * z
-            wu = 0.5 * np.pi * w
-            r = R * np.sin(u)
-            g = _one_turn_reg_planar(params, ladder.law, r, np.zeros_like(r), t)
-            kern = _radial_kernel(2, a, r)
-            return float(2.0 * np.pi * R * np.sum(wu * g * kern * np.sin(u)))
-        # m == 3: log endpoint softened by the sin^2 map
-        z, w = _gl_cached(160)
-        r = R * np.sin(0.5 * np.pi * z) ** 2
-        wr = w * R * (0.5 * np.pi) * np.sin(np.pi * z)
-        B = params.lam * math.exp(-params.lam * t) / (4.0 * math.pi
-                                                      * params.c**2 * t)
-        f = B * np.log((R + r) / np.maximum(R - r, 1e-300)) \
-            / np.maximum(r, 1e-300)
-        f[r == 0] = B * 2.0 / R
-        kern = _radial_kernel(3, a, r)
-        return float(4.0 * np.pi * np.sum(wr * f * kern * r * r))
-
-    r = grid.nodes
-    f = layer.values
-    kern = _radial_kernel(m, a, r)
-    mid = 0.5 * (r[-1] + R)
-    kern_mid = _radial_kernel(m, a, np.array([mid]))[0]
-    if m == 2:
-        val = np.trapezoid(2.0 * np.pi * r * f * kern, r)
-        val += f[-1] * kern_mid * np.pi * (R * R - r[-1] ** 2)
+        def kern(r, th):
+            return np.cos(a * r * np.cos(th - phi))
     else:
-        val = np.trapezoid(4.0 * np.pi * r * r * f * kern, r)
-        val += f[-1] * kern_mid * (4.0 / 3.0) * np.pi * (R**3 - r[-1] ** 3)
-    return float(val)
+        def kern(r, th):
+            return _radial_kernel(params.m, a, r)
+
+    if ladder is not None and ladder.n == 1:
+        return ladder.moment(kern)
+    r = grid.nodes
+    if polar:
+        values = (layer.values * kern(r[:, None], grid.thetas)).mean(axis=1)
+    else:
+        values = layer.values * kern(r, None)
+    return _radial_mass(r, values, params.m, params.radius(grid.t))

@@ -92,7 +92,7 @@ def _build_parser() -> argparse.ArgumentParser:
         sp.add_argument("--out", help="output CSV path")
         sp.add_argument("--format", dest="fmt", choices=["csv", "json"])
         sp.add_argument("--threads", type=int,
-                        default=_env_threads(), help="worker count")
+                        help="worker count (default $RANDFLIGHT_THREADS)")
 
     sp = sub.add_parser("simulate", help="Monte Carlo density histogram")
     common(sp)
@@ -114,7 +114,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("validate", help="run invariant suites")
     common(sp)
-    sp.add_argument("--suite", default="all", choices=("all",) + _SUITES)
+    sp.add_argument("--suite", choices=("all",) + _SUITES)
     return p
 
 
@@ -142,7 +142,8 @@ _CONFIG_KEYS = {
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Resolve a run: defaults, then the --config file, then the flags."""
+    """Resolve a run: defaults, then $RANDFLIGHT_THREADS, then the --config
+    file, then the flags; each later source overrides the earlier ones."""
     base: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -150,7 +151,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         schema = base.pop("schema", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise DomainError(f"unsupported config schema {schema}")
-    cfg = RunConfig(command=args.command)
+    cfg = RunConfig(command=args.command, threads=_env_threads())
     flags = {k: v for k, v in vars(args).items() if k not in ("law", "alphas")}
     for source in (base, flags):
         for key, (name, convert) in _CONFIG_KEYS.items():
@@ -361,7 +362,7 @@ def _cmd_validate(cfg: RunConfig) -> dict:
 
 
 def _validation_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    from .specfun import bessel_i0, bessel_j0, gauss_2f1
+    from .specfun import bessel_j0, gauss_2f1
 
     params = cfg.params()
     law = law_from_config(cfg.law, params)
@@ -379,7 +380,10 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         checks.append(("hypergeometric-identity", err < 1e-10, f"defect {err:.2e}"))
         err = abs(bessel_j0(2.404825557695773))
         checks.append(("bessel-j0-zero", err < 1e-10, f"|J0| {err:.2e}"))
-        err = abs(bessel_i0(1.0) - 1.2660658777520084)
+        # the circular Gaussian normaliser 1 / (2 pi I0(1)) against I0(1)
+        chi0 = CircularGaussianLaw(FlightParams(2, 1.0, 1.0),
+                                   1.0).density_from_axis_cos(0.0)
+        err = abs(2.0 * math.pi * chi0 * 1.2660658777520084 - 1.0)
         checks.append(("bessel-i0-value", err < 1e-12, f"defect {err:.2e}"))
 
     if "sampler" in suites:

@@ -214,32 +214,46 @@ class _Ladder:
         return self.query(r, np.asarray(theta, dtype=float),
                           np.full(np.shape(r), self.t))
 
-    def mass(self) -> float:
-        """Accurate mass of the top-slot layer."""
+    def moment(self, kern=None) -> float:
+        """Integral of the top-slot layer against ``kern(r, theta)``, a
+        vectorized real weight; the mass when ``kern`` is None.  A kernel
+        that returns exactly 1 (a transform at zero frequency) gives the
+        mass to the last bit."""
         p = self.params
         R = p.radius(self.t)
+        ths = np.zeros(1) if self.thetas is None else self.thetas
+        kern = kern or (lambda r, th: np.ones_like(r * th))
         if self.n == 1 and p.m == 2:
             # r = R sin(u) cancels the boundary inverse square root,
             # leaving the smooth regular factor
-            z, w = _gl_cached(96)
+            z, w = _gl_cached(128)
             u = 0.5 * np.pi * z
-            wu = 0.5 * np.pi * w
             r = R * np.sin(u)
-            th_set = [0.0] if self.thetas is None else list(self.thetas)
+            wr = 0.5 * np.pi * w * R * np.sin(u)
             acc = 0.0
-            for th in th_set:
-                g = _one_turn_reg_planar(p, self.law, r, np.full_like(r, th),
-                                         self.t)
-                acc += float(R * np.sum(wu * g * np.sin(u)))
-            return 2.0 * math.pi * acc / len(th_set)
-        if self.n == 1 and p.m == 3:
-            # exact primitive of r log((R+r)/(R-r)) over the support
+            for th in ths:
+                th_r = np.full_like(r, th)
+                g = _one_turn_reg_planar(p, self.law, r, th_r, self.t)
+                acc += float(np.sum(wr * g * kern(r, th_r)))
+            return 2.0 * math.pi * acc / len(ths)
+        if self.n == 1:
+            # the exact mass (primitive of r log((R+r)/(R-r))) carries the
+            # kernel's value at the log-singular edge r = R; quadrature
+            # takes only the departure from it, which vanishes there
             B = p.lam * math.exp(-p.lam * self.t) / (4.0 * math.pi
                                                      * p.c**2 * self.t)
-            return 4.0 * math.pi * B * R * R
-        prof = self.tab[-1, :, 0] if self.tab.shape[2] == 1 \
-            else self.tab[-1].mean(axis=1)
-        return _radial_mass(self.sigma * R, prof, p.m, R)
+            r, wr = _sin2_panels(np.zeros(1), np.full(1, R), 160)
+            r, wr = r[0], wr[0]
+            f = self.evaluator(r, None, self.t)
+            k = kern(np.append(r, R), np.zeros(len(r) + 1))
+            dk = k[:-1] - k[-1]
+            return float(k[-1] * 4.0 * math.pi * B * R * R
+                         + 4.0 * math.pi * np.sum(wr * f * dk * r * r))
+        r = (self.sigma * R)[:, None]
+        prof = (self.tab[-1] * kern(r, ths[None, :])).mean(axis=1)
+        return _radial_mass(r[:, 0], prof, p.m, R)
+
+    mass = moment  # the moment against 1
 
 
 # --------------------------------------------------------------------------

@@ -198,36 +198,23 @@ class DensityLayer:
         if np.any(values < 0):
             raise DomainError("layer values must be nonnegative")
 
-    def mass(self, m: int = 2) -> float:
-        """Trapezoid mass over the grid plus a constant-value correction
-        for the standoff sliver between the last node and the support.
 
-        ``m`` is the ambient dimension fixing the volume element of a
-        radial grid; polar grids are planar by construction.
-        """
-        g = self.grid
-        if isinstance(g, PolarGrid):
-            # periodic trapezoid over angles
-            return _radial_mass(g.nodes, self.values.mean(axis=1), 2,
-                                g.support_radius)
-        if self.values.ndim != 1:
-            raise DomainError("radial layer values must be one-dimensional")
-        return _radial_mass(g.nodes, self.values, m, g.support_radius)
+def _ball_volume(r, m: int):
+    """Volume of the ball of radius ``r`` in dimension m in {2, 3}."""
+    if m == 2:
+        return np.pi * r**2
+    if m == 3:
+        return 4.0 / 3.0 * np.pi * r**3
+    raise DomainError(f"ball volume not implemented for m={m}")
 
 
 def _radial_mass(r: np.ndarray, values: np.ndarray, m: int,
                  r_sup: float) -> float:
     """Trapezoid mass of a radial profile on nodes ``r`` plus its last
     value times the volume of the sliver out to ``r_sup``."""
-    if m == 2:
-        mass = float(np.trapezoid(2.0 * np.pi * r * values, r))
-        mass += float(values[-1]) * np.pi * (r_sup**2 - r[-1] ** 2)
-    elif m == 3:
-        mass = float(np.trapezoid(4.0 * np.pi * r * r * values, r))
-        mass += float(values[-1]) * 4.0 / 3.0 * np.pi * (r_sup**3 - r[-1] ** 3)
-    else:
-        raise DomainError(f"radial mass not implemented for m={m}")
-    return mass
+    sliver = _ball_volume(r_sup, m) - _ball_volume(r[-1], m)
+    area = 2.0 * np.pi * r if m == 2 else 4.0 * np.pi * r * r
+    return float(np.trapezoid(area * values, r)) + float(values[-1]) * sliver
 
 
 @dataclass(frozen=True)

@@ -16,8 +16,8 @@ from abc import ABC, abstractmethod
 import numpy as np
 
 from .core import FlightParams
-from .errors import DomainError
-from .specfun import bessel_i0, gamma_half
+from .errors import DomainError, NumericError
+from .specfun import gamma_half
 
 __all__ = [
     "DissipationLaw",
@@ -100,12 +100,14 @@ class UniformLaw(DissipationLaw):
 
 
 class CircularGaussianLaw(DissipationLaw):
-    """Planar law with density exp(k cos(theta)) / (2 pi I0(k)).
+    """Planar law with density exp(k cos(theta)) / (2 pi I0(k)), the von
+    Mises law of the direction angle.
 
     ``k = 0`` degenerates to the uniform law on the circle; positive k
-    concentrates directions around the +x1 axis.  Sampling is exact by
-    rejection from the uniform envelope with acceptance exp(k(cos t - 1));
-    practical for k up to ~10.
+    concentrates directions around the +x1 axis.  I0 is numpy's
+    ``np.i0``, which overflows past |k| ~ 709.8, so |k| > 700 raises
+    ``NumericError``.  Sampling is exact: numpy's von Mises sampler (Best
+    & Fisher 1979), for any k.
     """
 
     def __init__(self, params: FlightParams, k: float):
@@ -113,7 +115,9 @@ class CircularGaussianLaw(DissipationLaw):
             raise DomainError("circular Gaussian law is planar only (m=2)")
         super().__init__(params)
         self.k = float(k)
-        self._norm = 1.0 / (2.0 * math.pi * bessel_i0(self.k))
+        if abs(self.k) > 700.0:
+            raise NumericError(f"I0 overflow for |k|={abs(self.k)} > 700")
+        self._norm = 1.0 / (2.0 * math.pi * float(np.i0(self.k)))
 
     def density(self, u) -> float:
         u = self._check_unit(u)
@@ -126,18 +130,8 @@ class CircularGaussianLaw(DissipationLaw):
         return self._norm * np.exp(self.k * ux)
 
     def sample_angles(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        if self.k == 0.0:
-            return rng.uniform(-np.pi, np.pi, size)
-        out = np.empty(size)
-        have = 0
-        while have < size:
-            want = size - have
-            cand = rng.uniform(-np.pi, np.pi, int(want * 2.2) + 16)
-            acc = rng.random(cand.size) < np.exp(self.k * (np.cos(cand) - 1.0))
-            got = cand[acc][:want]
-            out[have:have + got.size] = got
-            have += got.size
-        return out
+        # exp(k cos(theta)) with k < 0 is the von Mises law about pi
+        return rng.vonmises(0.0 if self.k >= 0 else np.pi, abs(self.k), size)
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         th = self.sample_angles(rng, size)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FlightParams, PolarGrid, RadialGrid
+from .core import FlightParams, PolarGrid, RadialGrid, _ball_volume
 from .dissipation import DissipationLaw
 from .errors import DomainError, EstimationError
 
@@ -25,6 +25,7 @@ __all__ = [
 ]
 
 _BOUNDARY_REL_TOL = 1e-9
+_CHUNK = 1 << 16  # directions (and radii) per run: bounds a block's temporaries
 
 
 def simulate_batch(params: FlightParams, law: DissipationLaw, t: float,
@@ -32,23 +33,25 @@ def simulate_batch(params: FlightParams, law: DissipationLaw, t: float,
                    rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
     """Vectorized simulation; returns (positions (n, m), event counts (n,)).
 
-    Samples are grouped by event count so that each group runs as one
-    array operation; the iteration order over counts is deterministic.
+    Samples are grouped by event count, in a deterministic order; a group
+    draws its directions in runs of about ``_CHUNK``, in the same order
+    whatever the run length.
     """
     counts = rng.poisson(params.lam * t, n_samples)
     positions = np.empty((n_samples, params.m))
     for n in np.unique(counts):
         sel = np.flatnonzero(counts == n)
-        k = sel.size
-        if n == 0:
-            positions[sel] = params.c * t * law.sample(rng, k)
-            continue
-        times = np.sort(rng.random((k, n)), axis=1) * t
-        bounds = np.concatenate(
-            [np.zeros((k, 1)), times, np.full((k, 1), t)], axis=1)
-        durations = np.diff(bounds, axis=1)
-        dirs = law.sample(rng, k * (n + 1)).reshape(k, n + 1, params.m)
-        positions[sel] = params.c * np.einsum("ij,ijk->ik", durations, dirs)
+        times = np.sort(rng.random((sel.size, n)), axis=1) * t
+        step = max(1, _CHUNK // (n + 1))
+        for a in range(0, sel.size, step):
+            rows = sel[a:a + step]
+            dirs = law.sample(rng, rows.size * (n + 1))
+            if n == 0:
+                positions[rows] = params.c * t * dirs
+                continue
+            durations = np.diff(times[a:a + step], axis=1, prepend=0.0, append=t)
+            dirs = dirs.reshape(-1, n + 1, params.m)
+            positions[rows] = params.c * np.einsum("ij,ijk->ik", durations, dirs)
     return positions, counts
 
 
@@ -77,14 +80,6 @@ def _radial_bin_edges(grid: RadialGrid | PolarGrid) -> np.ndarray:
     r = grid.nodes
     inner = 0.5 * (r[:-1] + r[1:])
     return np.concatenate([[0.0], inner, [grid.support_radius]])
-
-
-def _bin_volumes(edges: np.ndarray, m: int) -> np.ndarray:
-    if m == 2:
-        return np.pi * np.diff(edges**2)
-    if m == 3:
-        return 4.0 / 3.0 * np.pi * np.diff(edges**3)
-    raise DomainError(f"binning not implemented for m={m}")
 
 
 def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
@@ -124,12 +119,12 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
             keep = counts >= 1
         else:
             keep = counts == int(conditioning)
-        pos = pos[keep]
-        radii = np.linalg.norm(pos, axis=1)
+        radii = np.concatenate([np.linalg.norm(pos[a:a + _CHUNK], axis=1)
+                                for a in range(0, len(pos), _CHUNK)])[keep]
         ct = params.radius(t)
         n_boundary = int(np.count_nonzero(radii >= ct * (1.0 - _BOUNDARY_REL_TOL)))
         if polar:
-            theta = np.arctan2(pos[:, 1], pos[:, 0])
+            theta = np.arctan2(pos[keep, 1], pos[keep, 0])
             # angular bins centered on the grid angles, with wraparound
             jth = np.floor((theta + np.pi + 0.5 * dth) / dth).astype(int) % n_th
             ir = np.searchsorted(edges_r, radii, side="right") - 1
@@ -157,7 +152,7 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
             f"empty conditioning set: no samples with conditioning="
             f"{conditioning!r} out of {n_samples} (zero-event count {n_zero})")
 
-    vols = _bin_volumes(edges_r, params.m)
+    vols = np.diff(_ball_volume(edges_r, params.m))
     if polar:
         vols = vols[:, None] * (dth / (2.0 * np.pi))
     if conditioning == "all":

@@ -2,8 +2,9 @@
 
 Everything here is scalar, double precision, and free of external
 dependencies: the Gauss hypergeometric series on [0, 1), the Bessel
-function J0, the modified Bessel function I0, and the gamma function at
-integer and half-integer arguments.
+function J0, and the gamma function at integer and half-integer
+arguments.  The modified Bessel function I0 of the circular Gaussian
+law comes from numpy (``np.i0``).
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ __all__ = [
     "SeriesControl",
     "gauss_2f1",
     "bessel_j0",
-    "bessel_i0",
     "gamma_half",
 ]
 
@@ -119,25 +119,6 @@ def bessel_j0(x: float) -> float:
         xk *= x
     omega = x - 0.25 * math.pi
     return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
-
-
-def bessel_i0(x: float, control: SeriesControl | None = None) -> float:
-    """Modified Bessel function I0(x); even in x, >= 1 everywhere."""
-    if abs(x) > 700.0:
-        raise NumericError(f"bessel_i0 overflow for |x|={abs(x)} > 700")
-    ctrl = control or SeriesControl(rel_tol=1e-16, max_terms=600)
-    q = 0.25 * x * x
-    total = 1.0
-    term = 1.0
-    k = 0
-    while True:
-        k += 1
-        term *= q / (k * k)
-        total += term
-        if term <= ctrl.rel_tol * total:
-            return total
-        if k >= ctrl.max_terms:
-            raise NumericError(f"bessel_i0 series did not converge for x={x}")
 
 
 _SQRT_PI = math.sqrt(math.pi)

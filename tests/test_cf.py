@@ -5,8 +5,8 @@ import pytest
 from scipy import integrate
 
 from randflight import (CircularGaussianLaw, DomainError, FlightParams,
-                        NumericError, RadialGrid, StepConfig, UniformLaw,
-                        laplace_identity_error, layer_fourier,
+                        NumericError, PolarGrid, RadialGrid, StepConfig,
+                        UniformLaw, laplace_identity_error, layer_fourier,
                         next_conv_power, poisson_weight, psi_ladder,
                         seed_layer, next_layer, sphere_cf, tail_mass,
                         transition_density, volterra_cf)
@@ -147,11 +147,19 @@ def test_laplace_tail_control():
     assert errs[2] < errs[0]
 
 
-def test_layer_fourier_at_zero_is_mass():
-    grid = RadialGrid.build(P2, 1.0, 49)
-    layer = seed_layer(P2, UniformLaw(P2), 1.0, grid, CFG)
-    got = layer_fourier(layer, P2, np.zeros(2))
-    assert got == pytest.approx(poisson_weight(1, P2, 1.0), rel=1e-9)
+@pytest.mark.parametrize("params, law, polar", [
+    (P2, UniformLaw(P2), False),
+    (P3, UniformLaw(P3), False),
+    (P2, CircularGaussianLaw(P2, 1.0), True),
+], ids=["m2-radial", "m3-radial", "cg-polar"])
+def test_layer_fourier_at_zero_is_mass(params, law, polar):
+    # mass and transform are one radial moment: bitwise equal at alpha = 0
+    grid = PolarGrid.build(params, 1.0, 24, 16) if polar \
+        else RadialGrid.build(params, 1.0, 49)
+    layer = seed_layer(params, law, 1.0, grid, CFG)
+    got = layer_fourier(layer, params, np.zeros(params.m))
+    assert got == layer.ladder.mass()
+    assert got == pytest.approx(poisson_weight(1, params, 1.0), rel=1e-9)
 
 
 @pytest.mark.parametrize("params", [P2, P3])
@@ -190,8 +198,6 @@ def test_spectral_consistency_of_pipelines(params):
 
 def test_spectral_consistency_circular_gaussian_real_part():
     # the real parts of both pipelines agree for the skewed law as well
-    from randflight import PolarGrid
-
     law = CircularGaussianLaw(P2, 1.0)
     cfg = StepConfig(ladder_slots=32, n_sigma=41, n_theta=16,
                      time_order=12, arc_order=16)

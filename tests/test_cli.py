@@ -96,6 +96,24 @@ def test_config_resolution_file_then_flags(tmp_path):
     assert cfg.alphas == (0.5, 3.0) and cfg.s_values == (0.25,)
 
 
+def test_config_file_beats_defaults_and_env(tmp_path, monkeypatch, capsys):
+    # defaults, then RANDFLIGHT_THREADS, then the file, then the flags
+    monkeypatch.setenv("RANDFLIGHT_THREADS", "2")
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"suite": "core", "threads": 1}))
+    assert run_cli(["validate", "--config", str(cfgfile)]) == 0
+    assert capsys.readouterr().out.splitlines()[-1] == "1/1 checks passed"
+    parser = _build_parser()
+    cfg = load_config(parser.parse_args(["validate", "--config", str(cfgfile)]))
+    assert (cfg.suite, cfg.threads) == ("core", 1)
+    cfg = load_config(parser.parse_args(
+        ["validate", "--config", str(cfgfile), "--threads", "3",
+         "--suite", "specfun"]))
+    assert (cfg.suite, cfg.threads) == ("specfun", 3)
+    cfg = load_config(parser.parse_args(["validate"]))
+    assert (cfg.suite, cfg.threads) == ("all", 2)
+
+
 def test_circular_gaussian_cli(tmp_path):
     out = tmp_path / "cg.csv"
     code = run_cli(["density", "--m", "2", "--law", "circular_gaussian",

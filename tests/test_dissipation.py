@@ -6,7 +6,6 @@ from scipy import special
 
 from randflight import (CircularGaussianLaw, DomainError, FlightParams,
                         UniformLaw, law_from_config)
-from randflight.specfun import bessel_i0
 
 
 @pytest.fixture
@@ -59,7 +58,7 @@ def test_sphere_density_scaling(p2):
         law.sphere_density(np.array([1.5, 0.0]), 2.0)
     cg = CircularGaussianLaw(p2, 2.0)
     got = cg.sphere_density(np.array([3.0, 0.0]), 3.0)
-    assert got == pytest.approx(math.exp(2.0) / (2 * math.pi * bessel_i0(2.0)),
+    assert got == pytest.approx(math.exp(2.0) / (2 * math.pi * special.i0(2.0)),
                                 rel=1e-12)
 
 
@@ -99,9 +98,9 @@ def test_circular_gaussian_mean_cos(p2):
     # oracle: quadrature of cos * chi_k, cross-checked by I1/I0 series
     k = 2.0
     th = np.linspace(-np.pi, np.pi, 20001)
-    chi = np.exp(k * np.cos(th)) / (2 * np.pi * bessel_i0(k))
+    chi = np.exp(k * np.cos(th)) / (2 * np.pi * special.i0(k))
     target_quad = np.trapezoid(np.cos(th) * chi, th)
-    target_bessel = special.i1(k) / bessel_i0(k)
+    target_bessel = special.i1(k) / special.i0(k)
     assert target_quad == pytest.approx(target_bessel, abs=1e-10)
     assert target_bessel == pytest.approx(0.6977746579640081, rel=1e-12)
 
@@ -109,7 +108,7 @@ def test_circular_gaussian_mean_cos(p2):
     n = 1_000_000
     u = CircularGaussianLaw(p2, k).sample(rng, n)
     mean_cos = u[:, 0].mean()
-    var = 0.5 * (1 + special.i1(k) / bessel_i0(k)) - target_bessel**2  # E cos^2 bound
+    var = 0.5 * (1 + special.i1(k) / special.i0(k)) - target_bessel**2  # E cos^2 bound
     se = math.sqrt(abs(var) / n)
     assert abs(mean_cos - target_bessel) < 4 * se
 
@@ -136,9 +135,19 @@ def test_sampler_histogram_matches_density(p2):
     width = bins[1] - bins[0]
     centers = 0.5 * (bins[:-1] + bins[1:])
     dens = hist / (n * width)
-    target = np.exp(1.5 * np.cos(centers)) / (2 * np.pi * bessel_i0(1.5))
+    target = np.exp(1.5 * np.cos(centers)) / (2 * np.pi * special.i0(1.5))
     se = np.sqrt(np.maximum(hist, 1.0)) / (n * width)
     assert np.all(np.abs(dens - target) < 5 * se + 1e-4)
+
+
+def test_sampler_negative_k_concentrates_about_pi(p2):
+    # exp(k cos(theta)) with k < 0 is the k > 0 law turned by pi
+    k = -1.5
+    u = CircularGaussianLaw(p2, k).sample(np.random.default_rng(15), 400_000)
+    target = special.i1(k) / special.i0(k)
+    se = math.sqrt(0.5 / len(u))
+    assert abs(u[:, 0].mean() - target) < 5 * se
+    assert abs(u[:, 1].mean()) < 5 * se
 
 
 def test_law_from_config(p2):

@@ -144,3 +144,39 @@ def test_block_merge_independent_of_threads(p2):
     b = estimate_density(p2, law, 1.0, 64_000, grid, seed=10, threads=4,
                          block_size=16_000)
     assert np.array_equal(a.values, b.values)
+
+
+@pytest.mark.parametrize("m, k", [(3, None), (2, 1.0)])
+def test_draws_independent_of_chunk(monkeypatch, m, k):
+    from randflight import CircularGaussianLaw, sampler
+    p = FlightParams(m, 1.0, 2.0)
+    law = UniformLaw(p) if k is None else CircularGaussianLaw(p, k)
+    grid = (RadialGrid.build_uniform(p, 1.0, 16) if k is None
+            else PolarGrid.build(p, 1.0, 8, n_theta=8))
+    runs = []
+    for chunk in (sampler._CHUNK, 5):
+        monkeypatch.setattr(sampler, "_CHUNK", chunk)
+        pos, counts = simulate_batch(p, law, 1.0, 5_000,
+                                     np.random.default_rng(11))
+        est = estimate_density(p, law, 1.0, 20_000, grid, conditioning=1,
+                               seed=11)
+        runs.append((pos, counts, est.values))
+    for a, b in zip(*runs):
+        assert np.array_equal(a, b)
+
+
+def test_block_temporaries_stay_small():
+    import tracemalloc
+    p = FlightParams(2, 1.0, 2.0)
+    law = UniformLaw(p)
+    grid = RadialGrid.build_uniform(p, 1.0, 64)
+    n = 1_000_000
+    tracemalloc.start()
+    try:
+        estimate_density(p, law, 1.0, n, grid, seed=12)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # positions (16 B), counts (8 B) and radii (16 B) per flight, plus a few
+    # MB of runs; drawing a count group at once peaked at about 95 B
+    assert peak < 48 * n

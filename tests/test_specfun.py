@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from randflight import (DomainError, NumericError, SeriesControl, bessel_i0,
-                        bessel_j0, gamma_half, gauss_2f1)
+from randflight import (CircularGaussianLaw, DomainError, FlightParams,
+                        NumericError, SeriesControl, bessel_j0, gamma_half,
+                        gauss_2f1)
 
 
 def hyp_series(a, b, c, z, terms=400):
@@ -119,25 +120,14 @@ def test_j0_bounded():
     assert all(abs(bessel_j0(x)) <= 1.0 + 1e-12 for x in xs)
 
 
-def test_i0_series_oracle_and_symmetry():
-    def series(x, terms=60):
-        total, term, q = 1.0, 1.0, 0.25 * x * x
-        for k in range(1, terms):
-            term *= q / (k * k)
-            total += term
-        return total
-
-    assert bessel_i0(0.0) == 1.0
-    assert series(1.0) == pytest.approx(1.2660658777520084, rel=1e-13)
-    assert bessel_i0(1.0) == pytest.approx(1.2660658777520084, rel=1e-12)
-    assert bessel_i0(-1.0) == bessel_i0(1.0)
-    assert bessel_i0(3.7) == pytest.approx(float(special.i0(3.7)), rel=1e-12)
-    assert bessel_i0(100.0) >= 1.0
-
-
 def test_i0_overflow():
+    # np.i0 overflows past |k| ~ 709.8; the law refuses |k| > 700
+    p2 = FlightParams(2, 1.0, 1.0)
     with pytest.raises(NumericError):
-        bessel_i0(701.0)
+        CircularGaussianLaw(p2, 800.0)
+    with pytest.raises(NumericError):
+        CircularGaussianLaw(p2, -701.0)
+    assert math.isfinite(CircularGaussianLaw(p2, 700.0).density_from_axis_cos(0.0))
 
 
 def test_gamma_half():
