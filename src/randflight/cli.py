@@ -26,13 +26,14 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
-from .cf import layer_fourier, volterra_cf
+from .cf import layer_fourier, sphere_cf, volterra_cf
 from .convolution import ac_profile, transition_density
 from .core import (FlightParams, PolarGrid, RadialGrid, poisson_weight,
                    tail_mass)
 from .dissipation import CircularGaussianLaw, law_from_config
 from .errors import DomainError, EstimationError, NumericError
 from .sampler import estimate_density, simulate_batch
+from .specfun import bessel_j0, gauss_2f1
 
 SCHEMA_VERSION = 1
 
@@ -234,6 +235,14 @@ def _grid(cfg: RunConfig, params: FlightParams, law, uniform_bins=False):
     return RadialGrid.build(params, cfg.t, cfg.n_r)
 
 
+def _field(cfg: RunConfig):
+    """The run's assembled transition density and its grid."""
+    params = cfg.params()
+    law = law_from_config(cfg.law, params)
+    grid = _grid(cfg, params, law)
+    return transition_density(params, law, cfg.t, cfg.K, grid), grid
+
+
 # --------------------------------------------------------------------------
 # commands
 # --------------------------------------------------------------------------
@@ -283,10 +292,7 @@ def _layer_rows(layers, grid) -> tuple[list[str], list]:
 
 
 def _cmd_layers(cfg: RunConfig) -> dict:
-    params = cfg.params()
-    law = law_from_config(cfg.law, params)
-    grid = _grid(cfg, params, law)
-    field_obj = transition_density(params, law, cfg.t, cfg.K, grid)
+    field_obj, grid = _field(cfg)
     header, rows = _layer_rows(field_obj.layers, grid)
     _write_rows(cfg.out, cfg.fmt, header, rows)
     return {"mass_accounting": _mass_accounting(field_obj)}
@@ -302,16 +308,12 @@ def _mass_accounting(field_obj) -> dict:
 
 
 def _cmd_density(cfg: RunConfig) -> dict:
-    params = cfg.params()
-    law = law_from_config(cfg.law, params)
-    grid = _grid(cfg, params, law)
-    field_obj = transition_density(params, law, cfg.t, cfg.K, grid)
+    field_obj, grid = _field(cfg)
     rows = []
     if isinstance(grid, PolarGrid):
         header = ["r", "theta", "p_ac"]
-        for j, th in enumerate(grid.thetas):
-            vals = ac_profile(field_obj, grid.nodes,
-                              np.full(grid.n_r, th))
+        for th in grid.thetas:
+            vals = ac_profile(field_obj, grid.nodes, th)
             for i, r in enumerate(grid.nodes):
                 rows.append([r, th, vals[i]])
     else:
@@ -324,14 +326,11 @@ def _cmd_density(cfg: RunConfig) -> dict:
 
 
 def _cmd_cf(cfg: RunConfig) -> dict:
-    params = cfg.params()
-    law = law_from_config(cfg.law, params)
-    grid = _grid(cfg, params, law)
-    field_obj = transition_density(params, law, cfg.t, cfg.K, grid)
+    field_obj, _ = _field(cfg)
+    params, law = field_obj.params, field_obj.law
     sing_w = field_obj.singular_weight
     rows = []
     header = ["alpha", "volterra", "layer_sum", "abs_diff"]
-    from .cf import sphere_cf
     for a in cfg.alphas:
         alpha = np.zeros(params.m)
         alpha[0] = a
@@ -362,8 +361,6 @@ def _cmd_validate(cfg: RunConfig) -> dict:
 
 
 def _validation_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
-    from .specfun import bessel_j0, gauss_2f1
-
     params = cfg.params()
     law = law_from_config(cfg.law, params)
     suites = _SUITES if cfg.suite == "all" else (cfg.suite,)

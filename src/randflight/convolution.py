@@ -59,6 +59,7 @@ __all__ = [
 _TINY = 1e-300
 _SIGMA_CAP = 1.0 - 1e-4  # plain tables stop short of the measure-zero edge
 _R_TINY_REL = 1e-7
+_SEED_QUAD = 32  # order of the planar one-turn quadrature
 
 
 # --------------------------------------------------------------------------
@@ -107,7 +108,6 @@ class StepConfig:
     time_order: int = 16         # Gauss-Legendre order per time panel
     arc_order: int = 24          # Gauss-Legendre order per surface panel
     seed_grade: tuple = (1e-3, 1e-2, 1e-1, 1.0)  # decade subpanels
-    seed_quad: int = 32          # order of the planar one-turn evaluator
 
     def __post_init__(self) -> None:
         if self.ladder_slots < 8:
@@ -136,9 +136,10 @@ class _Ladder:
 
     ``tab`` has shape (J+1, n_sigma, n_theta); rotation-invariant data
     uses n_theta = 1.  ``reg='inv_sqrt'`` marks regularized one-turn
-    tables.  ``evaluator(r, theta, t) -> values`` is the exact pointwise
-    route used for public node values and seed masses; stepped ladders
-    have none and are read from their tables.
+    tables; the m=3 seed has no tables (``tab`` None), since the step
+    consumes it through its closed form.  ``cfg`` is the resolution the
+    ladder was built at and ``source`` the ladder the step consumed to
+    make it (None for the seed): exact values re-apply that step.
     """
 
     n: int
@@ -147,9 +148,10 @@ class _Ladder:
     times: np.ndarray
     sigma: np.ndarray
     thetas: np.ndarray | None
-    tab: np.ndarray
+    tab: np.ndarray | None
+    cfg: StepConfig
     reg: str | None = None
-    evaluator: object = None
+    source: "_Ladder | None" = None
 
     @property
     def t(self) -> float:
@@ -205,14 +207,28 @@ class _Ladder:
         return out
 
     def top_values(self, r, theta=None):
-        """Layer values at the ladder's final time, exact when available."""
+        """Exact layer values at the ladder's final time: the one-turn
+        closed form (m=3) or quadrature (planar) for the seed, the step
+        re-applied to ``source`` otherwise.  ``theta`` (default 0) has
+        the shape of ``r``; isotropic ladders ignore it."""
         r = np.asarray(r, dtype=float)
-        if self.evaluator is not None:
-            return self.evaluator(r, theta, self.t)
-        if theta is None:
-            theta = np.zeros_like(r)
-        return self.query(r, np.asarray(theta, dtype=float),
-                          np.full(np.shape(r), self.t))
+        p, t = self.params, self.t
+        if self.source is None and p.m == 3:
+            return one_turn_profile(p, r, t)
+        if self.source is None:
+            th = np.zeros_like(r) if theta is None \
+                else np.asarray(theta, dtype=float)
+            g = _one_turn_reg_planar(p, self.law, r, th, t)
+            return g / np.sqrt(np.maximum(p.radius(t) ** 2 - r * r, _TINY))
+        if theta is None or self.thetas is None:
+            return _step_values(self.source, r, np.zeros(1), t, self.cfg)[:, 0]
+        theta = np.asarray(theta, dtype=float)
+        out = np.empty(r.shape)
+        for th in np.unique(theta):
+            mask = theta == th
+            out[mask] = _step_values(self.source, r[mask], np.array([th]), t,
+                                     self.cfg)[:, 0]
+        return out
 
     def moment(self, kern=None) -> float:
         """Integral of the top-slot layer against ``kern(r, theta)``, a
@@ -244,7 +260,7 @@ class _Ladder:
                                                      * p.c**2 * self.t)
             r, wr = _sin2_panels(np.zeros(1), np.full(1, R), 160)
             r, wr = r[0], wr[0]
-            f = self.evaluator(r, None, self.t)
+            f = one_turn_profile(p, r, self.t)
             k = kern(np.append(r, R), np.zeros(len(r) + 1))
             dk = k[:-1] - k[-1]
             return float(k[-1] * 4.0 * math.pi * B * R * R
@@ -261,7 +277,7 @@ class _Ladder:
 # --------------------------------------------------------------------------
 
 def _one_turn_reg_planar(params: FlightParams, law: DissipationLaw,
-                         r, theta, t, n_quad: int = 32):
+                         r, theta, t):
     """Regular factor f1(x, t) * sqrt((ct)^2 - |x|^2) of the planar
     one-turn density, any dissipation law.
 
@@ -277,7 +293,7 @@ def _one_turn_reg_planar(params: FlightParams, law: DissipationLaw,
     r = np.asarray(r, dtype=float)
     theta = np.asarray(theta, dtype=float)
     ct = params.radius(t)
-    z, w = _gl_cached(n_quad)
+    z, w = _gl_cached(_SEED_QUAD)
     ang = -0.5 * np.pi + np.pi * z
     ws = np.pi * w
     sin_s = np.sin(ang)
@@ -322,14 +338,8 @@ def _make_seed_ladder(params: FlightParams, law: DissipationLaw, t: float,
     if params.m == 3:
         if not isinstance(law, UniformLaw):
             raise DomainError("dimension 3 supports the uniform law only")
-
-        def evaluator(r, theta, tt):
-            return one_turn_profile(params, np.asarray(r, dtype=float), tt)
-
-        sigma = _sigma_pattern(cfg.n_sigma, 1.0)
-        tab = np.zeros((J + 1, cfg.n_sigma, 1))  # consumed analytically
-        return _Ladder(1, params, law, times, sigma, None, tab,
-                       reg=None, evaluator=evaluator)
+        return _Ladder(1, params, law, times, _sigma_pattern(cfg.n_sigma, 1.0),
+                       None, None, cfg)
 
     symmetric = not isinstance(law, CircularGaussianLaw)
     n_th = 1 if symmetric else cfg.n_theta
@@ -343,19 +353,9 @@ def _make_seed_ladder(params: FlightParams, law: DissipationLaw, t: float,
         rr = sigma * params.radius(tj)
         for k in range(n_th):
             tab[j, :, k] = _one_turn_reg_planar(
-                params, law, rr, np.full_like(rr, th_nodes[k]), tj,
-                cfg.seed_quad)
-
-    def evaluator(r, theta, tt):
-        r = np.asarray(r, dtype=float)
-        th = np.zeros_like(r) if theta is None \
-            else np.asarray(theta, dtype=float)
-        g = _one_turn_reg_planar(params, law, r, th, tt, cfg.seed_quad)
-        w2 = params.radius(tt) ** 2 - r * r
-        return g / np.sqrt(np.maximum(w2, _TINY))
-
-    return _Ladder(1, params, law, times, sigma, thetas, tab,
-                   reg="inv_sqrt", evaluator=evaluator)
+                params, law, rr, np.full_like(rr, th_nodes[k]), tj)
+    return _Ladder(1, params, law, times, sigma, thetas, tab, cfg,
+                   reg="inv_sqrt")
 
 
 # --------------------------------------------------------------------------
@@ -400,84 +400,6 @@ def _time_panels(r: np.ndarray, T: float, c: float, order: int,
     return np.concatenate(nodes, axis=-1), np.concatenate(weights, axis=-1)
 
 
-def _step_values_planar(params: FlightParams, law: DissipationLaw,
-                        ladder: _Ladder, r_targets: np.ndarray,
-                        th_targets: np.ndarray, T: float,
-                        cfg: StepConfig) -> np.ndarray:
-    """One application of the layer recurrence at time T, planar case;
-    returns values of shape (len(r_targets), len(th_targets)).
-
-    The surface integral runs in the chord-radius variable s over both
-    arc branches; the angle-to-radius Jacobian is
-    2 s / sqrt(((r+rho)^2 - s^2)(s^2 - (r-rho)^2)), whose endpoint
-    singularities the sin^2 panel map integrates exactly.
-    """
-    lam, c = params.lam, params.c
-    r_targets = np.asarray(r_targets, dtype=float)
-    grade = cfg.seed_grade if ladder.n == 1 else None
-    r_tiny = _R_TINY_REL * c * T
-    out = np.zeros((len(r_targets), len(th_targets)))
-
-    regular = r_targets >= r_tiny
-    if np.any(regular):
-        r = r_targets[regular]
-        tau, wt = _time_panels(r, T, c, cfg.time_order, grade)
-        rho = c * (T - tau)
-        rr = r[:, None]
-        s_lo = np.abs(rr - rho)
-        s_hi = np.minimum(rr + rho, c * tau)
-        good = s_hi > s_lo
-        ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
-                                              with_gaps=True)
-        # endpoint distances in cancellation-free form: to the inner
-        # support sphere (exact when s_hi is the sphere itself) and to
-        # the two roots of the arc Jacobian
-        gap = np.maximum(c * tau - s_hi, 0.0)[..., None] + hi_gap
-        gap_outer = np.maximum((rr + rho) - s_hi, 0.0)[..., None] + hi_gap
-        ker = 2.0 * ss / np.sqrt(np.maximum(
-            gap_outer * ((rr + rho)[..., None] + ss)
-            * lo_gap * (s_lo[..., None] + ss), _TINY))
-        d1 = (rr[..., None] ** 2 + ss**2 - (rho**2)[..., None]) \
-            / np.maximum(2.0 * rr[..., None], _TINY)
-        d2 = np.sqrt(np.maximum(ss**2 - d1**2, 0.0))
-        omega = np.arctan2(d2, d1)
-        tau3 = np.broadcast_to(tau[..., None], ss.shape)
-        decay = np.exp(-lam * (T - tau)) * wt
-        rho3 = np.maximum(rho[..., None], _TINY)
-        for li, th in enumerate(th_targets):
-            cth, sth = math.cos(th), math.sin(th)
-            acc = 0.0
-            for sgn in (1.0, -1.0):
-                chi = law.density_from_axis_cos(
-                    (cth * (rr[..., None] - d1) + sth * sgn * d2) / rho3)
-                E = ladder.query(ss, th + sgn * omega, tau3,
-                                 support_gap=gap)
-                acc = acc + chi * E
-            F = np.where(good, np.sum(ws * ker * acc, axis=-1), 0.0)
-            out[regular, li] = lam * np.sum(decay * F, axis=-1)
-
-    if np.any(~regular):
-        # at the origin the cap window has width r/c -> 0; only the
-        # full-sphere stretch contributes, as a plain angular average
-        tau, wt = _sin2_panels(np.full(1, 0.5 * T), np.full(1, T),
-                               cfg.time_order)
-        tau, wt = tau[0], wt[0]
-        rho = c * (T - tau)
-        n_phi = 64
-        phi = -np.pi + 2.0 * np.pi * np.arange(n_phi) / n_phi
-        chi = law.density_from_axis_cos(-np.cos(phi))
-        shape = (len(tau), n_phi)
-        gap = np.broadcast_to((c * (2.0 * tau - T))[:, None], shape)
-        E = ladder.query(np.broadcast_to(rho[:, None], shape),
-                         np.broadcast_to(phi, shape),
-                         np.broadcast_to(tau[:, None], shape),
-                         support_gap=gap)
-        F = (E * chi).sum(axis=1) * (2.0 * np.pi / n_phi)
-        val = lam * float(np.sum(wt * np.exp(-lam * (T - tau)) * F))
-        out[~regular, :] = val
-    return out
-
-
 def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
     """Primitive of log((a+s)/(a-s)) in s; finite at s = a."""
     lo = a - s
@@ -485,103 +407,124 @@ def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
         + np.where(lo > 0, lo * np.log(np.maximum(lo, _TINY)), 0.0)
 
 
-def _step_values_r3(params: FlightParams, ladder: _Ladder,
-                    r_targets: np.ndarray, T: float,
-                    cfg: StepConfig) -> np.ndarray:
-    """One application of the recurrence at time T, dimension 3, uniform
-    law.  The cap integral reduces to (1 / (2 rho r)) int s f(s) ds;
-    while consuming the one-turn layer the inner integral has the exact
-    primitive (a+s) log(a+s) + (a-s) log(a-s)."""
-    lam, c = params.lam, params.c
-    r_targets = np.asarray(r_targets, dtype=float)
-    from_seed = ladder.n == 1
-    grade = cfg.seed_grade if from_seed else None
-    r_tiny = _R_TINY_REL * c * T
-    out = np.zeros(len(r_targets))
+def _step_values(ladder: _Ladder, r_targets: np.ndarray,
+                 th_targets: np.ndarray, T: float,
+                 cfg: StepConfig) -> np.ndarray:
+    """One application of the layer recurrence at time T: the layer after
+    ``ladder`` at radii ``r_targets`` and angles ``th_targets``, shape
+    (len(r_targets), len(th_targets)).
 
-    regular = r_targets >= r_tiny
+    Planar surface integrals run in the chord-radius variable s over
+    both arc branches; the angle-to-radius Jacobian is
+    2 s / sqrt(((r+rho)^2 - s^2)(s^2 - (r-rho)^2)), whose endpoint
+    singularities the sin^2 panel map integrates exactly.  In dimension
+    3 (uniform law) the cap integral reduces to (1 / (2 rho r)) int s f(s)
+    ds; while consuming the one-turn layer the inner integral has the
+    exact primitive (a+s) log(a+s) + (a-s) log(a-s).
+    """
+    params, law = ladder.params, ladder.law
+    lam, c = params.lam, params.c
+    planar = params.m == 2
+    from_seed = ladder.n == 1
+    r_targets = np.asarray(r_targets, dtype=float)
+    out = np.zeros((len(r_targets), len(th_targets)))
+
+    regular = r_targets >= _R_TINY_REL * c * T
     if np.any(regular):
         r = r_targets[regular]
-        tau, wt = _time_panels(r, T, c, cfg.time_order, grade)
+        tau, wt = _time_panels(r, T, c, cfg.time_order,
+                               cfg.seed_grade if from_seed else None)
         rho = c * (T - tau)
         av = c * tau
         rr = r[:, None]
         s_lo = np.abs(rr - rho)
         s_hi = np.minimum(rr + rho, av)
         good = s_hi > s_lo
-        if from_seed:
-            B = lam * np.exp(-lam * tau) / (4.0 * math.pi * c**2 * tau)
-            inner = B * (_log_primitive(s_hi, av) - _log_primitive(s_lo, av))
+        decay = np.exp(-lam * (T - tau)) * wt
+        if not planar:
+            if from_seed:
+                B = lam * np.exp(-lam * tau) / (4.0 * math.pi * c**2 * tau)
+                inner = B * (_log_primitive(s_hi, av)
+                             - _log_primitive(s_lo, av))
+            else:
+                ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
+                E = ladder.query(ss, None,
+                                 np.broadcast_to(tau[..., None], ss.shape))
+                inner = np.sum(ws * ss * E, axis=-1)
+            F = np.where(good, inner / np.maximum(2.0 * rho * rr, _TINY), 0.0)
+            out[regular] = lam * np.sum(decay * F, axis=-1)[:, None]
         else:
-            ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
+            ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
+                                                  with_gaps=True)
+            # endpoint distances in cancellation-free form: to the inner
+            # support sphere (exact when s_hi is the sphere itself) and to
+            # the two roots of the arc Jacobian
+            gap = np.maximum(av - s_hi, 0.0)[..., None] + hi_gap
+            gap_outer = np.maximum((rr + rho) - s_hi, 0.0)[..., None] + hi_gap
+            ker = 2.0 * ss / np.sqrt(np.maximum(
+                gap_outer * ((rr + rho)[..., None] + ss)
+                * lo_gap * (s_lo[..., None] + ss), _TINY))
+            d1 = (rr[..., None] ** 2 + ss**2 - (rho**2)[..., None]) \
+                / np.maximum(2.0 * rr[..., None], _TINY)
+            d2 = np.sqrt(np.maximum(ss**2 - d1**2, 0.0))
+            omega = np.arctan2(d2, d1)
             tau3 = np.broadcast_to(tau[..., None], ss.shape)
-            E = ladder.query(ss, None, tau3)
-            inner = np.sum(ws * ss * E, axis=-1)
-        F = np.where(good, inner / np.maximum(2.0 * rho * rr, _TINY), 0.0)
-        out[regular] = lam * np.sum(wt * np.exp(-lam * (T - tau)) * F, axis=-1)
+            rho3 = np.maximum(rho[..., None], _TINY)
+            for li, th in enumerate(th_targets):
+                cth, sth = math.cos(th), math.sin(th)
+                acc = 0.0
+                for sgn in (1.0, -1.0):
+                    chi = law.density_from_axis_cos(
+                        (cth * (rr[..., None] - d1) + sth * sgn * d2) / rho3)
+                    E = ladder.query(ss, th + sgn * omega, tau3,
+                                     support_gap=gap)
+                    acc = acc + chi * E
+                F = np.where(good, np.sum(ws * ker * acc, axis=-1), 0.0)
+                out[regular, li] = lam * np.sum(decay * F, axis=-1)
 
     if np.any(~regular):
+        # at the origin the cap window has width r/c -> 0; only the
+        # full-sphere stretch contributes, as a plain spherical average
         tau, wt = _sin2_panels(np.full(1, 0.5 * T), np.full(1, T),
                                cfg.time_order)
         tau, wt = tau[0], wt[0]
         rho = c * (T - tau)
-        if from_seed:
-            E = np.array([
-                ladder.evaluator(
-                    np.array([min(rho_i, c * t_i * (1.0 - 1e-12))]), None,
-                    t_i)[0]
-                for rho_i, t_i in zip(rho, tau)])
+        if planar:
+            n_phi = 64
+            phi = -np.pi + 2.0 * np.pi * np.arange(n_phi) / n_phi
+            chi = law.density_from_axis_cos(-np.cos(phi))
+            shape = (len(tau), n_phi)
+            gap = np.broadcast_to((c * (2.0 * tau - T))[:, None], shape)
+            E = ladder.query(np.broadcast_to(rho[:, None], shape),
+                             np.broadcast_to(phi, shape),
+                             np.broadcast_to(tau[:, None], shape),
+                             support_gap=gap)
+            F = (E * chi).sum(axis=1) * (2.0 * np.pi / n_phi)
+        elif from_seed:
+            F = np.array([one_turn_profile(
+                params, np.array([min(rho_i, c * t_i * (1.0 - 1e-12))]),
+                t_i)[0] for rho_i, t_i in zip(rho, tau)])
         else:
-            E = ladder.query(rho, None, tau)
-        out[~regular] = lam * float(np.sum(wt * np.exp(-lam * (T - tau)) * E))
+            F = ladder.query(rho, None, tau)
+        decay = np.exp(-lam * (T - tau)) * wt
+        out[~regular, :] = lam * float(np.sum(decay * F))
     return out
 
 
-def _step_evaluator(params: FlightParams, law: DissipationLaw,
-                    source: _Ladder, cfg: StepConfig):
-    """Exact pointwise route of the stepped layer: reapply the
-    recurrence to the source ladder at the requested points, instead of
-    reading the (interpolated) tables of the stepped ladder."""
-
-    def evaluate(r, theta, tt):
-        r = np.asarray(r, dtype=float)
-        if params.m == 3:
-            return _step_values_r3(params, source, r, tt, cfg)
-        if theta is None:
-            return _step_values_planar(params, law, source, r,
-                                       np.zeros(1), tt, cfg)[:, 0]
-        theta = np.asarray(theta, dtype=float)
-        out = np.empty(r.shape)
-        for th in np.unique(theta):
-            mask = theta == th
-            out[mask] = _step_values_planar(params, law, source, r[mask],
-                                            np.array([th]), tt, cfg)[:, 0]
-        return out
-
-    return evaluate
-
-
-def _step_ladder(params: FlightParams, law: DissipationLaw, ladder: _Ladder,
-                 cfg: StepConfig) -> _Ladder:
+def _step_ladder(ladder: _Ladder, cfg: StepConfig) -> _Ladder:
     """Full recurrence step: consume the ladder of layer n, produce the
     ladder of layer n+1 on the same time slots."""
     J = len(ladder.times) - 1
     sigma = _sigma_pattern(cfg.n_sigma, _SIGMA_CAP)
-    thetas = ladder.thetas
-    th_targets = np.zeros(1) if thetas is None else thetas
-    n_th = len(th_targets) if params.m == 2 else 1
-    tab = np.zeros((J + 1, cfg.n_sigma, n_th))
+    th_targets = np.zeros(1) if ladder.thetas is None else ladder.thetas
+    tab = np.zeros((J + 1, cfg.n_sigma, len(th_targets)))
     for j in range(1, J + 1):
         Tj = float(ladder.times[j])
-        r = sigma * params.radius(Tj)
-        if params.m == 2:
-            tab[j] = _step_values_planar(params, law, ladder, r, th_targets,
-                                         Tj, cfg)
-        else:
-            tab[j] = _step_values_r3(params, ladder, r, Tj, cfg)[:, None]
-    return _Ladder(ladder.n + 1, params, law, ladder.times.copy(), sigma,
-                   thetas, tab, reg=None,
-                   evaluator=_step_evaluator(params, law, ladder, cfg))
+        tab[j] = _step_values(ladder, sigma * ladder.params.radius(Tj),
+                              th_targets, Tj, cfg)
+    return _Ladder(ladder.n + 1, ladder.params, ladder.law,
+                   ladder.times.copy(), sigma, ladder.thetas, tab, cfg,
+                   source=ladder)
 
 
 # --------------------------------------------------------------------------
@@ -643,16 +586,17 @@ def next_layer(params: FlightParams, law: DissipationLaw,
                layer: DensityLayer,
                grid: RadialGrid | PolarGrid | None = None,
                config: StepConfig | None = None) -> DensityLayer:
-    """Apply the recurrence once: joint layer n -> joint layer n+1."""
+    """Apply the recurrence once: joint layer n -> joint layer n+1, at the
+    resolution the layer was built at unless ``config`` is given."""
     if layer.kind != "joint":
         raise DomainError("the recurrence consumes joint layers")
     if layer.ladder is None:
         raise DomainError(
             "layer lacks its time ladder; build it with seed_layer/next_layer")
-    cfg = config or _default_config(law)
     out_grid = grid if grid is not None else layer.grid
     _check_grid(params, law, layer.ladder.t, out_grid)
-    return _public_layer(_step_ladder(params, law, layer.ladder, cfg), out_grid)
+    return _public_layer(_step_ladder(layer.ladder, config or layer.ladder.cfg),
+                         out_grid)
 
 
 def conditional_layer(layer: DensityLayer,
@@ -682,15 +626,21 @@ def transition_density(params: FlightParams, law: DissipationLaw, t: float,
 
 
 def ac_profile(field_obj: DensityField, r, theta=None) -> np.ndarray:
-    """Absolutely continuous density of an assembled field at radius
-    (and angle, for non-symmetric laws); zero outside the support."""
+    """Absolutely continuous density of an assembled field at radius r;
+    zero outside the support.  A field with angular ladders (a
+    non-symmetric law) needs ``theta``, broadcast against ``r``; an
+    isotropic field ignores it."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
+    angular = field_obj.layers[0].ladder.thetas is not None
+    if angular and theta is None:
+        raise DomainError("a field with angular ladders needs theta")
+    if angular:
+        r, theta = np.broadcast_arrays(r, np.asarray(theta, dtype=float))
     R = field_obj.params.radius(field_obj.t)
     inside = r < R
     out = np.zeros(r.shape)
     if np.any(inside):
-        th = None if theta is None \
-            else np.atleast_1d(np.asarray(theta, dtype=float))[inside]
+        th = theta[inside] if angular else None
         acc = 0.0
         for layer in field_obj.layers:
             acc = acc + layer.ladder.top_values(r[inside], th)
@@ -707,11 +657,10 @@ def residual_check(field_obj: DensityField,
     operator to the field: the p0*p0 term is the one-turn layer and the
     operator applied to the truncated stack reproduces layers 2..K+1, so
     the residual is dominated by the first dropped layer plus quadrature
-    noise.  Evaluated in sup norm over the epsilon-interior grid.
+    noise.  Evaluated in sup norm over the epsilon-interior grid; each
+    layer is stepped at the resolution it was built at unless ``config``
+    is given.
     """
-    params = field_obj.params
-    law = field_obj.law
-    cfg = config or _default_config(law)
     t = field_obj.t
     grid = field_obj.layers[0].grid
     th_targets = grid.thetas if isinstance(grid, PolarGrid) else np.zeros(1)
@@ -726,10 +675,6 @@ def residual_check(field_obj: DensityField,
 
     rhs = node_values(ladders[0])
     for lad in ladders:
-        if params.m == 2:
-            rhs = rhs + _step_values_planar(params, law, lad, grid.nodes,
-                                            th_targets, t, cfg)
-        else:
-            rhs = rhs + _step_values_r3(params, lad, grid.nodes, t,
-                                        cfg)[:, None]
+        rhs = rhs + _step_values(lad, grid.nodes, th_targets, t,
+                                 config or lad.cfg)
     return float(np.max(np.abs(lhs - rhs)))

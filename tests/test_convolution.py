@@ -271,3 +271,50 @@ def test_residual_decreases_with_truncation():
     assert res[0] > res[1] > res[2]
     # dominated by the first dropped layer, whose sup sits at the origin
     assert res[0] == pytest.approx(f_n_planar(3, 0.0), rel=0.1)
+
+
+def test_layer_and_residual_default_to_the_ladder_config():
+    # a layer built at a light resolution keeps that resolution: the next
+    # step and the residual need no config to match the explicit calls
+    cfg = StepConfig(ladder_slots=8, n_sigma=9, time_order=4, arc_order=4)
+    grid = RadialGrid.build(P2, 1.0, 9)
+    law = UniformLaw(P2)
+    seed = seed_layer(P2, law, 1.0, grid, cfg)
+    implicit = next_layer(P2, law, seed)
+    explicit = next_layer(P2, law, seed, config=cfg)
+    assert implicit.ladder.tab.shape == explicit.ladder.tab.shape
+    assert np.array_equal(implicit.values, explicit.values)
+    field = transition_density(P2, law, 1.0, 3, grid, cfg)
+    assert residual_check(field) == residual_check(field, cfg)
+
+
+def test_ac_profile_angle_rules():
+    cfg = StepConfig(ladder_slots=8, n_sigma=9, n_theta=8, time_order=4,
+                     arc_order=4, seed_grade=(1e-1, 1.0))
+    pgrid = PolarGrid.build(P2, 1.0, 6, 8)
+    field = transition_density(P2, CircularGaussianLaw(P2, 1.0), 1.0, 2,
+                               pgrid, cfg)
+    r = pgrid.nodes
+    # a scalar angle broadcasts against the radii
+    assert np.array_equal(ac_profile(field, r, 0.5),
+                          ac_profile(field, r, np.full(len(r), 0.5)))
+    # a skewed field has no default angle
+    with pytest.raises(DomainError):
+        ac_profile(field, r)
+    # an isotropic field ignores the angle
+    rgrid = RadialGrid.build(P2, 1.0, 6)
+    iso = transition_density(P2, UniformLaw(P2), 1.0, 2, rgrid, cfg)
+    assert np.array_equal(ac_profile(iso, rgrid.nodes, 1.0),
+                          ac_profile(iso, rgrid.nodes))
+
+
+def test_m3_origin_branch_is_continuous():
+    # layers 2 (stepped from the closed-form seed) and 3 (from tables) at
+    # r = 0 take the origin branch of the step; it must join the regular
+    # branch just outside it
+    grid = RadialGrid.build(P3, 1.0, 8)
+    field = transition_density(P3, UniformLaw(P3), 1.0, 3, grid)
+    ct = P3.radius(1.0)
+    for layer in field.layers[1:]:
+        at0, near = layer.ladder.top_values(np.array([0.0, 1e-6 * ct]))
+        assert at0 == pytest.approx(near, rel=2e-4)
