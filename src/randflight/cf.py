@@ -60,7 +60,7 @@ def _radial_kernel(m: int, a: float, r) -> np.ndarray:
     dimension m: J0(a r) in the plane, sinc(a r) in dimension 3."""
     x = a * np.asarray(r, dtype=float)
     if m == 2:
-        return np.reshape([bessel_j0(v) for v in x.ravel()], x.shape)
+        return np.asarray(bessel_j0(x))
     return _sinc(x)
 
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 
@@ -140,6 +141,8 @@ class _Ladder:
     consumes it through its closed form.  ``cfg`` is the resolution the
     ladder was built at and ``source`` the ladder the step consumed to
     make it (None for the seed): exact values re-apply that step.
+    ``op`` holds the stored rows of that step when it was applied as a
+    linear operator (isotropic tables, n >= 2), None otherwise.
     """
 
     n: int
@@ -152,58 +155,73 @@ class _Ladder:
     cfg: StepConfig
     reg: str | None = None
     source: "_Ladder | None" = None
+    op: "_StepOperator | None" = None
 
     @property
     def t(self) -> float:
         return float(self.times[-1])
 
-    def query(self, s, theta, tau, support_gap=None):
-        """Layer values at (radius, angle, time): bilinear in
-        (sigma, theta) within a slot, linear across slots at fixed
-        sigma = s / (c tau).
+    def radial(self, s, tau, support_gap=None) -> tuple:
+        """Where points (radius, time) fall in the tables, for the
+        interpolation that is linear across slots at fixed
+        sigma = s / (c tau) and linear in sigma within a slot: the flat
+        index into ``tab`` of the lower corner (angle node 0), the slot
+        weights (lower, upper) and the sigma weights (lower, upper).
 
-        For regularized one-turn tables the boundary factor
-        1/sqrt((c tau)^2 - s^2) is restored here; callers probing close
-        to the support sphere pass ``support_gap`` = c*tau - s computed
-        in a cancellation-free form.
+        For regularized one-turn tables the slot weights carry the
+        boundary factor 1/sqrt((c tau)^2 - s^2); callers probing close to
+        the support sphere pass ``support_gap`` = c*tau - s computed in a
+        cancellation-free form.
         """
         s = np.asarray(s, dtype=float)
         tau = np.asarray(tau, dtype=float)
         c = self.params.c
         J = len(self.times) - 1
-        dt = self.t / J
-        jf = np.clip(tau / dt, 0.0, J - 1e-12)
+        n_s, n_th = self.tab.shape[1:]
+        jf = np.clip(tau / (self.t / J), 0.0, J - 1e-12)
         j0 = jf.astype(int)
         ft = jf - j0
         sig = np.clip(s / np.maximum(c * tau, _TINY), 0.0, self.sigma[-1])
         i0 = np.clip(np.searchsorted(self.sigma, sig, side="right") - 1,
-                     0, len(self.sigma) - 2)
+                     0, n_s - 2)
         fs = np.clip((sig - self.sigma[i0])
                      / (self.sigma[i0 + 1] - self.sigma[i0]), 0.0, 1.0)
-        if self.tab.shape[2] == 1:
-            v0 = (1 - fs) * self.tab[j0, i0, 0] + fs * self.tab[j0, i0 + 1, 0]
-            v1 = (1 - fs) * self.tab[j0 + 1, i0, 0] \
-                + fs * self.tab[j0 + 1, i0 + 1, 0]
-        else:
-            theta = np.asarray(theta, dtype=float)
-            n_th = self.tab.shape[2]
-            tf = (theta + np.pi) / (2.0 * np.pi / n_th)
-            k0 = np.floor(tf).astype(int) % n_th
-            k1 = (k0 + 1) % n_th
-            fh = tf - np.floor(tf)
-
-            def slot(jj):
-                lo = (1 - fh) * self.tab[jj, i0, k0] + fh * self.tab[jj, i0, k1]
-                hi = (1 - fh) * self.tab[jj, i0 + 1, k0] \
-                    + fh * self.tab[jj, i0 + 1, k1]
-                return (1 - fs) * lo + fs * hi
-
-            v0, v1 = slot(j0), slot(j0 + 1)
-        out = (1 - ft) * v0 + ft * v1
+        lo, hi = 1.0 - ft, ft
         if self.reg == "inv_sqrt":
             av = c * tau
             gap = av - s if support_gap is None else support_gap
-            out = out / np.sqrt(np.maximum(gap * (av + s), _TINY))
+            f = 1.0 / np.sqrt(np.maximum(gap * (av + s), _TINY))
+            lo, hi = lo * f, hi * f
+        return (j0 * n_s + i0) * n_th, (lo, hi), (1.0 - fs, fs)
+
+    def corners(self, rad: tuple, theta):
+        """Yields the (flat index into ``tab``, weight) pairs of the
+        interpolation at the points ``rad`` (from `radial`) and angles
+        ``theta``, linear between angle nodes; isotropic tables ignore
+        ``theta``.  The value is the sum of weight * tab.ravel()[index]."""
+        base, slot_w, sig_w = rad
+        n_s, n_th = self.tab.shape[1:]
+        if n_th > 1:
+            tf = (np.asarray(theta, dtype=float) + np.pi) / (2.0 * np.pi / n_th)
+            fl = np.floor(tf)
+            k0 = fl.astype(int) % n_th
+            fh = tf - fl
+            ang = ((k0, 1.0 - fh), ((k0 + 1) % n_th, fh))
+        for dj, wj in enumerate(slot_w):
+            for di, wi in enumerate(sig_w):
+                idx, w = base + (dj * n_s + di) * n_th, wj * wi
+                if n_th == 1:
+                    yield idx, w
+                    continue
+                for k, wh in ang:
+                    yield idx + k, w * wh
+
+    def read(self, rad: tuple, theta) -> np.ndarray:
+        """Layer values at the points ``rad`` and angles ``theta``."""
+        flat = self.tab.ravel()
+        out = 0.0
+        for idx, w in self.corners(rad, theta):
+            out = out + w * flat[idx]
         return out
 
     def top_values(self, r, theta=None):
@@ -221,7 +239,8 @@ class _Ladder:
             g = _one_turn_reg_planar(p, self.law, r, th, t)
             return g / np.sqrt(np.maximum(p.radius(t) ** 2 - r * r, _TINY))
         if theta is None or self.thetas is None:
-            return _step_values(self.source, r, np.zeros(1), t, self.cfg)[:, 0]
+            return _apply_step(self.source, r, np.zeros(1), self.cfg,
+                               self.op)[:, 0]
         theta = np.asarray(theta, dtype=float)
         out = np.empty(r.shape)
         for th in np.unique(theta):
@@ -362,6 +381,22 @@ def _make_seed_ladder(params: FlightParams, law: DissipationLaw, t: float,
 # the recurrence step
 # --------------------------------------------------------------------------
 
+def _graded(a: np.ndarray, b: np.ndarray, grade: tuple) -> list:
+    """Subpanels of [a, b] graded geometrically toward ``a``: a decade
+    ladder, so some subpanel matches the scale of a boundary layer of
+    any relative width down to the smallest fraction."""
+    fr = (0.0,) + tuple(grade)
+    return [(a + g0 * (b - a), a + g1 * (b - a))
+            for g0, g1 in zip(fr[:-1], fr[1:])]
+
+
+def _panels(bounds: list, order: int):
+    """sin^2-mapped Gauss panels over consecutive intervals, joined."""
+    parts = [_sin2_panels(a, b, order) for a, b in bounds]
+    return (np.concatenate([nd for nd, _ in parts], axis=-1),
+            np.concatenate([wt for _, wt in parts], axis=-1))
+
+
 def _time_panels(r: np.ndarray, T: float, c: float, order: int,
                  grade: tuple | None):
     """Per-target-radius time quadrature, split at the cap/full-sphere
@@ -375,29 +410,12 @@ def _time_panels(r: np.ndarray, T: float, c: float, order: int,
     """
     tm = 0.5 * T - 0.5 * r / c
     tp = 0.5 * T + 0.5 * r / c
-    bounds = []
-    if grade:
-        # decade ladder: some subpanel matches the scale of a boundary
-        # layer of any relative width down to the smallest fraction
-        fr = (0.0,) + tuple(grade)
-        mid = 0.5 * (tm + tp)
-        half = mid - tm
-        for g0, g1 in zip(fr[:-1], fr[1:]):
-            bounds.append((tm + g0 * half, tm + g1 * half))
-        for g0, g1 in zip(fr[:-1], fr[1:]):
-            bounds.append((tp - g1 * half, tp - g0 * half))
-        dB = T - tp
-        for g0, g1 in zip(fr[:-1], fr[1:]):
-            bounds.append((tp + g0 * dB, tp + g1 * dB))
-    else:
-        bounds.append((tm, tp))
-        bounds.append((tp, T))
-    nodes, weights = [], []
-    for a, b in bounds:
-        nd, wt = _sin2_panels(a, b, order)
-        nodes.append(nd)
-        weights.append(wt)
-    return np.concatenate(nodes, axis=-1), np.concatenate(weights, axis=-1)
+    if not grade:
+        return _panels([(tm, tp), (tp, T)], order)
+    mid = 0.5 * (tm + tp)
+    toward_tp = [(b, a) for a, b in _graded(tp, mid, grade)]
+    return _panels(_graded(tm, mid, grade) + toward_tp
+                   + _graded(tp, T, grade), order)
 
 
 def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -407,12 +425,20 @@ def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
         + np.where(lo > 0, lo * np.log(np.maximum(lo, _TINY)), 0.0)
 
 
-def _step_values(ladder: _Ladder, r_targets: np.ndarray,
-                 th_targets: np.ndarray, T: float,
-                 cfg: StepConfig) -> np.ndarray:
-    """One application of the layer recurrence at time T: the layer after
-    ``ladder`` at radii ``r_targets`` and angles ``th_targets``, shape
-    (len(r_targets), len(th_targets)).
+def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
+                th_targets: np.ndarray, T: float, cfg: StepConfig):
+    """One application of the layer recurrence at time T, as weighted
+    reads of ``ladder``'s tables at radii ``r_targets`` x angles
+    ``th_targets``.
+
+    Yields ``(sel, l, w, rad, theta)``: the targets picked by the mask
+    ``sel`` at angle index ``l`` (None: every angle) gain the sum over
+    all but the first axis of ``w * ladder.read(rad, theta)``, whose
+    first axis runs over those targets or has length 1 (shared by all
+    of them).  With ``rad`` None, ``w`` is that sum itself: the m=3 seed
+    is consumed through its closed form and reads no table.  ``rad``
+    (from `_Ladder.radial`) does not depend on the angle, so it is
+    found once for every target angle and arc branch.
 
     Planar surface integrals run in the chord-radius variable s over
     both arc branches; the angle-to-radius Jacobian is
@@ -426,8 +452,6 @@ def _step_values(ladder: _Ladder, r_targets: np.ndarray,
     lam, c = params.lam, params.c
     planar = params.m == 2
     from_seed = ladder.n == 1
-    r_targets = np.asarray(r_targets, dtype=float)
-    out = np.zeros((len(r_targets), len(th_targets)))
 
     regular = r_targets >= _R_TINY_REL * c * T
     if np.any(regular):
@@ -439,20 +463,20 @@ def _step_values(ladder: _Ladder, r_targets: np.ndarray,
         rr = r[:, None]
         s_lo = np.abs(rr - rho)
         s_hi = np.minimum(rr + rho, av)
-        good = s_hi > s_lo
-        decay = np.exp(-lam * (T - tau)) * wt
-        if not planar:
-            if from_seed:
-                B = lam * np.exp(-lam * tau) / (4.0 * math.pi * c**2 * tau)
-                inner = B * (_log_primitive(s_hi, av)
-                             - _log_primitive(s_lo, av))
-            else:
-                ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
-                E = ladder.query(ss, None,
-                                 np.broadcast_to(tau[..., None], ss.shape))
-                inner = np.sum(ws * ss * E, axis=-1)
-            F = np.where(good, inner / np.maximum(2.0 * rho * rr, _TINY), 0.0)
-            out[regular] = lam * np.sum(decay * F, axis=-1)[:, None]
+        # every factor below stays finite, so the zero weight of an
+        # empty cap also zeroes its reads
+        decay = np.where(s_hi > s_lo, lam * np.exp(-lam * (T - tau)) * wt,
+                         0.0)
+        if not planar and from_seed:
+            B = lam * np.exp(-lam * tau) / (4.0 * math.pi * c**2 * tau)
+            inner = B * (_log_primitive(s_hi, av) - _log_primitive(s_lo, av))
+            yield regular, None, np.sum(
+                decay * inner / np.maximum(2.0 * rho * rr, _TINY), axis=-1), \
+                None, None
+        elif not planar:
+            ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
+            w = (decay / np.maximum(2.0 * rho * rr, _TINY))[..., None] * ws * ss
+            yield regular, None, w, ladder.radial(ss, tau[..., None]), None
         else:
             ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
                                                   with_gaps=True)
@@ -468,63 +492,195 @@ def _step_values(ladder: _Ladder, r_targets: np.ndarray,
                 / np.maximum(2.0 * rr[..., None], _TINY)
             d2 = np.sqrt(np.maximum(ss**2 - d1**2, 0.0))
             omega = np.arctan2(d2, d1)
-            tau3 = np.broadcast_to(tau[..., None], ss.shape)
+            rad = ladder.radial(ss, tau[..., None], gap)
             rho3 = np.maximum(rho[..., None], _TINY)
+            wk = decay[..., None] * ws * ker
             for li, th in enumerate(th_targets):
                 cth, sth = math.cos(th), math.sin(th)
-                acc = 0.0
-                for sgn in (1.0, -1.0):
-                    chi = law.density_from_axis_cos(
-                        (cth * (rr[..., None] - d1) + sth * sgn * d2) / rho3)
-                    E = ladder.query(ss, th + sgn * omega, tau3,
-                                     support_gap=gap)
-                    acc = acc + chi * E
-                F = np.where(good, np.sum(ws * ker * acc, axis=-1), 0.0)
-                out[regular, li] = lam * np.sum(decay * F, axis=-1)
+                chi = (law.density_from_axis_cos(
+                    (cth * (rr[..., None] - d1) + sth * sgn * d2) / rho3)
+                    for sgn in (1.0, -1.0))
+                if ladder.thetas is None:
+                    # an isotropic table reads both arc branches alike
+                    yield regular, li, wk * sum(chi), rad, None
+                    continue
+                for sgn, ch in zip((1.0, -1.0), chi):
+                    yield regular, li, wk * ch, rad, th + sgn * omega
 
     if np.any(~regular):
         # at the origin the cap window has width r/c -> 0; only the
-        # full-sphere stretch contributes, as a plain spherical average
-        tau, wt = _sin2_panels(np.full(1, 0.5 * T), np.full(1, T),
-                               cfg.time_order)
+        # full-sphere stretch contributes, as a plain spherical average.
+        # Consuming the m=3 seed it starts at the seed's log singularity
+        # (rho = c tau at tau = T/2), so that stretch is graded toward it
+        mid, end = np.full(1, 0.5 * T), np.full(1, T)
+        bounds = _graded(mid, end, cfg.seed_grade) \
+            if from_seed and not planar else [(mid, end)]
+        tau, wt = _panels(bounds, cfg.time_order)
         tau, wt = tau[0], wt[0]
         rho = c * (T - tau)
+        decay = lam * np.exp(-lam * (T - tau)) * wt
         if planar:
             n_phi = 64
             phi = -np.pi + 2.0 * np.pi * np.arange(n_phi) / n_phi
             chi = law.density_from_axis_cos(-np.cos(phi))
-            shape = (len(tau), n_phi)
-            gap = np.broadcast_to((c * (2.0 * tau - T))[:, None], shape)
-            E = ladder.query(np.broadcast_to(rho[:, None], shape),
-                             np.broadcast_to(phi, shape),
-                             np.broadcast_to(tau[:, None], shape),
-                             support_gap=gap)
-            F = (E * chi).sum(axis=1) * (2.0 * np.pi / n_phi)
+            col = (slice(None), None)  # time down, angle across
+            yield ~regular, None, \
+                (decay[col] * chi * (2.0 * np.pi / n_phi))[None], \
+                ladder.radial(rho[col][None], tau[col][None],
+                              (c * (2.0 * tau - T))[col][None]), phi
         elif from_seed:
             F = np.array([one_turn_profile(
                 params, np.array([min(rho_i, c * t_i * (1.0 - 1e-12))]),
                 t_i)[0] for rho_i, t_i in zip(rho, tau)])
+            yield ~regular, None, np.array([np.sum(decay * F)]), None, None
         else:
-            F = ladder.query(rho, None, tau)
-        decay = np.exp(-lam * (T - tau)) * wt
-        out[~regular, :] = lam * float(np.sum(decay * F))
+            yield ~regular, None, decay[None], \
+                ladder.radial(rho[None], tau[None]), None
+
+
+def _step_values(ladder: _Ladder, r_targets: np.ndarray,
+                 th_targets: np.ndarray, T: float,
+                 cfg: StepConfig) -> np.ndarray:
+    """The layer after ``ladder`` at radii ``r_targets`` and angles
+    ``th_targets``, time T, shape (len(r_targets), len(th_targets)): the
+    step's reads applied to the tables at once."""
+    r_targets = np.asarray(r_targets, dtype=float)
+    out = np.zeros((len(r_targets), len(th_targets)))
+    for sel, l, w, rad, theta in _step_terms(ladder, r_targets, th_targets,
+                                             T, cfg):
+        if rad is not None:
+            v = w * ladder.read(rad, theta)
+            w = np.sum(v, axis=tuple(range(1, v.ndim)))
+        if l is None:
+            out[sel] += w[:, None]
+        else:
+            out[sel, l] += w
     return out
 
 
-def _step_ladder(ladder: _Ladder, cfg: StepConfig) -> _Ladder:
+_ROW_BLOCK = 64  # targets coalesced at once: bounds the dense scratch rows
+
+
+class _Rows(NamedTuple):
+    """Rows of a linear map in numpy-only CSR form: entry i of the image
+    of x is sum(weights[k] * x[indices[k]]) over indptr[i] <= k <
+    indptr[i+1]."""
+
+    indptr: np.ndarray
+    indices: np.ndarray
+    weights: np.ndarray
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        starts = self.indptr[:-1]
+        full = starts < self.indptr[1:]
+        out = np.zeros(len(starts))
+        if np.any(full):
+            terms = x[self.indices]
+            terms *= self.weights
+            out[full] = np.add.reduceat(terms, starts[full])
+        return out
+
+
+def _step_rows(ladder: _Ladder, targets: list, cfg: StepConfig) -> _Rows:
+    """Rows of the step from an isotropic table ladder: the values at
+    each ``(radii, T)`` group of ``targets``, in order, are the rows
+    applied to ``ladder.tab.ravel()``.  The reads of `_step_terms` are
+    recorded as their stencils and coalesced per target."""
+    n_col = ladder.tab.size
+    indptr, indices, weights = [np.zeros(1, dtype=np.int64)], [], []
+    for r_all, T in targets:
+        for b in range(0, len(r_all), _ROW_BLOCK):
+            r = np.asarray(r_all[b:b + _ROW_BLOCK], dtype=float)
+            dense = np.zeros(len(r) * n_col)
+            for sel, _, w, rad, theta in _step_terms(ladder, r, np.zeros(1),
+                                                     T, cfg):
+                tgt = np.flatnonzero(sel).reshape((-1,) + (1,) * (w.ndim - 1))
+                for idx, sw in ladder.corners(rad, theta):
+                    key, val = np.broadcast_arrays(tgt * n_col + idx, sw * w)
+                    dense += np.bincount(key.ravel(), val.ravel(),
+                                         minlength=len(dense))
+            dense = dense.reshape(len(r), n_col)
+            row, col = np.nonzero(dense)
+            indptr.append(indptr[-1][-1] + np.cumsum(
+                np.bincount(row, minlength=len(r))))
+            indices.append(col.astype(np.int32))
+            weights.append(dense[row, col])
+    return _Rows(np.concatenate(indptr), np.concatenate(indices),
+                 np.concatenate(weights))
+
+
+class _StepOperator(NamedTuple):
+    """The step n -> n+1 (n >= 2) from isotropic tables as stored rows,
+    tab_{n+1} = M tab_n: ``ladder_rows`` give the next ladder's slots
+    1..J, ``node_rows`` its top-slot values at the grid ``nodes``.  The
+    rows depend on the geometry of ``source`` (flight, law, time slots,
+    sigma nodes) and on ``cfg``, not on the table values, so one
+    operator steps every later layer built at the same resolution."""
+
+    source: _Ladder
+    cfg: StepConfig
+    ladder_rows: _Rows
+    nodes: np.ndarray
+    node_rows: _Rows
+
+    @classmethod
+    def build(cls, ladder: _Ladder, cfg: StepConfig,
+              nodes: np.ndarray) -> "_StepOperator":
+        sigma = _sigma_pattern(cfg.n_sigma, _SIGMA_CAP)
+        slots = [(sigma * ladder.params.radius(T), float(T))
+                 for T in ladder.times[1:]]
+        return cls(ladder, cfg, _step_rows(ladder, slots, cfg), nodes,
+                   _step_rows(ladder, [(nodes, ladder.t)], cfg))
+
+    def fits(self, ladder: _Ladder, cfg: StepConfig) -> bool:
+        """Whether these rows step ``ladder`` at ``cfg``."""
+        src = self.source
+        return (cfg == self.cfg and ladder.n > 1 and ladder.thetas is None
+                and ladder.params == src.params and ladder.law is src.law
+                and np.array_equal(ladder.times, src.times)
+                and np.array_equal(ladder.sigma, src.sigma))
+
+
+def _apply_step(ladder: _Ladder, r: np.ndarray, th_targets: np.ndarray,
+                cfg: StepConfig, op: _StepOperator | None) -> np.ndarray:
+    """The layer after ``ladder`` at radii ``r`` x angles ``th_targets``
+    at its final time: ``op``'s node rows when they fit and ``r`` is
+    their node set, the step's reads applied at once otherwise."""
+    if op is not None and op.fits(ladder, cfg) and np.array_equal(r, op.nodes):
+        return np.repeat(op.node_rows.apply(ladder.tab.ravel())[:, None],
+                         len(th_targets), axis=1)
+    return _step_values(ladder, r, th_targets, ladder.t, cfg)
+
+
+def _step_ladder(ladder: _Ladder, cfg: StepConfig,
+                 nodes: np.ndarray) -> _Ladder:
     """Full recurrence step: consume the ladder of layer n, produce the
-    ladder of layer n+1 on the same time slots."""
+    ladder of layer n+1 on the same time slots.  Isotropic tables
+    (n >= 2) go through a stored operator, reused from ``ladder`` when
+    it fits and built otherwise, with node rows at ``nodes``; the seed
+    and angular tables are stepped slot by slot, their reads applied at
+    once."""
     J = len(ladder.times) - 1
     sigma = _sigma_pattern(cfg.n_sigma, _SIGMA_CAP)
     th_targets = np.zeros(1) if ladder.thetas is None else ladder.thetas
     tab = np.zeros((J + 1, cfg.n_sigma, len(th_targets)))
-    for j in range(1, J + 1):
-        Tj = float(ladder.times[j])
-        tab[j] = _step_values(ladder, sigma * ladder.params.radius(Tj),
-                              th_targets, Tj, cfg)
+    op = None
+    if ladder.n > 1 and ladder.thetas is None:
+        op = ladder.op
+        if op is None or not op.fits(ladder, cfg):
+            op = _StepOperator.build(ladder, cfg, nodes)
+        elif not np.array_equal(op.nodes, nodes):
+            op = op._replace(nodes=nodes, node_rows=_step_rows(
+                ladder, [(nodes, ladder.t)], cfg))
+        tab[1:, :, 0] = op.ladder_rows.apply(ladder.tab.ravel()).reshape(J, -1)
+    else:
+        for j in range(1, J + 1):
+            Tj = float(ladder.times[j])
+            tab[j] = _step_values(ladder, sigma * ladder.params.radius(Tj),
+                                  th_targets, Tj, cfg)
     return _Ladder(ladder.n + 1, ladder.params, ladder.law,
                    ladder.times.copy(), sigma, ladder.thetas, tab, cfg,
-                   source=ladder)
+                   source=ladder, op=op)
 
 
 # --------------------------------------------------------------------------
@@ -533,11 +689,18 @@ def _step_ladder(ladder: _Ladder, cfg: StepConfig) -> _Ladder:
 
 def _node_values(ladder: _Ladder, grid: RadialGrid | PolarGrid) -> np.ndarray:
     """Top-slot values of a ladder at the grid nodes: shape (n_r,) on a
-    radial grid, (n_r, n_theta) on a polar one."""
-    if isinstance(grid, PolarGrid):
-        return np.stack([ladder.top_values(grid.nodes, np.full(grid.n_r, th))
-                         for th in grid.thetas], axis=1)
-    return ladder.top_values(grid.nodes)
+    radial grid, (n_r, n_theta) on a polar one, where a stepped angular
+    ladder takes every grid angle in one application of the step."""
+    if isinstance(grid, RadialGrid):
+        return ladder.top_values(grid.nodes)
+    if ladder.thetas is None:
+        return np.repeat(ladder.top_values(grid.nodes)[:, None], grid.n_theta,
+                         axis=1)
+    if ladder.source is None:
+        return ladder.top_values(*np.meshgrid(grid.nodes, grid.thetas,
+                                              indexing="ij"))
+    return _step_values(ladder.source, grid.nodes, grid.thetas, ladder.t,
+                        ladder.cfg)
 
 
 def _public_layer(ladder: _Ladder, grid: RadialGrid | PolarGrid,
@@ -595,8 +758,8 @@ def next_layer(params: FlightParams, law: DissipationLaw,
             "layer lacks its time ladder; build it with seed_layer/next_layer")
     out_grid = grid if grid is not None else layer.grid
     _check_grid(params, law, layer.ladder.t, out_grid)
-    return _public_layer(_step_ladder(layer.ladder, config or layer.ladder.cfg),
-                         out_grid)
+    return _public_layer(_step_ladder(layer.ladder, config or layer.ladder.cfg,
+                                      out_grid.nodes), out_grid)
 
 
 def conditional_layer(layer: DensityLayer,
@@ -673,8 +836,10 @@ def residual_check(field_obj: DensityField,
     for lad in ladders:
         lhs = lhs + node_values(lad)
 
+    ops = [lad.op for lad in ladders if lad.op is not None]
     rhs = node_values(ladders[0])
     for lad in ladders:
-        rhs = rhs + _step_values(lad, grid.nodes, th_targets, t,
-                                 config or lad.cfg)
+        cfg = config or lad.cfg
+        op = next((o for o in ops if o.fits(lad, cfg)), None)
+        rhs = rhs + _apply_step(lad, grid.nodes, th_targets, cfg, op)
     return float(np.max(np.abs(lhs - rhs)))

@@ -1,8 +1,8 @@
 """Self-contained special functions used by the closed-form densities.
 
-Everything here is scalar, double precision, and free of external
-dependencies: the Gauss hypergeometric series on [0, 1), the Bessel
-function J0, and the gamma function at integer and half-integer
+Everything here is double precision and needs only numpy: the Gauss
+hypergeometric series on [0, 1) (scalar), the Bessel function J0
+(scalar or array), and the gamma function at integer and half-integer
 arguments.  The modified Bessel function I0 of the circular Gaussian
 law comes from numpy (``np.i0``).
 """
@@ -11,6 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DomainError, NumericError
 
@@ -82,43 +84,53 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
 
 
 # Hankel asymptotic coefficients for J0: A[j] = prod_{i<=j} (2i-1)^2 / (j! 8^j).
+# The terms A[j] / x^j shrink up to j ~ 2x, so 24 of them suit every
+# x beyond the switch point.
 _J0_SWITCH = 12.0
 _J0_ASY = [1.0]
-for _j in range(1, 17):
+for _j in range(1, 24):
     _J0_ASY.append(_J0_ASY[-1] * (2 * _j - 1) ** 2 / (8.0 * _j))
 
 
-def bessel_j0(x: float) -> float:
-    """Bessel function J0(x) for x >= 0, accurate to ~1e-12 on [0, 100].
+def bessel_j0(x):
+    """Bessel function J0(x) for x >= 0, accurate to 1e-12 on [0, 120].
 
     Ascending series up to the switch point, Hankel asymptotic expansion
-    beyond it.
+    beyond it.  Takes a scalar (returns a float) or an array; each
+    element sums its series until its own term is negligible, so an
+    element's value does not depend on the rest of the array.
     """
-    if x < 0:
+    xa = np.asarray(x, dtype=float)
+    if np.any(xa < 0):
         raise DomainError("bessel_j0 requires x >= 0")
-    if x <= _J0_SWITCH:
-        q = 0.25 * x * x
-        total = 1.0
-        term = 1.0
-        k = 0
-        while True:
-            k += 1
-            term *= -q / (k * k)
-            total += term
-            if abs(term) < 1e-18 * (abs(total) + 1.0):
-                return total
-    p = 0.0
-    q = 0.0
-    xk = 1.0
+    out = np.empty(xa.shape)
+    small = xa <= _J0_SWITCH
+    q = 0.25 * xa[small] ** 2
+    total = np.ones(q.shape)
+    term = np.ones(q.shape)
+    live = np.arange(q.size)
+    k = 0
+    while live.size:
+        k += 1
+        term[live] *= -q[live] / (k * k)
+        total[live] += term[live]
+        live = live[np.abs(term[live]) >= 1e-18 * (np.abs(total[live]) + 1.0)]
+    out[small] = total
+    xl = xa[~small]
+    p = np.zeros(xl.shape)
+    qa = np.zeros(xl.shape)
+    xk = np.ones(xl.shape)
     for j, aj in enumerate(_J0_ASY):
         contrib = aj / xk
         if j % 2 == 0:
             p += contrib if j % 4 == 0 else -contrib
         else:
-            q += -contrib if j % 4 == 1 else contrib
-        xk *= x
-    omega = x - 0.25 * math.pi
-    return math.sqrt(2.0 / (math.pi * x)) * (p * math.cos(omega) - q * math.sin(omega))
+            qa += -contrib if j % 4 == 1 else contrib
+        xk *= xl
+    omega = xl - 0.25 * math.pi
+    out[~small] = np.sqrt(2.0 / (math.pi * xl)) * (p * np.cos(omega)
+                                                   - qa * np.sin(omega))
+    return float(out) if out.ndim == 0 else out
 
 
 _SQRT_PI = math.sqrt(math.pi)

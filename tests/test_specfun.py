@@ -114,6 +114,21 @@ def test_j0_matches_scipy_to_ten_digits():
         assert abs(bessel_j0(x) - ref) < 1e-10
 
 
+def test_j0_arrays_match_scipy_and_scalars():
+    x = np.linspace(0.0, 120.0, 240_001)
+    values = bessel_j0(x)
+    assert values.shape == x.shape
+    assert np.max(np.abs(values - special.j0(x))) < 1e-12
+    # each element sums its own series: a scalar gives the array's value
+    picks = x[::997]
+    scalars = [bessel_j0(float(v)) for v in picks]
+    assert all(type(v) is float for v in scalars)
+    assert np.array_equal(scalars, values[::997])
+    assert np.array_equal(bessel_j0(x.reshape(-1, 1))[:, 0], values)
+    with pytest.raises(DomainError):
+        bessel_j0(np.array([1.0, -1e-3]))
+
+
 def test_j0_bounded():
     rng = np.random.default_rng(2)
     xs = rng.uniform(0.0, 100.0, 200)
