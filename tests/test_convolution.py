@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from scipy import integrate
+from scipy import integrate, special
 
 from randflight import (CircularGaussianLaw, DomainError, FlightParams,
                         PolarGrid, RadialGrid, StepConfig, UniformLaw,
@@ -400,3 +400,45 @@ def test_polar_node_values_take_every_angle_at_once():
             grid.nodes, np.full(grid.n_r, th)) for th in grid.thetas], axis=1)
         assert np.array_equal(conv._node_values(layer.ladder, grid),
                               per_angle)
+
+
+# --------------------------------------------------------------------------
+# moment oracles
+# --------------------------------------------------------------------------
+
+# Given n turns, X(t)/(ct) is a Dirichlet(1, ..., 1)-weighted sum of n+1
+# iid directions with mean mu, so every layer has mass pi_n(lam t),
+# E[X | n]/(ct) = mu and E[|X|^2 | n]/(ct)^2 = 2/(n+2) (1 - |mu|^2) + |mu|^2.
+# Tolerances: the largest miss over layers 1..K at the law's default
+# StepConfig, times 1.5, rounded up.
+_CG_KS = tuple(float(k) for k in np.random.default_rng(7).uniform(-2.5, 2.5, 2))
+MOMENT_CASES = {
+    # name: (params, law, grid, K, mu, mass tol, E[X1] tol, E|X|^2 tol)
+    "m2": (P2, UniformLaw(P2), RadialGrid.build(P2, 1.0, 16), 6, 0.0,
+           1.1e-3, None, 2.5e-4),
+    "m3": (P3, UniformLaw(P3), RadialGrid.build(P3, 1.0, 16), 6, 0.0,
+           1.0e-3, None, 2.0e-4),
+    **{f"cg-k{k:.3f}": (P2, CircularGaussianLaw(P2, k),
+                        PolarGrid.build(P2, 1.0, 8, 8), 3,
+                        float(special.i1(k) / special.i0(k)),
+                        9e-3, 1.3e-2, 5.2e-3)
+       for k in _CG_KS},
+}
+
+
+@pytest.mark.parametrize("case", list(MOMENT_CASES))
+def test_layer_moments_match_the_dirichlet_oracle(case):
+    params, law, grid, K, mu, tol_mass, tol_x1, tol_r2 = MOMENT_CASES[case]
+    layers = [seed_layer(params, law, 1.0, grid)]
+    while len(layers) < K:
+        layers.append(next_layer(params, law, layers[-1]))
+    ct = params.radius(1.0)
+    for layer in layers:
+        n, lad = layer.n, layer.ladder
+        mass = lad.mass()
+        assert abs(mass / poisson_weight(n, params, 1.0) - 1.0) < tol_mass, n
+        r2 = lad.moment(lambda r, th: (r / ct) ** 2) / mass
+        assert abs(r2 - (2.0 / (n + 2) * (1 - mu * mu) + mu * mu)) < tol_r2, n
+        if tol_x1 is not None:
+            x1 = lad.moment(lambda r, th: r * np.cos(th) / ct) / mass
+            assert abs(x1 - mu) < tol_x1, n
