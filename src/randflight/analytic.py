@@ -75,18 +75,19 @@ def one_turn_density_r3(params: FlightParams, point: EvalPoint) -> float:
     return base * math.log((1.0 + u) / (1.0 - u)) / (2.0 * u)
 
 
-def one_turn_profile(params: FlightParams, r: np.ndarray, t: float) -> np.ndarray:
-    """Vectorized one-turn density over radii, isotropic law, m in {2, 3}."""
+def one_turn_profile(params: FlightParams, r: np.ndarray, t) -> np.ndarray:
+    """Vectorized one-turn density over radii, isotropic law, m in {2, 3};
+    ``t`` broadcasts against ``r``."""
     r = np.asarray(r, dtype=float)
-    ct = params.radius(t)
+    ct = params.radius(np.asarray(t, dtype=float))
     if np.any(r >= ct):
         raise DomainError("one_turn_profile needs all radii < ct")
     lam, c = params.lam, params.c
     if params.m == 2:
         w = np.sqrt(ct * ct - r * r)
-        return lam * math.exp(-lam * t) / (2.0 * math.pi * c) / w
+        return lam * np.exp(-lam * t) / (2.0 * math.pi * c) / w
     if params.m == 3:
-        base = lam * math.exp(-lam * t) / (2.0 * math.pi * c**3 * t**2)
+        base = lam * np.exp(-lam * t) / (2.0 * math.pi * c**3 * t**2)
         u = r / ct
         small = u < 1e-4
         u_safe = np.where(small, 0.5, u)

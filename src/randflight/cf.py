@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityLayer, FlightParams, PolarGrid, _radial_mass
+from .core import DensityLayer, FlightParams
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError, NumericError
 from .specfun import bessel_j0
@@ -230,17 +230,16 @@ def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
 
     The kernel is cos(|alpha| r cos(theta - phi)) on angular layers and
     its angular average, J0(|alpha| r) in the plane or sinc(|alpha| r)
-    in dimension 3, on isotropic ones (radial grids, and polar grids of
-    an isotropic law).  One-turn layers integrate their exact profile
-    (`_Ladder.moment`), later layers their grid values; at alpha = 0 the
-    kernel is exactly 1 and the result is the layer mass.
+    in dimension 3, on isotropic ones.  Every layer integrates its table
+    against it (`_Ladder.moment`, the rule that gives its mass); at
+    alpha = 0 the kernel is exactly 1 and the result is the layer mass.
     """
     if layer.kind != "joint":
         raise DomainError("layer_fourier expects a joint layer")
+    if layer.ladder is None:
+        raise DomainError("layer_fourier needs a layer built by the recurrence")
     a = _alpha_norm(alpha)
-    grid, ladder = layer.grid, layer.ladder
-    polar = isinstance(grid, PolarGrid)
-    if polar and (ladder is None or ladder.thetas is not None):
+    if layer.ladder.thetas is not None:
         alpha_v = np.atleast_1d(np.asarray(alpha, dtype=float))
         phi = math.atan2(alpha_v[1], alpha_v[0]) if alpha_v.size > 1 else 0.0
 
@@ -249,12 +248,4 @@ def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
     else:
         def kern(r, th):
             return _radial_kernel(params.m, a, r)
-
-    if ladder is not None and ladder.n == 1:
-        return ladder.moment(kern)
-    r = grid.nodes
-    if polar:
-        values = (layer.values * kern(r[:, None], grid.thetas)).mean(axis=1)
-    else:
-        values = layer.values * kern(r, None)
-    return _radial_mass(r, values, params.m, params.radius(grid.t))
+    return layer.ladder.moment(kern)

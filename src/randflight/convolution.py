@@ -12,13 +12,28 @@ tau = t/2 -+ |x|/(2c).
 
 Numerical scheme
 ----------------
-Layers live on a time ladder tau_j = j t / J.  Each ladder slot stores a
-table over the scaled radius sigma = r / (c tau_j), so interpolation in
-time blends values at equal *relative* depth inside the support, keeping
-the support boundary aligned across slots.  The one-turn layer has an
-inverse-square-root boundary divergence in the plane, so its tables
-store the regular factor f1 * sqrt((c tau)^2 - r^2) and the singular
-factor is restored analytically at evaluation time.
+Given n turns, X(t)/(ct) is a Dirichlet-weighted sum of iid directions,
+so its law does not depend on lam, c or t, and the n-turn joint layer
+is self-similar:
+
+    f_n(x, tau) = pi_n(lam tau) (c tau)^(-m) g_n(|x| / (c tau), theta).
+
+A layer therefore keeps one table over the scaled radius sigma = r/(ct)
+at the final time t and reads every earlier time exactly:
+
+    f_n(s, tau) = e^{lam (t - tau)} (tau / t)^(n - m) E_n(sigma) h_n(sigma),
+    sigma = s / (c tau).
+
+E_n is the planar edge factor (1 - sigma^2)^((n-2)/2), exact for the
+uniform law's closed form g_n = n / (2 pi) (1 - sigma^2)^((n-2)/2) and
+used for every planar law; it is 1 in dimension 3.  For n = 1 it is the
+inverse-square-root divergence of the planar one-turn layer at the
+support boundary, so h_1 is that layer's regular factor.  The tables
+hold h_n on sigma nodes equispaced in u = arcsin(sigma / sigma_max);
+reads interpolate them with a 4-point Lagrange stencil in u, and masses
+and transforms integrate them in u by composite Simpson.  Each step
+evaluates the next table at the one time t, together with the layer's
+values at the grid nodes.
 
 Surface integrals over caps are taken in the chord-radius variable
 s = |xi| (planar case: both arc branches summed), where the geometric
@@ -35,13 +50,12 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 
 from .analytic import one_turn_coefficient, one_turn_profile, singular_layer
 from .core import (DensityField, DensityLayer, FlightParams, PolarGrid,
-                   RadialGrid, _radial_mass, conditional_weight_or_raise,
+                   RadialGrid, _ball_volume, conditional_weight_or_raise,
                    tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError
@@ -58,7 +72,7 @@ __all__ = [
 ]
 
 _TINY = 1e-300
-_SIGMA_CAP = 1.0 - 1e-4  # plain tables stop short of the measure-zero edge
+_SIGMA_CAP = 1.0 - 1e-4  # stepped tables stop short of the measure-zero edge
 _R_TINY_REL = 1e-7
 _SEED_QUAD = 32  # order of the planar one-turn quadrature
 
@@ -96,23 +110,23 @@ def _sin2_panels(a: np.ndarray, b: np.ndarray, order: int,
 
 
 # --------------------------------------------------------------------------
-# ladders
+# layer tables
 # --------------------------------------------------------------------------
 
 @dataclass(frozen=True)
 class StepConfig:
-    """Resolution knobs of the ladder engine."""
+    """Resolution knobs of the layer engine."""
 
-    ladder_slots: int = 64       # time slots J; tables at tau_j = j t / J
-    n_sigma: int = 65            # radial table nodes over the scaled radius
+    ladder_slots: int = 64       # unused: a layer keeps one table
+    n_sigma: int = 65            # table nodes over the scaled radius (odd)
     n_theta: int = 16            # angular table nodes (non-symmetric laws)
     time_order: int = 16         # Gauss-Legendre order per time panel
     arc_order: int = 24          # Gauss-Legendre order per surface panel
     seed_grade: tuple = (1e-3, 1e-2, 1e-1, 1.0)  # decade subpanels
 
     def __post_init__(self) -> None:
-        if self.ladder_slots < 8:
-            raise DomainError("ladder needs at least 8 slots")
+        if self.n_sigma < 5 or self.n_sigma % 2 == 0:
+            raise DomainError("n_sigma must be odd and >= 5 (Simpson in u)")
         if self.n_theta < 8 or self.n_theta % 2:
             raise DomainError("n_theta must be even and >= 8")
 
@@ -121,144 +135,153 @@ def _sigma_pattern(n: int, cap: float) -> np.ndarray:
     return cap * np.sin(0.5 * np.pi * np.arange(n) / (n - 1))
 
 
+def _edge(m: int, n: int, one_minus_sig2):
+    """Edge factor E_n of layer n at 1 - sigma^2: (1 - sigma^2)^((n-2)/2)
+    in the plane, 1 in dimension 3."""
+    x = np.asarray(one_minus_sig2, dtype=float)
+    if m == 3:
+        return np.ones_like(x)
+    return np.maximum(x, _TINY) ** (0.5 * (n - 2))
+
+
 def _default_config(law: DissipationLaw) -> StepConfig:
     # the skewed planar pipeline carries full angular tables; keep its
     # default resolution laptop-friendly
     if isinstance(law, CircularGaussianLaw):
-        return StepConfig(ladder_slots=32, n_sigma=49, n_theta=16,
-                          time_order=12, arc_order=16,
+        return StepConfig(n_sigma=49, n_theta=16, time_order=12, arc_order=16,
                           seed_grade=(1e-2, 1e-1, 1.0))
     return StepConfig()
 
 
 @dataclass(frozen=True)
 class _Ladder:
-    """Tables of one layer over the time ladder.
+    """The table of one layer at its final time ``t``.
 
-    ``tab`` has shape (J+1, n_sigma, n_theta); rotation-invariant data
-    uses n_theta = 1.  ``reg='inv_sqrt'`` marks regularized one-turn
-    tables; the m=3 seed has no tables (``tab`` None), since the step
-    consumes it through its closed form.  ``cfg`` is the resolution the
-    ladder was built at and ``source`` the ladder the step consumed to
-    make it (None for the seed): exact values re-apply that step.
-    ``op`` holds the stored rows of that step when it was applied as a
-    linear operator (isotropic tables, n >= 2), None otherwise.
+    ``tab`` holds h_n = f_n(sigma c t, t) / E_n(sigma) at the nodes
+    ``sigma``, shape (n_sigma, n_theta); rotation-invariant data uses
+    n_theta = 1.  The m=3 seed has no table (``tab`` None), since the
+    step consumes it through its closed form.  ``cfg`` is the resolution
+    the ladder was built at and ``source`` the ladder the step consumed
+    to make it (None for the seed): exact values re-apply that step.
+    ``at_nodes`` holds the values that step made at the nodes of
+    ``grid``, shape (n_r, n_theta of the grid, or 1 for isotropic
+    tables); both are None for the seed.
     """
 
     n: int
     params: FlightParams
     law: DissipationLaw
-    times: np.ndarray
+    t: float
     sigma: np.ndarray
     thetas: np.ndarray | None
     tab: np.ndarray | None
     cfg: StepConfig
-    reg: str | None = None
     source: "_Ladder | None" = None
-    op: "_StepOperator | None" = None
-
-    @property
-    def t(self) -> float:
-        return float(self.times[-1])
+    grid: RadialGrid | PolarGrid | None = None
+    at_nodes: np.ndarray | None = None
 
     def radial(self, s, tau, support_gap=None) -> tuple:
-        """Where points (radius, time) fall in the tables, for the
-        interpolation that is linear across slots at fixed
-        sigma = s / (c tau) and linear in sigma within a slot: the flat
-        index into ``tab`` of the lower corner (angle node 0), the slot
-        weights (lower, upper) and the sigma weights (lower, upper).
+        """Where points (radius s, time tau) fall in the table: the flat
+        index into ``tab`` of the first node of the 4-point stencil in u
+        (angle node 0), and the stencil's four weights, each carrying the
+        exact read factor e^{lam (t - tau)} (tau/t)^(n-m) E_n(sigma).
 
-        For regularized one-turn tables the slot weights carry the
-        boundary factor 1/sqrt((c tau)^2 - s^2); callers probing close to
-        the support sphere pass ``support_gap`` = c*tau - s computed in a
-        cancellation-free form.
+        Callers probing close to the support sphere pass ``support_gap``
+        = c*tau - s computed in a cancellation-free form.
         """
         s = np.asarray(s, dtype=float)
         tau = np.asarray(tau, dtype=float)
-        c = self.params.c
-        J = len(self.times) - 1
-        n_s, n_th = self.tab.shape[1:]
-        jf = np.clip(tau / (self.t / J), 0.0, J - 1e-12)
-        j0 = jf.astype(int)
-        ft = jf - j0
-        sig = np.clip(s / np.maximum(c * tau, _TINY), 0.0, self.sigma[-1])
-        i0 = np.clip(np.searchsorted(self.sigma, sig, side="right") - 1,
-                     0, n_s - 2)
-        fs = np.clip((sig - self.sigma[i0])
-                     / (self.sigma[i0 + 1] - self.sigma[i0]), 0.0, 1.0)
-        lo, hi = 1.0 - ft, ft
-        if self.reg == "inv_sqrt":
-            av = c * tau
-            gap = av - s if support_gap is None else support_gap
-            f = 1.0 / np.sqrt(np.maximum(gap * (av + s), _TINY))
-            lo, hi = lo * f, hi * f
-        return (j0 * n_s + i0) * n_th, (lo, hi), (1.0 - fs, fs)
-
-    def corners(self, rad: tuple, theta):
-        """Yields the (flat index into ``tab``, weight) pairs of the
-        interpolation at the points ``rad`` (from `radial`) and angles
-        ``theta``, linear between angle nodes; isotropic tables ignore
-        ``theta``.  The value is the sum of weight * tab.ravel()[index]."""
-        base, slot_w, sig_w = rad
-        n_s, n_th = self.tab.shape[1:]
-        if n_th > 1:
-            tf = (np.asarray(theta, dtype=float) + np.pi) / (2.0 * np.pi / n_th)
-            fl = np.floor(tf)
-            k0 = fl.astype(int) % n_th
-            fh = tf - fl
-            ang = ((k0, 1.0 - fh), ((k0 + 1) % n_th, fh))
-        for dj, wj in enumerate(slot_w):
-            for di, wi in enumerate(sig_w):
-                idx, w = base + (dj * n_s + di) * n_th, wj * wi
-                if n_th == 1:
-                    yield idx, w
-                    continue
-                for k, wh in ang:
-                    yield idx + k, w * wh
+        p, n = self.params, self.n
+        n_s, n_th = self.tab.shape
+        av = p.c * tau
+        gap = av - s if support_gap is None else support_gap
+        scale = (np.exp(p.lam * (self.t - tau)) * (tau / self.t) ** (n - p.m)
+                 * _edge(p.m, n, gap * (av + s) / np.maximum(av * av, _TINY)))
+        # the nodes are equispaced in u, so the stencil's index is a floor
+        sig = np.clip(s / np.maximum(av, _TINY) / self.sigma[-1], 0.0, 1.0)
+        x = np.arcsin(sig) * ((n_s - 1) / (0.5 * np.pi))
+        i0 = np.clip(np.floor(x).astype(int) - 1, 0, n_s - 4)
+        d = x - i0
+        w = (-(d - 1.0) * (d - 2.0) * (d - 3.0) / 6.0,
+             0.5 * d * (d - 2.0) * (d - 3.0),
+             -0.5 * d * (d - 1.0) * (d - 3.0),
+             d * (d - 1.0) * (d - 2.0) / 6.0)
+        return i0 * n_th, tuple(scale * wk for wk in w)
 
     def read(self, rad: tuple, theta) -> np.ndarray:
-        """Layer values at the points ``rad`` and angles ``theta``."""
+        """Layer values at the points ``rad`` (from `radial`) and angles
+        ``theta``, linear between angle nodes; isotropic tables ignore
+        ``theta``."""
+        base, sig_w = rad
         flat = self.tab.ravel()
+        n_th = self.tab.shape[1]
+        if n_th == 1:
+            return sum(w * flat[base + k] for k, w in enumerate(sig_w))
+        tf = (np.asarray(theta, dtype=float) + np.pi) / (2.0 * np.pi / n_th)
+        fl = np.floor(tf)
+        k0 = fl.astype(int) % n_th
+        k1 = (k0 + 1) % n_th
+        fh = tf - fl
         out = 0.0
-        for idx, w in self.corners(rad, theta):
-            out = out + w * flat[idx]
+        for k, w in enumerate(sig_w):
+            row = base + k * n_th
+            out = out + w * ((1.0 - fh) * flat[row + k0] + fh * flat[row + k1])
         return out
 
     def top_values(self, r, theta=None):
-        """Exact layer values at the ladder's final time: the one-turn
-        closed form (m=3) or quadrature (planar) for the seed, the step
-        re-applied to ``source`` otherwise.  ``theta`` (default 0) has
-        the shape of ``r``; isotropic ladders ignore it."""
+        """Exact layer values at time t: the one-turn closed form (m=3) or
+        quadrature (planar) for the seed; for a stepped layer the values
+        its step made when every point is a grid node, and the step
+        re-applied to ``source`` otherwise.  ``theta`` (default 0) has the
+        shape of ``r``; isotropic ladders ignore it."""
         r = np.asarray(r, dtype=float)
         p, t = self.params, self.t
         if self.source is None and p.m == 3:
             return one_turn_profile(p, r, t)
+        th = np.zeros_like(r) if theta is None or self.thetas is None \
+            else np.asarray(theta, dtype=float)
         if self.source is None:
-            th = np.zeros_like(r) if theta is None \
-                else np.asarray(theta, dtype=float)
             g = _one_turn_reg_planar(p, self.law, r, th, t)
             return g / np.sqrt(np.maximum(p.radius(t) ** 2 - r * r, _TINY))
-        if theta is None or self.thetas is None:
-            return _apply_step(self.source, r, np.zeros(1), self.cfg,
-                               self.op)[:, 0]
-        theta = np.asarray(theta, dtype=float)
+        stored = self._stored(r, th)
+        if stored is not None:
+            return stored
+        if self.thetas is None:
+            return _step_values(self.source, r, np.zeros(1), self.cfg)[:, 0]
         out = np.empty(r.shape)
-        for th in np.unique(theta):
-            mask = theta == th
-            out[mask] = _step_values(self.source, r[mask], np.array([th]), t,
+        for a in np.unique(th):
+            mask = th == a
+            out[mask] = _step_values(self.source, r[mask], np.array([a]),
                                      self.cfg)[:, 0]
         return out
 
+    def _stored(self, r: np.ndarray, th: np.ndarray):
+        """``at_nodes`` at the points (r, th) when each is a grid node,
+        None otherwise."""
+        if self.at_nodes is None:
+            return None
+        nodes = self.grid.nodes
+        i = np.minimum(np.searchsorted(nodes, r), len(nodes) - 1)
+        if not np.array_equal(nodes[i], r):
+            return None
+        if self.thetas is None:
+            return self.at_nodes[i, 0]
+        ths = self.grid.thetas
+        j = np.minimum(np.searchsorted(ths, th), len(ths) - 1)
+        if not np.array_equal(ths[j], th):
+            return None
+        return self.at_nodes[i, j]
+
     def moment(self, kern=None) -> float:
-        """Integral of the top-slot layer against ``kern(r, theta)``, a
-        vectorized real weight; the mass when ``kern`` is None.  A kernel
-        that returns exactly 1 (a transform at zero frequency) gives the
-        mass to the last bit."""
-        p = self.params
+        """Integral of the layer against ``kern(r, theta)``, a vectorized
+        real weight; the mass when ``kern`` is None.  A kernel that
+        returns exactly 1 (a transform at zero frequency) gives the mass
+        to the last bit."""
+        p, n = self.params, self.n
         R = p.radius(self.t)
         ths = np.zeros(1) if self.thetas is None else self.thetas
         kern = kern or (lambda r, th: np.ones_like(r * th))
-        if self.n == 1 and p.m == 2:
+        if n == 1 and p.m == 2:
             # r = R sin(u) cancels the boundary inverse square root,
             # leaving the smooth regular factor
             z, w = _gl_cached(128)
@@ -271,7 +294,7 @@ class _Ladder:
                 g = _one_turn_reg_planar(p, self.law, r, th_r, self.t)
                 acc += float(np.sum(wr * g * kern(r, th_r)))
             return 2.0 * math.pi * acc / len(ths)
-        if self.n == 1:
+        if n == 1:
             # the exact mass (primitive of r log((R+r)/(R-r))) carries the
             # kernel's value at the log-singular edge r = R; quadrature
             # takes only the departure from it, which vanishes there
@@ -284,9 +307,25 @@ class _Ladder:
             dk = k[:-1] - k[-1]
             return float(k[-1] * 4.0 * math.pi * B * R * R
                          + 4.0 * math.pi * np.sum(wr * f * dk * r * r))
-        r = (self.sigma * R)[:, None]
-        prof = (self.tab[-1] * kern(r, ths[None, :])).mean(axis=1)
-        return _radial_mass(r[:, 0], prof, p.m, R)
+        # composite Simpson in u over h_n * kern (averaged over the table
+        # angles) * E_n * the volume element, with r = R sigma_max sin(u)
+        n_s, cap = len(self.sigma), float(self.sigma[-1])
+        u = 0.5 * np.pi * np.arange(n_s) / (n_s - 1)
+        r = self.sigma * R
+        prof = (self.tab * kern(r[:, None], ths[None, :])).mean(axis=1)
+        w = np.where(np.arange(n_s) % 2, 4.0, 2.0)
+        w[[0, -1]] = 1.0
+        dv = (2.0 * np.pi * r if p.m == 2 else 4.0 * np.pi * r * r) \
+            * R * cap * np.cos(u)
+        body = u[1] / 3.0 * np.sum(w * prof * _edge(p.m, n, 1.0 - self.sigma**2)
+                                   * dv)
+        # past the last node h_n is held at its last value; the sliver
+        # integral of E_n is exact
+        if p.m == 2:
+            sliver = np.pi * R * R * (1.0 - cap * cap) ** (0.5 * n) / (0.5 * n)
+        else:
+            sliver = _ball_volume(R, 3) - _ball_volume(r[-1], 3)
+        return float(body + prof[-1] * sliver)
 
     mass = moment  # the moment against 1
 
@@ -352,29 +391,19 @@ def _seed_profile_generic(params: FlightParams, r: np.ndarray,
 
 def _make_seed_ladder(params: FlightParams, law: DissipationLaw, t: float,
                       cfg: StepConfig) -> _Ladder:
-    J = cfg.ladder_slots
-    times = np.linspace(0.0, t, J + 1)
+    sigma = _sigma_pattern(cfg.n_sigma, 1.0)
     if params.m == 3:
         if not isinstance(law, UniformLaw):
             raise DomainError("dimension 3 supports the uniform law only")
-        return _Ladder(1, params, law, times, _sigma_pattern(cfg.n_sigma, 1.0),
-                       None, None, cfg)
-
-    symmetric = not isinstance(law, CircularGaussianLaw)
-    n_th = 1 if symmetric else cfg.n_theta
-    thetas = None if symmetric else (-np.pi + 2.0 * np.pi
-                                     * np.arange(n_th) / n_th)
-    th_nodes = np.zeros(1) if symmetric else thetas
-    sigma = _sigma_pattern(cfg.n_sigma, 1.0)
-    tab = np.empty((J + 1, cfg.n_sigma, n_th))
-    for j in range(J + 1):
-        tj = times[j] if j > 0 else 1e-12 * t  # regular-factor limit at 0+
-        rr = sigma * params.radius(tj)
-        for k in range(n_th):
-            tab[j, :, k] = _one_turn_reg_planar(
-                params, law, rr, np.full_like(rr, th_nodes[k]), tj)
-    return _Ladder(1, params, law, times, sigma, thetas, tab, cfg,
-                   reg="inv_sqrt")
+        return _Ladder(1, params, law, t, sigma, None, None, cfg)
+    thetas = None if not isinstance(law, CircularGaussianLaw) \
+        else -np.pi + 2.0 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
+    R = params.radius(t)
+    r, th = np.meshgrid(sigma * R, np.zeros(1) if thetas is None else thetas,
+                        indexing="ij")
+    # h_1 = f_1 sqrt(1 - sigma^2): the regular factor over ct
+    tab = _one_turn_reg_planar(params, law, r, th, t) / R
+    return _Ladder(1, params, law, t, sigma, thetas, tab, cfg)
 
 
 # --------------------------------------------------------------------------
@@ -426,9 +455,9 @@ def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
 
 
 def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
-                th_targets: np.ndarray, T: float, cfg: StepConfig):
-    """One application of the layer recurrence at time T, as weighted
-    reads of ``ladder``'s tables at radii ``r_targets`` x angles
+                th_targets: np.ndarray, cfg: StepConfig):
+    """One application of the layer recurrence at the ladder's time T, as
+    weighted reads of its table at radii ``r_targets`` x angles
     ``th_targets``.
 
     Yields ``(sel, l, w, rad, theta)``: the targets picked by the mask
@@ -448,7 +477,7 @@ def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
     ds; while consuming the one-turn layer the inner integral has the
     exact primitive (a+s) log(a+s) + (a-s) log(a-s).
     """
-    params, law = ladder.params, ladder.law
+    params, law, T = ladder.params, ladder.law, ladder.t
     lam, c = params.lam, params.c
     planar = params.m == 2
     from_seed = ladder.n == 1
@@ -529,158 +558,60 @@ def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
                 ladder.radial(rho[col][None], tau[col][None],
                               (c * (2.0 * tau - T))[col][None]), phi
         elif from_seed:
-            F = np.array([one_turn_profile(
-                params, np.array([min(rho_i, c * t_i * (1.0 - 1e-12))]),
-                t_i)[0] for rho_i, t_i in zip(rho, tau)])
+            F = one_turn_profile(params, np.minimum(rho, c * tau * (1.0 - 1e-12)),
+                                 tau)
             yield ~regular, None, np.array([np.sum(decay * F)]), None, None
         else:
             yield ~regular, None, decay[None], \
                 ladder.radial(rho[None], tau[None]), None
 
 
+_TARGET_BLOCK = 8  # targets per pass of the step: bounds its scratch arrays
+
+
 def _step_values(ladder: _Ladder, r_targets: np.ndarray,
-                 th_targets: np.ndarray, T: float,
-                 cfg: StepConfig) -> np.ndarray:
+                 th_targets: np.ndarray, cfg: StepConfig) -> np.ndarray:
     """The layer after ``ladder`` at radii ``r_targets`` and angles
-    ``th_targets``, time T, shape (len(r_targets), len(th_targets)): the
-    step's reads applied to the tables at once."""
+    ``th_targets``, at the ladder's time, shape (len(r_targets),
+    len(th_targets)): the step's reads applied to the table at once, a
+    block of targets at a time."""
     r_targets = np.asarray(r_targets, dtype=float)
     out = np.zeros((len(r_targets), len(th_targets)))
-    for sel, l, w, rad, theta in _step_terms(ladder, r_targets, th_targets,
-                                             T, cfg):
-        if rad is not None:
-            v = w * ladder.read(rad, theta)
-            w = np.sum(v, axis=tuple(range(1, v.ndim)))
-        if l is None:
-            out[sel] += w[:, None]
-        else:
-            out[sel, l] += w
+    for b in range(0, len(r_targets), _TARGET_BLOCK):
+        block = out[b:b + _TARGET_BLOCK]
+        for sel, l, w, rad, theta in _step_terms(
+                ladder, r_targets[b:b + _TARGET_BLOCK], th_targets, cfg):
+            if rad is not None:
+                v = w * ladder.read(rad, theta)
+                w = np.sum(v, axis=tuple(range(1, v.ndim)))
+            if l is None:
+                block[sel] += w[:, None]
+            else:
+                block[sel, l] += w
     return out
 
 
-_ROW_BLOCK = 64  # targets coalesced at once: bounds the dense scratch rows
-
-
-class _Rows(NamedTuple):
-    """Rows of a linear map in numpy-only CSR form: entry i of the image
-    of x is sum(weights[k] * x[indices[k]]) over indptr[i] <= k <
-    indptr[i+1]."""
-
-    indptr: np.ndarray
-    indices: np.ndarray
-    weights: np.ndarray
-
-    def apply(self, x: np.ndarray) -> np.ndarray:
-        starts = self.indptr[:-1]
-        full = starts < self.indptr[1:]
-        out = np.zeros(len(starts))
-        if np.any(full):
-            terms = x[self.indices]
-            terms *= self.weights
-            out[full] = np.add.reduceat(terms, starts[full])
-        return out
-
-
-def _step_rows(ladder: _Ladder, targets: list, cfg: StepConfig) -> _Rows:
-    """Rows of the step from an isotropic table ladder: the values at
-    each ``(radii, T)`` group of ``targets``, in order, are the rows
-    applied to ``ladder.tab.ravel()``.  The reads of `_step_terms` are
-    recorded as their stencils and coalesced per target."""
-    n_col = ladder.tab.size
-    indptr, indices, weights = [np.zeros(1, dtype=np.int64)], [], []
-    for r_all, T in targets:
-        for b in range(0, len(r_all), _ROW_BLOCK):
-            r = np.asarray(r_all[b:b + _ROW_BLOCK], dtype=float)
-            dense = np.zeros(len(r) * n_col)
-            for sel, _, w, rad, theta in _step_terms(ladder, r, np.zeros(1),
-                                                     T, cfg):
-                tgt = np.flatnonzero(sel).reshape((-1,) + (1,) * (w.ndim - 1))
-                for idx, sw in ladder.corners(rad, theta):
-                    key, val = np.broadcast_arrays(tgt * n_col + idx, sw * w)
-                    dense += np.bincount(key.ravel(), val.ravel(),
-                                         minlength=len(dense))
-            dense = dense.reshape(len(r), n_col)
-            row, col = np.nonzero(dense)
-            indptr.append(indptr[-1][-1] + np.cumsum(
-                np.bincount(row, minlength=len(r))))
-            indices.append(col.astype(np.int32))
-            weights.append(dense[row, col])
-    return _Rows(np.concatenate(indptr), np.concatenate(indices),
-                 np.concatenate(weights))
-
-
-class _StepOperator(NamedTuple):
-    """The step n -> n+1 (n >= 2) from isotropic tables as stored rows,
-    tab_{n+1} = M tab_n: ``ladder_rows`` give the next ladder's slots
-    1..J, ``node_rows`` its top-slot values at the grid ``nodes``.  The
-    rows depend on the geometry of ``source`` (flight, law, time slots,
-    sigma nodes) and on ``cfg``, not on the table values, so one
-    operator steps every later layer built at the same resolution."""
-
-    source: _Ladder
-    cfg: StepConfig
-    ladder_rows: _Rows
-    nodes: np.ndarray
-    node_rows: _Rows
-
-    @classmethod
-    def build(cls, ladder: _Ladder, cfg: StepConfig,
-              nodes: np.ndarray) -> "_StepOperator":
-        sigma = _sigma_pattern(cfg.n_sigma, _SIGMA_CAP)
-        slots = [(sigma * ladder.params.radius(T), float(T))
-                 for T in ladder.times[1:]]
-        return cls(ladder, cfg, _step_rows(ladder, slots, cfg), nodes,
-                   _step_rows(ladder, [(nodes, ladder.t)], cfg))
-
-    def fits(self, ladder: _Ladder, cfg: StepConfig) -> bool:
-        """Whether these rows step ``ladder`` at ``cfg``."""
-        src = self.source
-        return (cfg == self.cfg and ladder.n > 1 and ladder.thetas is None
-                and ladder.params == src.params and ladder.law is src.law
-                and np.array_equal(ladder.times, src.times)
-                and np.array_equal(ladder.sigma, src.sigma))
-
-
-def _apply_step(ladder: _Ladder, r: np.ndarray, th_targets: np.ndarray,
-                cfg: StepConfig, op: _StepOperator | None) -> np.ndarray:
-    """The layer after ``ladder`` at radii ``r`` x angles ``th_targets``
-    at its final time: ``op``'s node rows when they fit and ``r`` is
-    their node set, the step's reads applied at once otherwise."""
-    if op is not None and op.fits(ladder, cfg) and np.array_equal(r, op.nodes):
-        return np.repeat(op.node_rows.apply(ladder.tab.ravel())[:, None],
-                         len(th_targets), axis=1)
-    return _step_values(ladder, r, th_targets, ladder.t, cfg)
-
-
 def _step_ladder(ladder: _Ladder, cfg: StepConfig,
-                 nodes: np.ndarray) -> _Ladder:
-    """Full recurrence step: consume the ladder of layer n, produce the
-    ladder of layer n+1 on the same time slots.  Isotropic tables
-    (n >= 2) go through a stored operator, reused from ``ladder`` when
-    it fits and built otherwise, with node rows at ``nodes``; the seed
-    and angular tables are stepped slot by slot, their reads applied at
-    once."""
-    J = len(ladder.times) - 1
+                 grid: RadialGrid | PolarGrid) -> _Ladder:
+    """Full recurrence step: consume the table of layer n and make the
+    table of layer n+1 together with its values at the grid nodes, in
+    one application of the step when both take the same angles."""
+    p = ladder.params
     sigma = _sigma_pattern(cfg.n_sigma, _SIGMA_CAP)
-    th_targets = np.zeros(1) if ladder.thetas is None else ladder.thetas
-    tab = np.zeros((J + 1, cfg.n_sigma, len(th_targets)))
-    op = None
-    if ladder.n > 1 and ladder.thetas is None:
-        op = ladder.op
-        if op is None or not op.fits(ladder, cfg):
-            op = _StepOperator.build(ladder, cfg, nodes)
-        elif not np.array_equal(op.nodes, nodes):
-            op = op._replace(nodes=nodes, node_rows=_step_rows(
-                ladder, [(nodes, ladder.t)], cfg))
-        tab[1:, :, 0] = op.ladder_rows.apply(ladder.tab.ravel()).reshape(J, -1)
+    r_tab = sigma * p.radius(ladder.t)
+    th_tab = np.zeros(1) if ladder.thetas is None else ladder.thetas
+    th_grid = th_tab if ladder.thetas is None else grid.thetas
+    if np.array_equal(th_tab, th_grid):
+        both = _step_values(ladder, np.concatenate([r_tab, grid.nodes]),
+                            th_tab, cfg)
+        raw, at_nodes = both[:len(sigma)], both[len(sigma):]
     else:
-        for j in range(1, J + 1):
-            Tj = float(ladder.times[j])
-            tab[j] = _step_values(ladder, sigma * ladder.params.radius(Tj),
-                                  th_targets, Tj, cfg)
-    return _Ladder(ladder.n + 1, ladder.params, ladder.law,
-                   ladder.times.copy(), sigma, ladder.thetas, tab, cfg,
-                   source=ladder, op=op)
+        raw = _step_values(ladder, r_tab, th_tab, cfg)
+        at_nodes = _step_values(ladder, grid.nodes, th_grid, cfg)
+    n = ladder.n + 1
+    tab = raw / _edge(p.m, n, 1.0 - sigma**2)[:, None]
+    return _Ladder(n, p, ladder.law, ladder.t, sigma, ladder.thetas, tab, cfg,
+                   source=ladder, grid=grid, at_nodes=at_nodes)
 
 
 # --------------------------------------------------------------------------
@@ -688,19 +619,15 @@ def _step_ladder(ladder: _Ladder, cfg: StepConfig,
 # --------------------------------------------------------------------------
 
 def _node_values(ladder: _Ladder, grid: RadialGrid | PolarGrid) -> np.ndarray:
-    """Top-slot values of a ladder at the grid nodes: shape (n_r,) on a
-    radial grid, (n_r, n_theta) on a polar one, where a stepped angular
-    ladder takes every grid angle in one application of the step."""
+    """Layer values at the grid nodes: shape (n_r,) on a radial grid,
+    (n_r, n_theta) on a polar one."""
     if isinstance(grid, RadialGrid):
         return ladder.top_values(grid.nodes)
     if ladder.thetas is None:
         return np.repeat(ladder.top_values(grid.nodes)[:, None], grid.n_theta,
                          axis=1)
-    if ladder.source is None:
-        return ladder.top_values(*np.meshgrid(grid.nodes, grid.thetas,
-                                              indexing="ij"))
-    return _step_values(ladder.source, grid.nodes, grid.thetas, ladder.t,
-                        ladder.cfg)
+    return ladder.top_values(*np.meshgrid(grid.nodes, grid.thetas,
+                                          indexing="ij"))
 
 
 def _public_layer(ladder: _Ladder, grid: RadialGrid | PolarGrid,
@@ -729,8 +656,8 @@ def seed_layer(params: FlightParams, law: DissipationLaw, t: float,
     For the isotropic law on a radial grid the node values are computed
     through the generic hypergeometric series; for the circular Gaussian
     law through the two-point reduction of the sphere-sphere convolution
-    (see `_one_turn_reg_planar`).  Either way the layer carries its time
-    ladder for consumption by :func:`next_layer`.
+    (see `_one_turn_reg_planar`).  Either way the layer carries its table
+    for consumption by :func:`next_layer`.
     """
     if params.m not in (2, 3):
         raise DomainError(
@@ -755,11 +682,11 @@ def next_layer(params: FlightParams, law: DissipationLaw,
         raise DomainError("the recurrence consumes joint layers")
     if layer.ladder is None:
         raise DomainError(
-            "layer lacks its time ladder; build it with seed_layer/next_layer")
+            "layer lacks its table; build it with seed_layer/next_layer")
     out_grid = grid if grid is not None else layer.grid
     _check_grid(params, law, layer.ladder.t, out_grid)
     return _public_layer(_step_ladder(layer.ladder, config or layer.ladder.cfg,
-                                      out_grid.nodes), out_grid)
+                                      out_grid), out_grid)
 
 
 def conditional_layer(layer: DensityLayer,
@@ -822,9 +749,9 @@ def residual_check(field_obj: DensityField,
     the residual is dominated by the first dropped layer plus quadrature
     noise.  Evaluated in sup norm over the epsilon-interior grid; each
     layer is stepped at the resolution it was built at unless ``config``
-    is given.
+    is given.  Where the next layer of the field was stepped from this
+    one at that resolution, its node values are that step.
     """
-    t = field_obj.t
     grid = field_obj.layers[0].grid
     th_targets = grid.thetas if isinstance(grid, PolarGrid) else np.zeros(1)
     ladders = [layer.ladder for layer in field_obj.layers]
@@ -836,10 +763,11 @@ def residual_check(field_obj: DensityField,
     for lad in ladders:
         lhs = lhs + node_values(lad)
 
-    ops = [lad.op for lad in ladders if lad.op is not None]
     rhs = node_values(ladders[0])
-    for lad in ladders:
+    for lad, nxt in zip(ladders, ladders[1:] + [None]):
         cfg = config or lad.cfg
-        op = next((o for o in ops if o.fits(lad, cfg)), None)
-        rhs = rhs + _apply_step(lad, grid.nodes, th_targets, cfg, op)
+        if nxt is not None and nxt.source is lad and nxt.cfg == cfg:
+            rhs = rhs + node_values(nxt)
+        else:
+            rhs = rhs + _step_values(lad, grid.nodes, th_targets, cfg)
     return float(np.max(np.abs(lhs - rhs)))

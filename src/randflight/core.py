@@ -177,8 +177,8 @@ class DensityLayer:
     """Grid-sampled density of position jointly with (or conditioned on)
     exactly ``n`` direction changes, at the fixed time of its grid.
 
-    ``ladder`` holds the layer's time tables (a ``convolution._Ladder``)
-    when the recurrence built it; ``next_layer`` consumes them.
+    ``ladder`` holds the layer's table (a ``convolution._Ladder``)
+    when the recurrence built it; ``next_layer`` consumes it.
     """
 
     n: int
@@ -206,15 +206,6 @@ def _ball_volume(r, m: int):
     if m == 3:
         return 4.0 / 3.0 * np.pi * r**3
     raise DomainError(f"ball volume not implemented for m={m}")
-
-
-def _radial_mass(r: np.ndarray, values: np.ndarray, m: int,
-                 r_sup: float) -> float:
-    """Trapezoid mass of a radial profile on nodes ``r`` plus its last
-    value times the volume of the sliver out to ``r_sup``."""
-    sliver = _ball_volume(r_sup, m) - _ball_volume(r[-1], m)
-    area = 2.0 * np.pi * r if m == 2 else 4.0 * np.pi * r * r
-    return float(np.trapezoid(area * values, r)) + float(values[-1]) * sliver
 
 
 @dataclass(frozen=True)

@@ -156,26 +156,31 @@ def test_layer_fourier_at_zero_is_mass(params, law, polar):
     # mass and transform are one radial moment: bitwise equal at alpha = 0
     grid = PolarGrid.build(params, 1.0, 24, 16) if polar \
         else RadialGrid.build(params, 1.0, 49)
-    layer = seed_layer(params, law, 1.0, grid, CFG)
-    got = layer_fourier(layer, params, np.zeros(params.m))
-    assert got == layer.ladder.mass()
-    assert got == pytest.approx(poisson_weight(1, params, 1.0), rel=1e-9)
+    layers = [seed_layer(params, law, 1.0, grid, CFG)]
+    while len(layers) < 3:
+        layers.append(next_layer(params, law, layers[-1]))
+    for layer in layers:
+        got = layer_fourier(layer, params, np.zeros(params.m))
+        assert got == layer.ladder.mass()
+    assert layer_fourier(layers[0], params, np.zeros(params.m)) == \
+        pytest.approx(poisson_weight(1, params, 1.0), rel=1e-9)
 
 
+# largest miss of layers 1..4 against the 1024-step convolution powers,
+# x 1.5: 6.9e-8 (m=2) and 1.9e-7 (m=3, layer 2; 2.0e-7 at 4096 steps)
 @pytest.mark.parametrize("params", [P2, P3])
 def test_layer_fourier_matches_conv_power(params):
+    tol = {2: 1.1e-7, 3: 3.0e-7}[params.m]
     law = UniformLaw(params)
     grid = RadialGrid.build(params, 1.0, 49)
-    layer1 = seed_layer(params, law, 1.0, grid, CFG)
-    layer2 = next_layer(params, law, layer1, config=CFG)
+    layer = seed_layer(params, law, 1.0, grid, CFG)
     alpha = alpha_vec(params.m, 1.0)
-    lad = next_conv_power(params, law,
-                          psi_ladder(params, law, alpha, 1.0, 1024))
-    ref1 = math.exp(-1.0) * lad.values[-1].real
-    assert abs(layer_fourier(layer1, params, alpha) - ref1) < 1e-3
-    lad = next_conv_power(params, law, lad)
-    ref2 = math.exp(-1.0) * lad.values[-1].real
-    assert abs(layer_fourier(layer2, params, alpha) - ref2) < 1e-3
+    lad = psi_ladder(params, law, alpha, 1.0, 1024)
+    for n in range(1, 5):
+        lad = next_conv_power(params, law, lad)
+        ref = math.exp(-1.0) * lad.values[-1].real
+        assert abs(layer_fourier(layer, params, alpha) - ref) < tol, n
+        layer = next_layer(params, law, layer, config=CFG)
 
 
 @pytest.mark.parametrize("params", [P2, P3])
