@@ -594,20 +594,14 @@ def _step_values(ladder: _Ladder, r_targets: np.ndarray,
 def _step_ladder(ladder: _Ladder, cfg: StepConfig,
                  grid: RadialGrid | PolarGrid) -> _Ladder:
     """Full recurrence step: consume the table of layer n and make the
-    table of layer n+1 together with its values at the grid nodes, in
-    one application of the step when both take the same angles."""
+    table of layer n+1 at time t, together with its values at the grid
+    nodes."""
     p = ladder.params
     sigma = _sigma_pattern(cfg.n_sigma, _SIGMA_CAP)
-    r_tab = sigma * p.radius(ladder.t)
     th_tab = np.zeros(1) if ladder.thetas is None else ladder.thetas
-    th_grid = th_tab if ladder.thetas is None else grid.thetas
-    if np.array_equal(th_tab, th_grid):
-        both = _step_values(ladder, np.concatenate([r_tab, grid.nodes]),
-                            th_tab, cfg)
-        raw, at_nodes = both[:len(sigma)], both[len(sigma):]
-    else:
-        raw = _step_values(ladder, r_tab, th_tab, cfg)
-        at_nodes = _step_values(ladder, grid.nodes, th_grid, cfg)
+    raw = _step_values(ladder, sigma * p.radius(ladder.t), th_tab, cfg)
+    at_nodes = _step_values(ladder, grid.nodes, th_tab if ladder.thetas is None
+                            else grid.thetas, cfg)
     n = ladder.n + 1
     tab = raw / _edge(p.m, n, 1.0 - sigma**2)[:, None]
     return _Ladder(n, p, ladder.law, ladder.t, sigma, ladder.thetas, tab, cfg,
