@@ -348,19 +348,20 @@ def test_graded_seed_step_runs_once_per_field(monkeypatch):
 @pytest.mark.parametrize("lam_t", [0.05, 1.0, 10.0])
 @pytest.mark.parametrize("m", [2, 3])
 def test_conditional_layers_are_self_similar(m, lam_t):
-    # given n turns, X(t)/(ct) has a law free of lam, c and t: the
-    # conditional layers times (ct)^m agree on grids scaled with ct
+    # given n turns, X(t)/(ct) has a law free of lam, c and t: conditional
+    # layers times (ct)^m, on grids scaled with ct, are those of the unit
+    # flight at every lam t
     cfg = StepConfig(n_sigma=17, time_order=8, arc_order=8,
                      seed_grade=(1e-2, 1e-1, 1.0))
-    scaled = []
-    for lam, c in ((1.0, 1.0), (2.5, 0.4)):
+
+    def scaled(lam, c, t):
         params = FlightParams(m, c, lam)
-        t = lam_t / lam
         field = transition_density(params, UniformLaw(params), t, 4,
                                    RadialGrid.build(params, t, 12), cfg)
-        scaled.append([conditional_layer(layer, params).values
-                       * params.radius(t) ** m for layer in field.layers])
-    for a, b in zip(*scaled):
+        return [conditional_layer(layer, params).values * params.radius(t) ** m
+                for layer in field.layers]
+
+    for a, b in zip(scaled(2.5, 0.4, lam_t / 2.5), scaled(1.0, 1.0, 1.0)):
         assert np.all(np.abs(a - b) <= 1e-12 * b)
 
 
