@@ -6,10 +6,11 @@ power of the sphere transform ``psi``, and the unconditional transform
 solves a Volterra equation of the second kind with kernel
 lam * exp(-lam (t - tau)) * psi(alpha, t - tau).  This module evaluates
 psi, iterates the convolution powers on a uniform time ladder, solves
-the Volterra equation by product-trapezoid marching, checks the
-Laplace-domain identity, and Fourier-transforms spatial layers for the
-cross-pipeline comparison; a layer's transform and its mass are one
-radial moment taken against different kernels.
+the Volterra equation's product-trapezoid system, which is
+lower-triangular Toeplitz, as an FFT power-series quotient in
+O(N log N), checks the Laplace-domain identity, and Fourier-transforms
+spatial layers for the cross-pipeline comparison; a layer's transform
+and its mass are one radial moment taken against different kernels.
 
 Values are complex throughout: for the isotropic law they are real up
 to rounding, but the circular Gaussian law is skewed along the first
@@ -46,6 +47,23 @@ _N_ANGLE = 512  # angular quadrature for the planar non-symmetric transform
 def _alpha_norm(alpha) -> float:
     a = np.asarray(alpha, dtype=float)
     return float(np.linalg.norm(a)) if a.ndim else float(abs(a))
+
+
+def _check_alpha(params: FlightParams, alpha) -> tuple:
+    """A ladder's frequency as a tuple: a finite vector of length m."""
+    a = np.asarray(alpha, dtype=float)
+    if a.shape != (params.m,):
+        raise DomainError(
+            f"alpha must be a vector of length m={params.m}, "
+            f"got shape {a.shape}")
+    if not np.all(np.isfinite(a)):
+        raise DomainError(f"alpha must be finite, got {a}")
+    return tuple(a)
+
+
+def _check_t_max(t_max: float) -> None:
+    if not (math.isfinite(t_max) and t_max > 0.0):
+        raise DomainError(f"t_max must be positive and finite, got {t_max}")
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -112,8 +130,9 @@ def psi_ladder(params: FlightParams, law: DissipationLaw, alpha,
     """The base ladder: the zeroth convolution power is psi itself."""
     if steps < 64:
         raise DomainError("ladder needs at least 64 steps")
+    alpha_t = _check_alpha(params, alpha)
+    _check_t_max(t_max)
     times = np.linspace(0.0, t_max, steps + 1)
-    alpha_t = tuple(np.atleast_1d(np.asarray(alpha, dtype=float)))
     return CFLadder(0, alpha_t, times,
                     sphere_cf_values(params, law, alpha, times))
 
@@ -135,29 +154,79 @@ def next_conv_power(params: FlightParams, law: DissipationLaw,
 
 def volterra_cf(params: FlightParams, law: DissipationLaw, alpha,
                 t_max: float, steps: int = 1024) -> CFLadder:
-    """Unconditional characteristic function by product-trapezoid
-    marching on the renewal equation
+    """Unconditional characteristic function from the product-trapezoid
+    discretisation of the renewal equation
 
         G(t) = e^{-lam t} psi(t)
                + lam int_0^t e^{-lam (t-tau)} psi(t - tau) G(tau) dtau.
+
+    With kern = e^{-lam t} psi on the ladder and G[0] = 1, the trapezoid
+    system for G[1:] is lower-triangular Toeplitz: a * G[1:] = b as power
+    series modulo x^steps, with a[0] = 1 - lam h kern[0] / 2, a[k] =
+    -lam h kern[k] and b = (1 + lam h / 2) kern[1:].  It is solved as the
+    quotient b / a in O(N log N) (`_series_quotient`).  Raises
+    `DomainError` for fewer than 64 steps, a ``t_max`` that is not
+    positive and finite, or an ``alpha`` that is not a finite m-vector.
     """
     if steps < 64:
         raise DomainError("volterra_cf needs at least 64 steps")
+    alpha_t = _check_alpha(params, alpha)
+    _check_t_max(t_max)
     lam = params.lam
     times = np.linspace(0.0, t_max, steps + 1)
-    h = float(times[1])
-    psi = sphere_cf_values(params, law, alpha, times)
-    kern = np.exp(-lam * times) * psi  # kernel at lag t_i - t_j
+    lh = lam * float(times[1])
+    kern = sphere_cf_values(params, law, alpha, times)
+    kern *= np.exp(-lam * times)
+    a = -lh * kern[:-1]
+    a[0] = 1.0 - 0.5 * lh * kern[0]
+    kern *= 1.0 + 0.5 * lh
     G = np.empty(steps + 1, dtype=complex)
     G[0] = 1.0
-    denom = 1.0 - 0.5 * lam * h  # kern[0] = 1
-    for i in range(1, steps + 1):
-        acc = 0.5 * kern[i] * G[0]
-        if i > 1:
-            acc += np.dot(kern[1:i][::-1], G[1:i])
-        G[i] = (kern[i] + lam * h * acc) / denom
-    alpha_t = tuple(np.atleast_1d(np.asarray(alpha, dtype=float)))
+    _series_quotient(kern[1:], a, G[1:])
     return CFLadder(-1, alpha_t, times, G)
+
+
+def _mul_head(x_hat: np.ndarray, y: np.ndarray, size: int,
+              lo: int, hi: int) -> np.ndarray:
+    """Coefficients lo..hi-1 of the series product x y, with x given by
+    its `size`-point FFT x_hat; exact while the cyclic wrap stays below
+    lo, i.e. len(x) + len(y) - 1 - size <= lo, and hi <= size."""
+    y_hat = np.fft.fft(y, size)
+    y_hat *= x_hat
+    return np.fft.ifft(y_hat, out=y_hat)[lo:hi]
+
+
+def _series_reciprocal(a: np.ndarray, n: int) -> np.ndarray:
+    """First n coefficients of 1 / a(x) by Newton doubling,
+    r <- r + r (1 - a r), each step on FFTs of the next power of two
+    at or above its length."""
+    if n == 1:
+        return np.array([1.0 / a[0]], dtype=complex)
+    h = (n + 1) // 2
+    r = _series_reciprocal(a, h)
+    size = 1 << (n - 1).bit_length()
+    r_hat = np.fft.fft(r, size)
+    e = _mul_head(r_hat, a[:n], size, h, n)  # a r = 1 + x^h e
+    return np.concatenate([r, -_mul_head(r_hat, e, size, 0, n - h)])
+
+
+def _series_quotient(b: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
+    """Write the first len(out) coefficients of b(x) / a(x) into out.
+
+    The reciprocal is taken to half the length only; the last Newton
+    step is folded into the quotient (Karp and Markstein): q = b r on
+    the first half, then the second half corrects q by r times the
+    residual b - a q.  No FFT is longer than the next power of two at or
+    above len(out).
+    """
+    n = len(out)
+    h = (n + 1) // 2
+    r = _series_reciprocal(a, h)
+    size = 1 << (n - 1).bit_length()
+    r_hat = np.fft.fft(r, size)
+    out[:h] = _mul_head(r_hat, b[:h], size, 0, h)
+    resid = b[h:n] - _mul_head(np.fft.fft(out[:h], size), a[:n], size, h, n)
+    out[h:] = _mul_head(r_hat, resid, size, 0, n - h)
 
 
 def _laplace_of_ladder(ladder: CFLadder, s: float) -> complex:
@@ -197,7 +266,7 @@ def laplace_identity_error(params: FlightParams, law: DissipationLaw,
     if steps is None:
         steps = min(40_000, max(4096, int(512 * t_max)))
     ladder = volterra_cf(params, law, alpha, t_max, steps)
-    # Richardson extrapolation removes the O(h^2) marching bias
+    # Richardson extrapolation removes the O(h^2) trapezoid bias
     coarse = volterra_cf(params, law, alpha, t_max, steps // 2)
     worst = 0.0
     for s in s_values:

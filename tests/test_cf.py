@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import integrate
 
 from randflight import (CircularGaussianLaw, DomainError, FlightParams,
@@ -10,9 +12,11 @@ from randflight import (CircularGaussianLaw, DomainError, FlightParams,
                         next_conv_power, poisson_weight, psi_ladder,
                         seed_layer, next_layer, sphere_cf, tail_mass,
                         transition_density, volterra_cf)
+from randflight.cf import sphere_cf_values
 
 P2 = FlightParams(2, 1.0, 1.0)
 P3 = FlightParams(3, 1.0, 1.0)
+PCG = FlightParams(2, 0.7, 1.8)
 CFG = StepConfig(ladder_slots=48, n_sigma=49, time_order=12, arc_order=16)
 
 
@@ -120,6 +124,72 @@ def test_volterra_matches_series():
 def test_volterra_rejects_coarse_ladder():
     with pytest.raises(DomainError):
         volterra_cf(P2, UniformLaw(P2), np.zeros(2), 1.0, 32)
+
+
+@pytest.mark.parametrize("ladder", [volterra_cf, psi_ladder],
+                         ids=["volterra_cf", "psi_ladder"])
+@pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf],
+                         ids=["zero", "negative", "nan", "inf"])
+def test_ladder_rejects_bad_t_max(ladder, t_max):
+    with pytest.raises(DomainError, match="t_max"):
+        ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), t_max, 64)
+
+
+@pytest.mark.parametrize("ladder", [volterra_cf, psi_ladder],
+                         ids=["volterra_cf", "psi_ladder"])
+@pytest.mark.parametrize("alpha", [np.ones(2), np.ones(4), 1.0,
+                                   np.ones((1, 3)), np.array([1.0, 0, np.nan])],
+                         ids=["short", "long", "scalar", "matrix", "nan"])
+def test_ladder_rejects_bad_alpha(ladder, alpha):
+    # a 2-vector for m = 3 was once normed and gave G(t=1) = 0.8825
+    with pytest.raises(DomainError, match="alpha"):
+        ladder(P3, UniformLaw(P3), alpha, 1.0, 64)
+
+
+def _march(params, law, alpha, t_max, steps):
+    """The product-trapezoid renewal system solved row by row, O(N^2):
+    the reference for the Toeplitz quotient in `volterra_cf`."""
+    lam = params.lam
+    times = np.linspace(0.0, t_max, steps + 1)
+    lh = lam * times[1]
+    kern = np.exp(-lam * times) * sphere_cf_values(params, law, alpha, times)
+    G = np.empty(steps + 1, dtype=complex)
+    G[0] = 1.0
+    for i in range(1, steps + 1):
+        acc = 0.5 * kern[i] * G[0] + np.dot(kern[1:i][::-1], G[1:i])
+        G[i] = (kern[i] + lh * acc) / (1.0 - 0.5 * lh * kern[0])
+    return G
+
+
+@pytest.mark.parametrize("steps", [64, 65, 1000, 4096])
+@pytest.mark.parametrize("params, law", [
+    (P2, UniformLaw(P2)),
+    (P3, UniformLaw(P3)),
+    (PCG, CircularGaussianLaw(PCG, 1.3)),
+], ids=["m2", "m3", "cg"])
+def test_volterra_quotient_matches_the_march(params, law, steps):
+    alpha = np.linspace(1.2, 0.4, params.m)
+    got = volterra_cf(params, law, alpha, 3.0, steps).values
+    ref = _march(params, law, alpha, 3.0, steps)
+    assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+@settings(max_examples=40, deadline=None)
+@given(lt=st.floats(0.05, 10.0), lam=st.floats(0.2, 5.0),
+       c=st.floats(0.2, 5.0), a=st.floats(0.0, 8.0),
+       phi=st.floats(-math.pi, math.pi), k=st.sampled_from([None, 0.6, 2.0]))
+def test_volterra_scaling_law(lt, lam, c, a, phi, k):
+    # G(alpha, t; lam, c) = G(alpha c / lam, lam t; 1, 1): at equal steps
+    # both discrete systems are the same, so they agree to rounding
+    def law_of(params):
+        return UniformLaw(params) if k is None else \
+            CircularGaussianLaw(params, k)
+    p = FlightParams(2, c, lam)
+    unit = FlightParams(2, 1.0, 1.0)
+    alpha = a / (c * lt / lam) * np.array([math.cos(phi), math.sin(phi)])
+    got = volterra_cf(p, law_of(p), alpha, lt / lam, 128).values
+    ref = volterra_cf(unit, law_of(unit), alpha * c / lam, lt, 128).values
+    assert np.max(np.abs(got - ref)) <= 1e-12
 
 
 def test_laplace_alpha_zero_is_one_over_s():
