@@ -7,15 +7,14 @@ simulation, the spatial convolution recurrence over turn-count layers,
 and the characteristic-function (spectral) route.
 """
 
-from .analytic import (SingularLayer, one_turn_density, one_turn_density_r3,
-                       one_turn_profile, singular_layer)
+from .analytic import SingularLayer, one_turn_profile, singular_layer
 from .cf import (CFLadder, laplace_identity_error, layer_fourier,
                  next_conv_power, psi_ladder, sphere_cf, volterra_cf)
 from .convolution import (StepConfig, ac_profile, conditional_layer,
                           next_layer, residual_check, seed_layer,
                           transition_density)
-from .core import (DensityField, DensityLayer, EvalPoint, FlightParams,
-                   PolarGrid, RadialGrid, poisson_weight, tail_mass)
+from .core import (DensityField, DensityLayer, FlightParams, PolarGrid,
+                   RadialGrid, poisson_weight, tail_mass)
 from .dissipation import (CircularGaussianLaw, DissipationLaw, UniformLaw,
                           law_from_config)
 from .errors import DomainError, EstimationError, NumericError
@@ -26,12 +25,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "__version__",
-    "FlightParams", "EvalPoint", "RadialGrid", "PolarGrid",
+    "FlightParams", "RadialGrid", "PolarGrid",
     "DensityLayer", "DensityField", "poisson_weight", "tail_mass",
     "SeriesControl", "gauss_2f1", "bessel_j0", "gamma_half",
     "DissipationLaw", "UniformLaw", "CircularGaussianLaw", "law_from_config",
-    "SingularLayer", "singular_layer", "one_turn_density",
-    "one_turn_density_r3", "one_turn_profile",
+    "SingularLayer", "singular_layer", "one_turn_profile",
     "DensityEstimate", "simulate_batch", "estimate_density",
     "StepConfig", "seed_layer", "next_layer", "conditional_layer",
     "transition_density", "ac_profile", "residual_check",

@@ -44,13 +44,8 @@ __all__ = [
 _N_ANGLE = 512  # angular quadrature for the planar non-symmetric transform
 
 
-def _alpha_norm(alpha) -> float:
-    a = np.asarray(alpha, dtype=float)
-    return float(np.linalg.norm(a)) if a.ndim else float(abs(a))
-
-
 def _check_alpha(params: FlightParams, alpha) -> tuple:
-    """A ladder's frequency as a tuple: a finite vector of length m."""
+    """A frequency as a tuple: a finite vector of length m."""
     a = np.asarray(alpha, dtype=float)
     if a.shape != (params.m,):
         raise DomainError(
@@ -85,28 +80,29 @@ def _radial_kernel(m: int, a: float, r) -> np.ndarray:
 def sphere_cf(params: FlightParams, law: DissipationLaw, alpha,
               t: float) -> complex:
     """Transform psi(alpha, t) of the scaled dissipation density on the
-    sphere of radius c*t; psi(0, t) = 1 for every law."""
+    sphere of radius c*t; psi(0, t) = 1 for every law.  Raises
+    `DomainError` for an ``alpha`` that is not a finite m-vector."""
+    alpha = _check_alpha(params, alpha)
     return complex(sphere_cf_values(params, law, alpha, np.array([t]))[0])
 
 
 def sphere_cf_values(params: FlightParams, law: DissipationLaw, alpha,
                      times: np.ndarray) -> np.ndarray:
-    """Vectorized psi over an array of times (complex)."""
+    """Vectorized psi over an array of times (complex); ``alpha`` is a
+    checked m-vector."""
     times = np.asarray(times, dtype=float)
     ct = params.c * times
     if isinstance(law, UniformLaw):
         if params.m not in (2, 3):
             raise DomainError(
                 "sphere_cf supports the uniform law for m in {2, 3}")
-        return _radial_kernel(params.m, _alpha_norm(alpha), ct).astype(complex)
+        a = float(np.linalg.norm(alpha))
+        return _radial_kernel(params.m, a, ct).astype(complex)
     if isinstance(law, CircularGaussianLaw):
-        alpha = np.asarray(alpha, dtype=float)
-        if alpha.ndim == 0:
-            alpha = np.array([float(alpha), 0.0])
         th = -np.pi + 2.0 * np.pi * np.arange(_N_ANGLE) / _N_ANGLE
         u = np.column_stack([np.cos(th), np.sin(th)])
         chi = law.density_from_axis_cos(np.cos(th))
-        phase = np.exp(1j * np.outer(ct, u @ alpha))
+        phase = np.exp(1j * np.outer(ct, u @ np.asarray(alpha, dtype=float)))
         return phase @ chi * (2.0 * np.pi / _N_ANGLE)
     raise DomainError(f"unsupported law {type(law).__name__}")
 
@@ -166,13 +162,20 @@ def volterra_cf(params: FlightParams, law: DissipationLaw, alpha,
     -lam h kern[k] and b = (1 + lam h / 2) kern[1:].  It is solved as the
     quotient b / a in O(N log N) (`_series_quotient`).  Raises
     `DomainError` for fewer than 64 steps, a ``t_max`` that is not
-    positive and finite, or an ``alpha`` that is not a finite m-vector.
+    positive and finite, an ``alpha`` that is not a finite m-vector, or
+    a ladder with fewer than one step per mean time 1/lam between turns
+    (lam h >= 1; a[0] vanishes at lam h = 2 and the solve amplifies
+    without bound near it).
     """
     if steps < 64:
         raise DomainError("volterra_cf needs at least 64 steps")
     alpha_t = _check_alpha(params, alpha)
     _check_t_max(t_max)
     lam = params.lam
+    if lam * t_max >= steps:
+        raise DomainError(
+            f"volterra_cf needs more steps than lam*t_max = {lam * t_max:.6g} "
+            f"(one per mean time between turns), got steps={steps}")
     times = np.linspace(0.0, t_max, steps + 1)
     lh = lam * float(times[1])
     kern = sphere_cf_values(params, law, alpha, times)
@@ -282,7 +285,7 @@ def laplace_identity_error(params: FlightParams, law: DissipationLaw,
         rhs = lp / (1.0 - params.lam * lp)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
         if isinstance(law, UniformLaw) and params.m == 2:
-            a = _alpha_norm(alpha) * params.c
+            a = float(np.linalg.norm(alpha)) * params.c
             lp_closed = 1.0 / math.sqrt((s + params.lam) ** 2 + a * a)
             rhs_closed = lp_closed / (1.0 - params.lam * lp_closed)
             worst = max(worst, abs(lhs - rhs_closed) / abs(rhs_closed))
@@ -302,15 +305,16 @@ def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
     in dimension 3, on isotropic ones.  Every layer integrates its table
     against it (`_Ladder.moment`, the rule that gives its mass); at
     alpha = 0 the kernel is exactly 1 and the result is the layer mass.
+    Raises `DomainError` for an ``alpha`` that is not a finite m-vector.
     """
     if layer.kind != "joint":
         raise DomainError("layer_fourier expects a joint layer")
     if layer.ladder is None:
         raise DomainError("layer_fourier needs a layer built by the recurrence")
-    a = _alpha_norm(alpha)
+    alpha = _check_alpha(params, alpha)
+    a = float(np.linalg.norm(alpha))
     if layer.ladder.thetas is not None:
-        alpha_v = np.atleast_1d(np.asarray(alpha, dtype=float))
-        phi = math.atan2(alpha_v[1], alpha_v[0]) if alpha_v.size > 1 else 0.0
+        phi = math.atan2(alpha[1], alpha[0])
 
         def kern(r, th):
             return np.cos(a * r * np.cos(th - phi))

@@ -55,8 +55,8 @@ import numpy as np
 
 from .analytic import one_turn_coefficient, one_turn_profile, singular_layer
 from .core import (DensityField, DensityLayer, FlightParams, PolarGrid,
-                   RadialGrid, _ball_volume, conditional_weight_or_raise,
-                   tail_mass)
+                   RadialGrid, _ball_volume, _clustered_nodes,
+                   conditional_weight_or_raise, tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError
 from .specfun import SeriesControl, gauss_2f1
@@ -129,10 +129,6 @@ class StepConfig:
             raise DomainError("n_sigma must be odd and >= 5 (Simpson in u)")
         if self.n_theta < 8 or self.n_theta % 2:
             raise DomainError("n_theta must be even and >= 8")
-
-
-def _sigma_pattern(n: int, cap: float) -> np.ndarray:
-    return cap * np.sin(0.5 * np.pi * np.arange(n) / (n - 1))
 
 
 def _edge(m: int, n: int, one_minus_sig2):
@@ -391,7 +387,7 @@ def _seed_profile_generic(params: FlightParams, r: np.ndarray,
 
 def _make_seed_ladder(params: FlightParams, law: DissipationLaw, t: float,
                       cfg: StepConfig) -> _Ladder:
-    sigma = _sigma_pattern(cfg.n_sigma, 1.0)
+    sigma = _clustered_nodes(1.0, cfg.n_sigma)
     if params.m == 3:
         if not isinstance(law, UniformLaw):
             raise DomainError("dimension 3 supports the uniform law only")
@@ -597,7 +593,7 @@ def _step_ladder(ladder: _Ladder, cfg: StepConfig,
     table of layer n+1 at time t, together with its values at the grid
     nodes."""
     p = ladder.params
-    sigma = _sigma_pattern(cfg.n_sigma, _SIGMA_CAP)
+    sigma = _clustered_nodes(_SIGMA_CAP, cfg.n_sigma)
     th_tab = np.zeros(1) if ladder.thetas is None else ladder.thetas
     raw = _step_values(ladder, sigma * p.radius(ladder.t), th_tab, cfg)
     at_nodes = _step_values(ladder, grid.nodes, th_tab if ladder.thetas is None

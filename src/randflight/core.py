@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -16,7 +15,6 @@ from .errors import DomainError, NumericError
 
 __all__ = [
     "FlightParams",
-    "EvalPoint",
     "RadialGrid",
     "PolarGrid",
     "DensityLayer",
@@ -55,29 +53,22 @@ class FlightParams:
         return self.c * t
 
 
-@dataclass(frozen=True)
-class EvalPoint:
-    """A space-time evaluation point with its cached norm."""
-
-    x: tuple
-    t: float
-    r: float = field(init=False)
-
-    def __post_init__(self) -> None:
-        if not self.t > 0:
-            raise DomainError(f"time must be positive, got {self.t}")
-        object.__setattr__(self, "x", tuple(float(v) for v in self.x))
-        object.__setattr__(self, "r", math.sqrt(sum(v * v for v in self.x)))
-
-    @classmethod
-    def of(cls, x: Sequence[float], t: float) -> "EvalPoint":
-        return cls(tuple(x), t)
-
-
 def _clustered_nodes(r_max: float, n: int) -> np.ndarray:
     # sine map: roughly uniform near 0, quadratically clustered near r_max
     i = np.arange(n)
     return r_max * np.sin(0.5 * np.pi * i / (n - 1))
+
+
+def _grid_nodes(nodes, name: str) -> np.ndarray:
+    """A grid's radii as a read-only array: 1-D, at least two of them,
+    strictly increasing."""
+    nodes = np.asarray(nodes, dtype=float)
+    nodes.flags.writeable = False
+    if nodes.ndim != 1 or len(nodes) < 2:
+        raise DomainError(f"{name} needs a 1-D array of at least two radii")
+    if np.any(np.diff(nodes) <= 0):
+        raise DomainError(f"{name} radii must be strictly increasing")
+    return nodes
 
 
 @dataclass(frozen=True)
@@ -89,13 +80,7 @@ class RadialGrid:
     epsilon: float
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
-        nodes.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
-        if nodes.ndim != 1 or len(nodes) < 2:
-            raise DomainError("RadialGrid needs at least two nodes")
-        if np.any(np.diff(nodes) <= 0):
-            raise DomainError("RadialGrid nodes must be strictly increasing")
+        object.__setattr__(self, "nodes", _grid_nodes(self.nodes, "RadialGrid"))
         if not self.epsilon > 0:
             raise DomainError("boundary standoff epsilon must be positive")
 
@@ -138,16 +123,12 @@ class PolarGrid:
     epsilon: float
 
     def __post_init__(self) -> None:
-        nodes = np.asarray(self.nodes, dtype=float)
         thetas = np.asarray(self.thetas, dtype=float)
-        nodes.flags.writeable = False
         thetas.flags.writeable = False
-        object.__setattr__(self, "nodes", nodes)
+        object.__setattr__(self, "nodes", _grid_nodes(self.nodes, "PolarGrid"))
         object.__setattr__(self, "thetas", thetas)
         if len(thetas) < 8 or len(thetas) % 2:
             raise DomainError("PolarGrid needs an even n_theta >= 8")
-        if np.any(np.diff(nodes) <= 0):
-            raise DomainError("PolarGrid radii must be strictly increasing")
         if not self.epsilon > 0:
             raise DomainError("boundary standoff epsilon must be positive")
 

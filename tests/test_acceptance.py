@@ -16,11 +16,9 @@ from randflight import (CircularGaussianLaw, DensityField, FlightParams,
                         PolarGrid, RadialGrid, StepConfig, UniformLaw,
                         ac_profile, conditional_layer, estimate_density,
                         laplace_identity_error, layer_fourier, next_layer,
-                        one_turn_density_r3, one_turn_profile,
-                        poisson_weight, residual_check, seed_layer,
-                        sphere_cf, tail_mass, transition_density,
+                        one_turn_profile, poisson_weight, residual_check,
+                        seed_layer, sphere_cf, tail_mass, transition_density,
                         volterra_cf)
-from randflight.core import EvalPoint
 
 P2 = FlightParams(2, 1.0, 1.0)
 P3 = FlightParams(3, 1.0, 1.0)
@@ -78,10 +76,7 @@ def test_criterion_1_one_turn_closed_form():
 
     grid3 = RadialGrid.build(P3, 1.0, 50)
     seed3 = seed_layer(P3, UniformLaw(P3), 1.0, grid3)
-    ref3 = np.array([one_turn_density_r3(P3, EvalPoint.of([r, 0, 0], 1.0))
-                     if r > 0 else
-                     one_turn_density_r3(P3, EvalPoint.of([1e-15, 0, 0], 1.0))
-                     for r in grid3.nodes])
+    ref3 = one_turn_profile(P3, grid3.nodes, 1.0)
     err3 = float(np.max(np.abs(seed3.values - ref3) / ref3))
     report("criterion 1 (one-turn closed form)",
            err2 < 1e-6 and err3 < 1e-10,

@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 from scipy import special
 
-from randflight import (CircularGaussianLaw, DomainError, EvalPoint,
-                        FlightParams, UniformLaw, one_turn_density,
-                        one_turn_density_r3, one_turn_profile, singular_layer)
+from randflight import (CircularGaussianLaw, DomainError, FlightParams,
+                        UniformLaw, one_turn_profile, singular_layer)
+from randflight import convolution as conv
 
 
 def f1_reference(m, lam, c, t, r):
@@ -19,68 +19,41 @@ def f1_reference(m, lam, c, t, r):
 
 def test_one_turn_m2_values():
     p = FlightParams(2, 1.0, 1.0)
-    got = one_turn_density(p, EvalPoint.of([0.0, 0.0], 1.0))
-    assert got == pytest.approx(math.exp(-1) / (2 * math.pi), rel=1e-12)
-    got = one_turn_density(p, EvalPoint.of([0.5, 0.0], 1.0))
-    assert got == pytest.approx(0.06760752198314582, rel=1e-12)
-    assert got == pytest.approx(f1_reference(2, 1, 1, 1, 0.5), rel=1e-10)
+    got = one_turn_profile(p, np.array([0.0, 0.5]), 1.0)
+    assert got[0] == pytest.approx(math.exp(-1) / (2 * math.pi), rel=1e-12)
+    assert got[1] == pytest.approx(0.06760752198314582, rel=1e-12)
+    assert got[1] == pytest.approx(f1_reference(2, 1, 1, 1, 0.5), rel=1e-10)
 
 
 def test_one_turn_r3_values():
     p = FlightParams(3, 1.0, 1.0)
-    got = one_turn_density_r3(p, EvalPoint.of([0.5, 0.0, 0.0], 1.0))
+    got = one_turn_profile(p, np.array([0.5]), 1.0)[0]
     assert got == pytest.approx(math.exp(-1) * math.log(3.0) / (2 * math.pi),
                                 rel=1e-13)
     # removable singularity at the origin
     lim = p.lam * math.exp(-p.lam) / (2 * math.pi)
-    assert one_turn_density_r3(p, EvalPoint.of([1e-9, 0, 0], 1.0)) == \
+    assert one_turn_profile(p, np.array([1e-9]), 1.0)[0] == \
         pytest.approx(lim, rel=1e-10)
     # boundary blow-up (logarithmic, so probe very close and grow slowly)
-    seq = [one_turn_density_r3(p, EvalPoint.of([1 - 10.0**-k, 0, 0], 1.0))
-           for k in (3, 6, 9, 12)]
-    assert all(a < b for a, b in zip(seq, seq[1:]))
+    seq = one_turn_profile(p, 1 - 10.0 ** -np.array([3, 6, 9, 12]), 1.0)
+    assert np.all(np.diff(seq) > 0)
     assert seq[-1] > 10 * lim
 
 
 def test_one_turn_m3_log_vs_hypergeometric():
+    # the closed form against the engine's independent series route
     p = FlightParams(3, 1.0, 1.0)
     grid = np.linspace(0.0, 1.0 - 1e-3, 50)
-    for r in grid:
-        pt = EvalPoint.of([r, 0.0, 0.0], 1.0) if r > 0 else \
-            EvalPoint.of([1e-15, 0.0, 0.0], 1.0)
-        log_form = one_turn_density_r3(p, pt)
-        series_form = one_turn_density(p, pt, exact_path=False)
-        assert abs(series_form - log_form) <= 1e-10 * log_form
-
-
-def test_one_turn_m2_matches_m3_cross_dimension_examples():
-    # the m=3 value quoted against the log form
-    p3 = FlightParams(3, 1.0, 1.0)
-    assert one_turn_density(p3, EvalPoint.of([0.5, 0, 0], 1.0)) == \
-        pytest.approx(one_turn_density_r3(p3, EvalPoint.of([0.5, 0, 0], 1.0)),
-                      rel=1e-12)
+    log_form = one_turn_profile(p, grid, 1.0)
+    series_form = conv._seed_profile_generic(p, grid, 1.0)
+    assert np.all(np.abs(series_form - log_form) <= 1e-10 * log_form)
 
 
 def test_one_turn_rejects_outside_support():
-    p = FlightParams(2, 1.0, 1.0)
     with pytest.raises(DomainError):
-        one_turn_density(p, EvalPoint.of([1.0, 0.0], 1.0))
+        one_turn_profile(FlightParams(2, 1.0, 1.0), np.array([1.0]), 1.0)
     with pytest.raises(DomainError):
-        one_turn_density_r3(FlightParams(3, 1, 1),
-                            EvalPoint.of([1.2, 0, 0], 1.0))
-
-
-def test_one_turn_depends_on_radius_only():
-    p = FlightParams(2, 1.0, 1.0)
-    vals = [one_turn_density(p, EvalPoint.of([0.4 * math.cos(a),
-                                              0.4 * math.sin(a)], 1.0))
-            for a in np.linspace(0, 2 * np.pi, 7)]
-    assert np.ptp(vals) < 1e-15
-    p3 = FlightParams(3, 1.0, 1.0)
-    v1 = one_turn_density(p3, EvalPoint.of([0.0, 0.3, 0.0], 1.0))
-    v2 = one_turn_density(p3, EvalPoint.of([0.3 / math.sqrt(2), 0.0,
-                                            0.3 / math.sqrt(2)], 1.0))
-    assert v1 == pytest.approx(v2, rel=1e-12)
+        one_turn_profile(FlightParams(3, 1, 1), np.array([1.2]), 1.0)
 
 
 @pytest.mark.parametrize("m", [2, 3])

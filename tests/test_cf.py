@@ -135,15 +135,33 @@ def test_ladder_rejects_bad_t_max(ladder, t_max):
         ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), t_max, 64)
 
 
-@pytest.mark.parametrize("ladder", [volterra_cf, psi_ladder],
-                         ids=["volterra_cf", "psi_ladder"])
+@pytest.mark.parametrize("lam_h", [1.0, 2.0, 2.5])
+def test_volterra_rejects_fewer_steps_than_turns(lam_h):
+    # the alpha = 0 ladder is 1; at lam h = 1 it read 551, at lam h = 2
+    # the trapezoid diagonal vanished and it read NaN
+    with pytest.raises(DomainError, match="steps"):
+        volterra_cf(P2, UniformLaw(P2), np.zeros(2), 64 * lam_h, 64)
+
+
+def _seed_m3():
+    return seed_layer(P3, UniformLaw(P3), 1.0, RadialGrid.build(P3, 1.0, 8),
+                      CFG)
+
+
+@pytest.mark.parametrize("ladder", [
+    lambda alpha: volterra_cf(P3, UniformLaw(P3), alpha, 1.0, 64),
+    lambda alpha: psi_ladder(P3, UniformLaw(P3), alpha, 1.0, 64),
+    lambda alpha: sphere_cf(P3, UniformLaw(P3), alpha, 1.0),
+    lambda alpha: layer_fourier(_seed_m3(), P3, alpha),
+], ids=["volterra_cf", "psi_ladder", "sphere_cf", "layer_fourier"])
 @pytest.mark.parametrize("alpha", [np.ones(2), np.ones(4), 1.0,
                                    np.ones((1, 3)), np.array([1.0, 0, np.nan])],
                          ids=["short", "long", "scalar", "matrix", "nan"])
 def test_ladder_rejects_bad_alpha(ladder, alpha):
-    # a 2-vector for m = 3 was once normed and gave G(t=1) = 0.8825
+    # a 2-vector for m = 3 was once normed: G(t=1) read 0.8825,
+    # sphere_cf 0.698 and layer_fourier 0.155
     with pytest.raises(DomainError, match="alpha"):
-        ladder(P3, UniformLaw(P3), alpha, 1.0, 64)
+        ladder(alpha)
 
 
 def _march(params, law, alpha, t_max, steps):

@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from randflight import (DomainError, EvalPoint, FlightParams, PolarGrid,
-                        RadialGrid, poisson_weight, tail_mass)
+from randflight import (DomainError, FlightParams, PolarGrid, RadialGrid,
+                        poisson_weight, tail_mass)
 
 
 @pytest.fixture
@@ -19,13 +19,6 @@ def test_params_validation():
         FlightParams(2, 0.0, 1.0)
     with pytest.raises(DomainError):
         FlightParams(2, 1.0, -1.0)
-
-
-def test_eval_point_caches_norm():
-    pt = EvalPoint.of([3.0, 4.0], 2.0)
-    assert pt.r == 5.0
-    with pytest.raises(DomainError):
-        EvalPoint.of([1.0, 0.0], 0.0)
 
 
 def test_poisson_weight_values(params):
@@ -98,3 +91,17 @@ def test_polar_grid_validation(params):
     grid = PolarGrid.build(params, 1.0, 16, n_theta=8)
     assert grid.thetas[0] == -np.pi
     assert 0.0 in grid.thetas
+
+
+@pytest.mark.parametrize("grid", [
+    lambda nodes: RadialGrid(1.0, nodes, 1e-3),
+    lambda nodes: PolarGrid(1.0, nodes, -np.pi + np.pi * np.arange(8) / 4, 1e-3),
+], ids=["radial", "polar"])
+@pytest.mark.parametrize("nodes", [[0.5], [], [[0.1, 0.2], [0.3, 0.4]],
+                                   [0.1, 0.3, 0.2]],
+                         ids=["one", "empty", "2d", "unsorted"])
+def test_grids_reject_bad_nodes(grid, nodes):
+    # PolarGrid once took one node, no nodes or a 2-D array, which
+    # failed later with IndexError or TypeError in seed_layer
+    with pytest.raises(DomainError, match="radii"):
+        grid(np.array(nodes))
