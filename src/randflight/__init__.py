@@ -7,7 +7,7 @@ simulation, the spatial convolution recurrence over turn-count layers,
 and the characteristic-function (spectral) route.
 """
 
-from .analytic import SingularLayer, one_turn_profile, singular_layer
+from .analytic import one_turn_profile
 from .cf import (CFLadder, laplace_identity_error, layer_fourier,
                  next_conv_power, psi_ladder, sphere_cf, volterra_cf)
 from .convolution import (StepConfig, ac_profile, conditional_layer,
@@ -29,7 +29,7 @@ __all__ = [
     "DensityLayer", "DensityField", "poisson_weight", "tail_mass",
     "SeriesControl", "gauss_2f1", "bessel_j0", "gamma_half",
     "DissipationLaw", "UniformLaw", "CircularGaussianLaw", "law_from_config",
-    "SingularLayer", "singular_layer", "one_turn_profile",
+    "one_turn_profile",
     "DensityEstimate", "simulate_batch", "estimate_density",
     "StepConfig", "seed_layer", "next_layer", "conditional_layer",
     "transition_density", "ac_profile", "residual_check",

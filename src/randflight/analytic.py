@@ -3,18 +3,14 @@
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .core import FlightParams
-from .dissipation import DissipationLaw
 from .errors import DomainError
 from .specfun import gamma_half
 
 __all__ = [
-    "SingularLayer",
-    "singular_layer",
     "one_turn_profile",
     "one_turn_coefficient",
 ]
@@ -49,34 +45,3 @@ def one_turn_profile(params: FlightParams, r: np.ndarray, t) -> np.ndarray:
         series = 1.0 + u * u / 3.0 + u**4 / 5.0
         return base * np.where(small, series, full)
     raise DomainError("one_turn_profile supports m in {2, 3}")
-
-
-@dataclass(frozen=True)
-class SingularLayer:
-    """The zero-turn component: mass exp(-lam*t) spread over the sphere
-    of radius c*t with the (scaled) dissipation density."""
-
-    params: FlightParams
-    law: DissipationLaw
-    t: float
-    weight: float
-    radius: float
-
-    def surface_density(self, x) -> float:
-        """Density per unit surface measure of the radius-c*t sphere.
-
-        The unit-sphere value chi(x/(ct)) is divided by the surface
-        Jacobian (ct)^{m-1}, then carries the zero-turn weight, so the
-        surface integral of this function equals ``weight``.
-        """
-        chi = self.law.sphere_density(x, self.t)
-        return self.weight * chi / self.radius ** (self.params.m - 1)
-
-
-def singular_layer(params: FlightParams, law: DissipationLaw,
-                   t: float) -> SingularLayer:
-    if not t > 0:
-        raise DomainError(f"time must be positive, got {t}")
-    return SingularLayer(params, law, t,
-                         weight=math.exp(-params.lam * t),
-                         radius=params.radius(t))

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityLayer, FlightParams
+from .core import DensityLayer, FlightParams, _angles, check_layer_source
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError, NumericError
 from .specfun import bessel_j0
@@ -99,7 +99,7 @@ def sphere_cf_values(params: FlightParams, law: DissipationLaw, alpha,
         a = float(np.linalg.norm(alpha))
         return _radial_kernel(params.m, a, ct).astype(complex)
     if isinstance(law, CircularGaussianLaw):
-        th = -np.pi + 2.0 * np.pi * np.arange(_N_ANGLE) / _N_ANGLE
+        th = _angles(_N_ANGLE)
         u = np.column_stack([np.cos(th), np.sin(th)])
         chi = law.density_from_axis_cos(np.cos(th))
         phase = np.exp(1j * np.outer(ct, u @ np.asarray(alpha, dtype=float)))
@@ -305,12 +305,14 @@ def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
     in dimension 3, on isotropic ones.  Every layer integrates its table
     against it (`_Ladder.moment`, the rule that gives its mass); at
     alpha = 0 the kernel is exactly 1 and the result is the layer mass.
-    Raises `DomainError` for an ``alpha`` that is not a finite m-vector.
+    Raises `DomainError` for an ``alpha`` that is not a finite m-vector
+    and for ``params`` other than those the layer was built with.
     """
     if layer.kind != "joint":
         raise DomainError("layer_fourier expects a joint layer")
     if layer.ladder is None:
         raise DomainError("layer_fourier needs a layer built by the recurrence")
+    check_layer_source(layer, params)
     alpha = _check_alpha(params, alpha)
     a = float(np.linalg.norm(alpha))
     if layer.ladder.thetas is not None:

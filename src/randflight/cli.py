@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -51,8 +51,8 @@ class RunConfig:
     c: float = 1.0
     t: float = 1.0
     K: int = 8
-    n_r: int = 64
-    n_theta: int = 16
+    nr: int = 64
+    ntheta: int = 16
     n_samples: int = 1_000_000
     seed: int = 0
     conditioning: str = "all"
@@ -67,11 +67,7 @@ class RunConfig:
         return FlightParams(self.m, self.c, self.lam)
 
     def to_dict(self) -> dict:
-        d = dict(self.__dict__)
-        d["schema"] = SCHEMA_VERSION
-        d["alphas"] = list(self.alphas)
-        d["s_values"] = list(self.s_values)
-        return d
+        return {**self.__dict__, "schema": SCHEMA_VERSION}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -128,23 +124,12 @@ def _floats(values) -> tuple:
     return tuple(float(v) for v in values)
 
 
-#: config-file key, which is also the dest of the flag of the same name ->
-#: (RunConfig field, converter or None).  The --law and --alphas flags have
-#: forms of their own and are resolved after the table.
-_CONFIG_KEYS = {
-    "m": ("m", None), "law": ("law", None), "lam": ("lam", None),
-    "c": ("c", None), "t": ("t", None), "K": ("K", None),
-    "nr": ("n_r", int), "ntheta": ("n_theta", int),
-    "n_samples": ("n_samples", None), "seed": ("seed", None),
-    "out": ("out", None), "fmt": ("fmt", None), "threads": ("threads", None),
-    "suite": ("suite", None), "conditioning": ("conditioning", None),
-    "alphas": ("alphas", _floats), "s_values": ("s_values", _floats),
-}
-
-
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Resolve a run: defaults, then $RANDFLIGHT_THREADS, then the --config
-    file, then the flags; each later source overrides the earlier ones."""
+    file, then the flags; each later source overrides the earlier ones.
+    The file takes `RunConfig` fields and ``schema``, so a sidecar's
+    ``config`` replays its run; any other key raises `DomainError`."""
+    names = {f.name for f in fields(RunConfig)} - {"command"}
     base: dict = {}
     if getattr(args, "config", None):
         with open(args.config) as fh:
@@ -152,13 +137,19 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         schema = base.pop("schema", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise DomainError(f"unsupported config schema {schema}")
+        if base.pop("command", args.command) != args.command:
+            raise DomainError(f"config is not for command {args.command!r}")
+        if set(base) - names:
+            raise DomainError(f"unknown config keys {sorted(set(base) - names)}")
     cfg = RunConfig(command=args.command, threads=_env_threads())
-    flags = {k: v for k, v in vars(args).items() if k not in ("law", "alphas")}
+    flags = {k: v for k, v in vars(args).items()
+             if k in names and k not in ("law", "alphas")}
     for source in (base, flags):
-        for key, (name, convert) in _CONFIG_KEYS.items():
-            v = source.get(key)
+        for key, v in source.items():
             if v is not None:
-                setattr(cfg, name, convert(v) if convert else v)
+                setattr(cfg, key, v)
+    cfg.nr, cfg.ntheta = int(cfg.nr), int(cfg.ntheta)
+    cfg.alphas, cfg.s_values = _floats(cfg.alphas), _floats(cfg.s_values)
     if getattr(args, "law", None) is not None:
         cfg.law = {"kind": args.law}
         if args.law == "circular_gaussian":
@@ -181,7 +172,7 @@ def _validate_config(cfg: RunConfig) -> None:
     for name in ("lam", "c", "t"):
         if not getattr(cfg, name) > 0:
             raise DomainError(f"{name} must be positive")
-    if cfg.K < 1 or cfg.n_r < 2 or cfg.n_samples < 1:
+    if cfg.K < 1 or cfg.nr < 2 or cfg.n_samples < 1:
         raise DomainError("K, nr and n must be positive")
     if cfg.fmt not in ("csv", "json"):
         raise DomainError(f"unknown format {cfg.fmt}")
@@ -229,10 +220,10 @@ def _sidecar(path: str, cfg: RunConfig, started: float, extra: dict) -> None:
 
 def _grid(cfg: RunConfig, params: FlightParams, law, uniform_bins=False):
     if isinstance(law, CircularGaussianLaw):
-        return PolarGrid.build(params, cfg.t, cfg.n_r, cfg.n_theta)
+        return PolarGrid.build(params, cfg.t, cfg.nr, cfg.ntheta)
     if uniform_bins:
-        return RadialGrid.build_uniform(params, cfg.t, cfg.n_r)
-    return RadialGrid.build(params, cfg.t, cfg.n_r)
+        return RadialGrid.build_uniform(params, cfg.t, cfg.nr)
+    return RadialGrid.build(params, cfg.t, cfg.nr)
 
 
 def _field(cfg: RunConfig):

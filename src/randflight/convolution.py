@@ -53,10 +53,10 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import one_turn_coefficient, one_turn_profile, singular_layer
+from .analytic import one_turn_coefficient, one_turn_profile
 from .core import (DensityField, DensityLayer, FlightParams, PolarGrid,
-                   RadialGrid, _ball_volume, _clustered_nodes,
-                   conditional_weight_or_raise, tail_mass)
+                   RadialGrid, _angles, _ball_volume, _clustered_nodes,
+                   check_layer_source, conditional_weight_or_raise, tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError
 from .specfun import SeriesControl, gauss_2f1
@@ -392,8 +392,8 @@ def _make_seed_ladder(params: FlightParams, law: DissipationLaw, t: float,
         if not isinstance(law, UniformLaw):
             raise DomainError("dimension 3 supports the uniform law only")
         return _Ladder(1, params, law, t, sigma, None, None, cfg)
-    thetas = None if not isinstance(law, CircularGaussianLaw) \
-        else -np.pi + 2.0 * np.pi * np.arange(cfg.n_theta) / cfg.n_theta
+    thetas = _angles(cfg.n_theta) if isinstance(law, CircularGaussianLaw) \
+        else None
     R = params.radius(t)
     r, th = np.meshgrid(sigma * R, np.zeros(1) if thetas is None else thetas,
                         indexing="ij")
@@ -545,12 +545,11 @@ def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
         rho = c * (T - tau)
         decay = lam * np.exp(-lam * (T - tau)) * wt
         if planar:
-            n_phi = 64
-            phi = -np.pi + 2.0 * np.pi * np.arange(n_phi) / n_phi
+            phi = _angles(64)
             chi = law.density_from_axis_cos(-np.cos(phi))
             col = (slice(None), None)  # time down, angle across
             yield ~regular, None, \
-                (decay[col] * chi * (2.0 * np.pi / n_phi))[None], \
+                (decay[col] * chi * (2.0 * np.pi / len(phi)))[None], \
                 ladder.radial(rho[col][None], tau[col][None],
                               (c * (2.0 * tau - T))[col][None]), phi
         elif from_seed:
@@ -667,12 +666,14 @@ def next_layer(params: FlightParams, law: DissipationLaw,
                grid: RadialGrid | PolarGrid | None = None,
                config: StepConfig | None = None) -> DensityLayer:
     """Apply the recurrence once: joint layer n -> joint layer n+1, at the
-    resolution the layer was built at unless ``config`` is given."""
+    resolution the layer was built at unless ``config`` is given.
+    ``params`` and ``law`` must be those the layer was built with."""
     if layer.kind != "joint":
         raise DomainError("the recurrence consumes joint layers")
     if layer.ladder is None:
         raise DomainError(
             "layer lacks its table; build it with seed_layer/next_layer")
+    check_layer_source(layer, params, law)
     out_grid = grid if grid is not None else layer.grid
     _check_grid(params, law, layer.ladder.t, out_grid)
     return _public_layer(_step_ladder(layer.ladder, config or layer.ladder.cfg,
@@ -682,9 +683,11 @@ def next_layer(params: FlightParams, law: DissipationLaw,
 def conditional_layer(layer: DensityLayer,
                       params: FlightParams) -> DensityLayer:
     """Joint layer divided by its Poisson weight: the position density
-    given exactly n turns."""
+    given exactly n turns.  ``params`` must be those the layer was built
+    with."""
     if layer.kind != "joint":
         raise DomainError("layer is already conditional")
+    check_layer_source(layer, params)
     w = conditional_weight_or_raise(layer.n, params, layer.grid.t)
     return replace(layer, values=layer.values / w, kind="conditional")
 
@@ -700,9 +703,8 @@ def transition_density(params: FlightParams, law: DissipationLaw, t: float,
     for _ in range(K - 1):
         layers.append(next_layer(params, law, layers[-1], config=config))
     masses = tuple(layer.ladder.mass() for layer in layers)
-    return DensityField(params, t, singular_layer(params, law, t),
-                        tuple(layers), masses, tail_mass(K, params, t),
-                        law=law)
+    return DensityField(params, t, tuple(layers), masses,
+                        tail_mass(K, params, t), law=law)
 
 
 def ac_profile(field_obj: DensityField, r, theta=None) -> np.ndarray:
@@ -731,16 +733,18 @@ def ac_profile(field_obj: DensityField, r, theta=None) -> np.ndarray:
 def residual_check(field_obj: DensityField,
                    config: StepConfig | None = None) -> float:
     """Sup-norm defect of the assembled field in the renewal-type
-    integral equation p = p0 + lam * int (p0 * p) dtau.
+    integral equation p = p0 + lam * int (p0 * p) dtau, over the
+    epsilon-interior grid.
 
     The right-hand side reapplies the singular-layer convolution
     operator to the field: the p0*p0 term is the one-turn layer and the
-    operator applied to the truncated stack reproduces layers 2..K+1, so
-    the residual is dominated by the first dropped layer plus quadrature
-    noise.  Evaluated in sup norm over the epsilon-interior grid; each
+    operator applied to the truncated stack gives layers 2..K+1.  Each
     layer is stepped at the resolution it was built at unless ``config``
-    is given.  Where the next layer of the field was stepped from this
-    one at that resolution, its node values are that step.
+    is given; where that step made the field's next layer, its node
+    values are reused.  So by default the residual is exactly the first
+    dropped layer up to rounding and sees no quadrature error; only an
+    explicit ``config`` other than the build one compares two
+    resolutions.
     """
     grid = field_obj.layers[0].grid
     th_targets = grid.thetas if isinstance(grid, PolarGrid) else np.zeros(1)

@@ -59,30 +59,42 @@ def _clustered_nodes(r_max: float, n: int) -> np.ndarray:
     return r_max * np.sin(0.5 * np.pi * i / (n - 1))
 
 
-def _grid_nodes(nodes, name: str) -> np.ndarray:
-    """A grid's radii as a read-only array: 1-D, at least two of them,
-    strictly increasing."""
-    nodes = np.asarray(nodes, dtype=float)
-    nodes.flags.writeable = False
-    if nodes.ndim != 1 or len(nodes) < 2:
-        raise DomainError(f"{name} needs a 1-D array of at least two radii")
-    if np.any(np.diff(nodes) <= 0):
-        raise DomainError(f"{name} radii must be strictly increasing")
-    return nodes
+def _angles(n: int) -> np.ndarray:
+    return -np.pi + 2.0 * np.pi * np.arange(n) / n
 
 
 @dataclass(frozen=True)
-class RadialGrid:
+class _Grid:
+    """Radii in [0, c*t - epsilon]: 1-D, at least two, strictly increasing."""
+
+    def __post_init__(self) -> None:
+        name = type(self).__name__
+        nodes = np.asarray(self.nodes, dtype=float)
+        nodes.flags.writeable = False
+        object.__setattr__(self, "nodes", nodes)
+        if nodes.ndim != 1 or len(nodes) < 2:
+            raise DomainError(f"{name} needs a 1-D array of at least two radii")
+        if np.any(np.diff(nodes) <= 0):
+            raise DomainError(f"{name} radii must be strictly increasing")
+        if not self.epsilon > 0:
+            raise DomainError("boundary standoff epsilon must be positive")
+
+    @property
+    def n_r(self) -> int:
+        return len(self.nodes)
+
+    @property
+    def support_radius(self) -> float:
+        return float(self.nodes[-1]) + self.epsilon
+
+
+@dataclass(frozen=True)
+class RadialGrid(_Grid):
     """Increasing radii in [0, c*t - epsilon] for rotation-invariant data."""
 
     t: float
     nodes: np.ndarray
     epsilon: float
-
-    def __post_init__(self) -> None:
-        object.__setattr__(self, "nodes", _grid_nodes(self.nodes, "RadialGrid"))
-        if not self.epsilon > 0:
-            raise DomainError("boundary standoff epsilon must be positive")
 
     @classmethod
     def build(cls, params: FlightParams, t: float, n_r: int = 64,
@@ -100,21 +112,14 @@ class RadialGrid:
         eps = eps_rel * r_cap
         return cls(t, np.linspace(0.0, r_cap - eps, n_r), eps)
 
-    @property
-    def n_r(self) -> int:
-        return len(self.nodes)
-
-    @property
-    def support_radius(self) -> float:
-        return float(self.nodes[-1]) + self.epsilon
-
 
 @dataclass(frozen=True)
-class PolarGrid:
+class PolarGrid(_Grid):
     """Tensor grid (radii x angles) for planar, non-symmetric data.
 
-    Angular nodes are equispaced on [-pi, pi); ``n_theta`` must be even
-    and at least 8 so that the axis directions 0 and pi are both nodes.
+    The angles must be -pi + 2 pi k / n_theta, k = 0..n_theta-1 (to
+    1e-12), the layout Monte Carlo bins on; ``n_theta`` must be even and
+    at least 8 so that the axis directions 0 and pi are both nodes.
     """
 
     t: float
@@ -123,34 +128,27 @@ class PolarGrid:
     epsilon: float
 
     def __post_init__(self) -> None:
+        super().__post_init__()
         thetas = np.asarray(self.thetas, dtype=float)
         thetas.flags.writeable = False
-        object.__setattr__(self, "nodes", _grid_nodes(self.nodes, "PolarGrid"))
         object.__setattr__(self, "thetas", thetas)
-        if len(thetas) < 8 or len(thetas) % 2:
-            raise DomainError("PolarGrid needs an even n_theta >= 8")
-        if not self.epsilon > 0:
-            raise DomainError("boundary standoff epsilon must be positive")
+        if thetas.ndim != 1 or len(thetas) < 8 or len(thetas) % 2:
+            raise DomainError("PolarGrid needs a 1-D array of an even "
+                              "n_theta >= 8 angles")
+        if np.max(np.abs(thetas - _angles(len(thetas)))) > 1e-12:
+            raise DomainError("PolarGrid angles must be -pi + 2 pi k / n_theta")
 
     @classmethod
     def build(cls, params: FlightParams, t: float, n_r: int = 48,
               n_theta: int = 16, eps_rel: float = DEFAULT_EPS_REL) -> "PolarGrid":
         r_cap = params.radius(t)
         eps = eps_rel * r_cap
-        thetas = -np.pi + 2.0 * np.pi * np.arange(n_theta) / n_theta
-        return cls(t, _clustered_nodes(r_cap - eps, n_r), thetas, eps)
-
-    @property
-    def n_r(self) -> int:
-        return len(self.nodes)
+        return cls(t, _clustered_nodes(r_cap - eps, n_r), _angles(n_theta),
+                   eps)
 
     @property
     def n_theta(self) -> int:
         return len(self.thetas)
-
-    @property
-    def support_radius(self) -> float:
-        return float(self.nodes[-1]) + self.epsilon
 
 
 @dataclass(frozen=True)
@@ -191,12 +189,12 @@ def _ball_volume(r, m: int):
 
 @dataclass(frozen=True)
 class DensityField:
-    """Assembled transition density: singular layer, truncated stack of
-    absolutely continuous layers, and the Poisson tail bound."""
+    """Assembled transition density: the weight of the singular layer
+    (exp(-lam t) times chi(x/(ct)) / (ct)^(m-1) on the radius-ct sphere),
+    truncated stack of absolutely continuous layers, and the Poisson tail."""
 
     params: FlightParams
     t: float
-    singular: object  # analytic.SingularLayer
     layers: tuple
     layer_masses: tuple
     tail: float
@@ -204,7 +202,7 @@ class DensityField:
 
     @property
     def singular_weight(self) -> float:
-        return self.singular.weight
+        return math.exp(-self.params.lam * self.t)
 
     def total_mass(self) -> float:
         return self.singular_weight + sum(self.layer_masses) + self.tail
@@ -238,3 +236,17 @@ def conditional_weight_or_raise(n: int, params: FlightParams, t: float) -> float
         raise NumericError(
             f"poisson weight underflow: n={n}, lam*t={params.lam * t}")
     return w
+
+
+def check_layer_source(layer: DensityLayer, params: FlightParams,
+                       law=None) -> None:
+    """Raise `DomainError` unless ``params`` and ``law`` (its type and
+    concentration) are those the layer's table was built with."""
+    own = layer.ladder
+    if own is None:
+        return
+    if params != own.params or law is not None and (
+            type(law) is not type(own.law)
+            or getattr(law, "k", None) != getattr(own.law, "k", None)):
+        raise DomainError(f"arguments differ from the layer's own "
+                          f"{own.params} and {type(own.law).__name__}")

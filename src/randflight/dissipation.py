@@ -26,8 +26,6 @@ __all__ = [
     "law_from_config",
 ]
 
-_UNIT_TOL = 1e-12
-
 
 class DissipationLaw(ABC):
     """Common interface of the supported direction laws."""
@@ -35,47 +33,18 @@ class DissipationLaw(ABC):
     def __init__(self, params: FlightParams):
         self.params = params
 
-    @property
-    def m(self) -> int:
-        return self.params.m
-
-    @abstractmethod
-    def density(self, u) -> float:
-        """chi(u) for a unit vector u (surface density on S^{m-1})."""
-
     @abstractmethod
     def density_from_axis_cos(self, ux):
-        """chi as a function of the first coordinate of the unit direction.
+        """chi(u) as a function of u's first coordinate, vectorized.
 
-        Vectorized fast path for the quadrature engines; valid because
-        both supported laws depend on the direction only through its
-        first component (trivially for the uniform law).
+        The one evaluator of the law's density; valid because both
+        supported laws depend on the direction only through its first
+        component (trivially for the uniform law).
         """
 
     @abstractmethod
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         """Draw ``size`` exact unit-vector samples, shape (size, m)."""
-
-    def _check_unit(self, u) -> np.ndarray:
-        u = np.asarray(u, dtype=float)
-        if u.shape != (self.m,):
-            raise DomainError(f"direction must be an {self.m}-vector")
-        if abs(float(u @ u) - 1.0) > 2 * _UNIT_TOL:
-            raise DomainError(f"direction must be a unit vector, |u|^2={u @ u}")
-        return u
-
-    def sphere_density(self, x, t: float) -> float:
-        """Density chi(x/(ct)) of the scaled law on the sphere of radius c*t.
-
-        The value is in the unit-sphere normalization described in the
-        module docstring.  ``x`` must lie on the sphere to relative 1e-9.
-        """
-        x = np.asarray(x, dtype=float)
-        ct = self.params.radius(t)
-        r = float(np.linalg.norm(x))
-        if abs(r - ct) > 1e-9 * ct:
-            raise DomainError(f"point at radius {r} is off the sphere of radius {ct}")
-        return self.density(x / r)
 
 
 class UniformLaw(DissipationLaw):
@@ -86,16 +55,12 @@ class UniformLaw(DissipationLaw):
         m = params.m
         self._value = gamma_half(m) / (2.0 * math.pi ** (m / 2.0))
 
-    def density(self, u) -> float:
-        self._check_unit(u)
-        return self._value
-
     def density_from_axis_cos(self, ux):
         return np.broadcast_to(self._value, np.shape(ux)).copy() \
             if np.ndim(ux) else self._value
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
-        v = rng.standard_normal((size, self.m))
+        v = rng.standard_normal((size, self.params.m))
         return v / np.linalg.norm(v, axis=1, keepdims=True)
 
 
@@ -118,10 +83,6 @@ class CircularGaussianLaw(DissipationLaw):
         if abs(self.k) > 700.0:
             raise NumericError(f"I0 overflow for |k|={abs(self.k)} > 700")
         self._norm = 1.0 / (2.0 * math.pi * float(np.i0(self.k)))
-
-    def density(self, u) -> float:
-        u = self._check_unit(u)
-        return self._norm * math.exp(self.k * float(u[0]))
 
     def density_from_axis_cos(self, ux):
         # the argument is the cosine of an angle; clipping guards the

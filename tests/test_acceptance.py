@@ -34,7 +34,7 @@ def report(criterion: str, ok: bool, detail: str) -> None:
 
 def subfield(field: DensityField, K: int) -> DensityField:
     """Truncate an assembled field to its first K layers."""
-    return DensityField(field.params, field.t, field.singular,
+    return DensityField(field.params, field.t,
                         field.layers[:K], field.layer_masses[:K],
                         tail_mass(K, field.params, field.t), law=field.law)
 

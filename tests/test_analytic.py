@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 from scipy import special
 
-from randflight import (CircularGaussianLaw, DomainError, FlightParams,
-                        UniformLaw, one_turn_profile, singular_layer)
+from randflight import DomainError, FlightParams, one_turn_profile
 from randflight import convolution as conv
 
 
@@ -75,40 +74,3 @@ def test_one_turn_mass(m, lam_t):
         integrand = 4 * np.pi * r * r * f
     mass = np.sum(wu * integrand * R * np.cos(u))
     assert mass == pytest.approx(lam_t * math.exp(-lam_t), abs=1e-6)
-
-
-def test_singular_layer_uniform():
-    p = FlightParams(2, 1.0, 1.0)
-    law = UniformLaw(p)
-    layer = singular_layer(p, law, 1.0)
-    assert layer.weight == pytest.approx(math.exp(-1), rel=1e-14)
-    assert layer.radius == 1.0
-    got = layer.surface_density(np.array([1.0, 0.0]))
-    assert got == pytest.approx(math.exp(-1) / (2 * math.pi), rel=1e-12)
-    # total surface mass = weight for any law (chi integrates to one)
-    th = np.linspace(-np.pi, np.pi, 4097)[:-1]
-    vals = [layer.surface_density(np.array([math.cos(a), math.sin(a)]))
-            for a in th]
-    total = np.sum(vals) * (2 * np.pi / len(th)) * layer.radius
-    assert total == pytest.approx(layer.weight, rel=1e-10)
-
-
-def test_singular_layer_circular_gaussian():
-    p = FlightParams(2, 1.0, 1.0)
-    law = CircularGaussianLaw(p, 1.0)
-    layer = singular_layer(p, law, 1.0)
-    expected = math.exp(-1) * math.e / (2 * math.pi * 1.0
-                                        * 1.2660658777520084)
-    assert layer.surface_density(np.array([1.0, 0.0])) == \
-        pytest.approx(expected, rel=1e-12)
-
-
-def test_singular_layer_m3_scaling():
-    p = FlightParams(3, 2.0, 0.5)
-    law = UniformLaw(p)
-    t = 2.0
-    layer = singular_layer(p, law, t)
-    ct = 4.0
-    got = layer.surface_density(np.array([ct, 0.0, 0.0]))
-    assert got == pytest.approx(math.exp(-1.0) / (4 * math.pi * ct**2),
-                                rel=1e-12)

@@ -148,6 +148,13 @@ def _seed_m3():
                       CFG)
 
 
+def test_layer_fourier_rejects_another_flight():
+    # the transform integrates the layer's own table; lam = 3 arguments
+    # once gave the lam = 1 layer's transform
+    with pytest.raises(DomainError, match="differ from the layer"):
+        layer_fourier(_seed_m3(), FlightParams(3, 1.0, 3.0), np.zeros(3))
+
+
 @pytest.mark.parametrize("ladder", [
     lambda alpha: volterra_cf(P3, UniformLaw(P3), alpha, 1.0, 64),
     lambda alpha: psi_ladder(P3, UniformLaw(P3), alpha, 1.0, 64),

@@ -1,3 +1,4 @@
+import csv
 import json
 import math
 
@@ -88,8 +89,8 @@ def test_config_resolution_file_then_flags(tmp_path):
     cfg = load_config(args)
     assert (cfg.m, cfg.lam, cfg.c, cfg.t, cfg.K) == (2, 2.0, 0.5, 1.5, 4)
     assert cfg.law == {"kind": "circular_gaussian", "k": 1.5}
-    assert cfg.n_r == 20 and cfg.n_theta == 10
-    assert isinstance(cfg.n_theta, int)
+    assert cfg.nr == 20 and cfg.ntheta == 10
+    assert isinstance(cfg.ntheta, int)
     assert (cfg.n_samples, cfg.seed, cfg.out, cfg.fmt) == \
         (30000, 4, "file.csv", "json")
     assert (cfg.threads, cfg.suite, cfg.conditioning) == (1, "core", 2)
@@ -134,6 +135,49 @@ def test_invalid_config_exits_2(tmp_path):
     bad.write_text("{\"schema\": 99}")
     assert run_cli(["density", "--config", str(bad),
                     "--out", str(tmp_path / "x.csv")]) == 2
+
+
+def test_sidecar_config_replays_the_run(tmp_path):
+    # the sidecar once wrote n_r/n_theta, which load_config ignored: a
+    # --nr 12 run replayed from its own config wrote 64 rows
+    a, b = tmp_path / "a.csv", tmp_path / "b.csv"
+    assert run_cli(["density", "--m", "2", "--law", "circular_gaussian",
+                    "--k", "1.0", "--t", "1", "--K", "2", "--nr", "12",
+                    "--ntheta", "8", "--out", str(a)]) == 0
+    replay = tmp_path / "replay.json"
+    replay.write_text(json.dumps(
+        json.loads((tmp_path / "a.csv.meta.json").read_text())["config"]))
+    assert run_cli(["density", "--config", str(replay),
+                    "--out", str(b)]) == 0
+    assert a.read_bytes() == b.read_bytes()
+    assert len(a.read_text().splitlines()) == 1 + 12 * 8
+
+
+@pytest.mark.parametrize("body", [{"lambda": 5, "nR": 3}, {"n_r": 12},
+                                  {"command": "simulate"}],
+                         ids=["unknown", "old-name", "other-command"])
+def test_config_rejects_keys_it_would_ignore(tmp_path, body):
+    # unknown keys were once skipped: {"lambda": 5, "nR": 3} ran with
+    # the defaults
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(body))
+    assert run_cli(["density", "--config", str(bad),
+                    "--out", str(tmp_path / "x.csv")]) == 2
+    assert not (tmp_path / "x.csv").exists()
+
+
+def test_density_json_format_matches_csv(tmp_path):
+    a, b = tmp_path / "a.csv", tmp_path / "b.json"
+    args = ["density", "--m", "3", "--law", "uniform", "--t", "1",
+            "--K", "2", "--nr", "10"]
+    assert run_cli(args + ["--out", str(a)]) == 0
+    assert run_cli(args + ["--format", "json", "--out", str(b)]) == 0
+    doc = json.loads(b.read_text())
+    assert set(doc) == {"columns", "rows"}
+    with open(a, newline="") as fh:
+        header, *rows = list(csv.reader(fh))
+    assert doc["columns"] == header == ["r", "p_ac"]
+    assert [[format(v, ".12g") for v in row] for row in doc["rows"]] == rows
 
 
 def test_cf_command(tmp_path):

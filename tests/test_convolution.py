@@ -185,6 +185,37 @@ def test_conditional_layer_values_and_mass():
         conditional_layer(cond, P2)
 
 
+P_FAST = FlightParams(2, 1.0, 3.0)
+TINY_CFG = StepConfig(n_sigma=9, n_theta=8, time_order=4, arc_order=4)
+
+
+def test_next_layer_rejects_another_flight():
+    # stepping a lam = 1 seed with lam = 3 arguments once returned the
+    # lam = 1 layer 2: the step reads the layer's own table
+    seed = seed_layer(P2, UniformLaw(P2), 1.0, RadialGrid.build(P2, 1.0, 8),
+                      TINY_CFG)
+    for params, law in ((P_FAST, UniformLaw(P_FAST)),
+                        (P2, CircularGaussianLaw(P2, 0.0))):
+        with pytest.raises(DomainError, match="differ from the layer"):
+            next_layer(params, law, seed)
+    cg = seed_layer(P2, CircularGaussianLaw(P2, 1.0), 1.0,
+                    PolarGrid.build(P2, 1.0, 4, 8), TINY_CFG)
+    with pytest.raises(DomainError, match="differ from the layer"):
+        next_layer(P2, CircularGaussianLaw(P2, 2.0), cg)
+    assert next_layer(P2, CircularGaussianLaw(P2, 1.0), cg).n == 2
+
+
+def test_conditional_layer_rejects_another_flight():
+    # a lam = 1 seed divided by the lam = 3 weight once read 0.392 at
+    # r = 0 instead of the conditional density 1 / (2 pi) = 0.159
+    grid = RadialGrid(1.0, np.array([0.0, 0.5, 0.9]), 1e-3)
+    seed = seed_layer(P2, UniformLaw(P2), 1.0, grid, TINY_CFG)
+    with pytest.raises(DomainError, match="differ from the layer"):
+        conditional_layer(seed, P_FAST)
+    assert conditional_layer(seed, P2).values[0] == pytest.approx(
+        1.0 / (2 * math.pi), rel=1e-9)
+
+
 def test_conditional_recurrence_cross_check():
     # oracle: independent brute-force evaluation of the conditional
     # recurrence  q2(x,t) = (2/t^2) int tau [q0(t-tau) conv q1(tau)] dtau,

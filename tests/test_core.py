@@ -3,8 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from randflight import (DomainError, FlightParams, PolarGrid, RadialGrid,
-                        poisson_weight, tail_mass)
+from randflight import (DensityField, DomainError, FlightParams, PolarGrid,
+                        RadialGrid, UniformLaw, poisson_weight, tail_mass)
 
 
 @pytest.fixture
@@ -93,15 +93,52 @@ def test_polar_grid_validation(params):
     assert 0.0 in grid.thetas
 
 
-@pytest.mark.parametrize("grid", [
-    lambda nodes: RadialGrid(1.0, nodes, 1e-3),
-    lambda nodes: PolarGrid(1.0, nodes, -np.pi + np.pi * np.arange(8) / 4, 1e-3),
-], ids=["radial", "polar"])
-@pytest.mark.parametrize("nodes", [[0.5], [], [[0.1, 0.2], [0.3, 0.4]],
-                                   [0.1, 0.3, 0.2]],
-                         ids=["one", "empty", "2d", "unsorted"])
-def test_grids_reject_bad_nodes(grid, nodes):
+def _polar(nodes, thetas=-np.pi + np.pi * np.arange(8) / 4):
+    return PolarGrid(1.0, nodes, thetas, 1e-3)
+
+
+_RADII = np.array([0.1, 0.5, 0.9])
+_BAD_RADII = {"one": [0.5], "empty": [], "2d": [[0.1, 0.2], [0.3, 0.4]],
+              "unsorted": [0.1, 0.3, 0.2]}
+_BAD_GRIDS = [
+    pytest.param(make, np.array(nodes), "radii", id=f"{name}-{kind}")
+    for name, nodes in _BAD_RADII.items()
+    for kind, make in (("radial", lambda nodes: RadialGrid(1.0, nodes, 1e-3)),
+                       ("polar", _polar))
+] + [
+    # PolarGrid once took any angles; Monte Carlo bins on the equispaced
+    # ones whatever the grid says, so the routes compared other points
+    pytest.param(lambda nodes, th=th: _polar(nodes, th), _RADII, "angles",
+                 id=f"{name}-angles")
+    for name, th in (("zeros", np.zeros(8)),
+                     ("spread", np.linspace(0.0, 20.0, 8)),
+                     ("2d", np.zeros((8, 2)) - np.pi),
+                     ("shifted", -np.pi + 2 * np.pi * (np.arange(8) + 0.5) / 8),
+                     ("reversed", (-np.pi + np.pi * np.arange(8) / 4)[::-1]))
+]
+
+
+@pytest.mark.parametrize("grid, nodes, match", _BAD_GRIDS)
+def test_grids_reject_bad_nodes(grid, nodes, match):
     # PolarGrid once took one node, no nodes or a 2-D array, which
     # failed later with IndexError or TypeError in seed_layer
-    with pytest.raises(DomainError, match="radii"):
-        grid(np.array(nodes))
+    with pytest.raises(DomainError, match=match):
+        grid(nodes)
+
+
+def test_polar_grid_accepts_rounded_angles():
+    thetas = np.round(-np.pi + np.pi * np.arange(8) / 4, 14)
+    assert np.array_equal(_polar(_RADII, thetas).thetas, thetas)
+
+
+def test_singular_weight_is_the_zero_turn_probability():
+    # the field's singular layer: weight exp(-lam t) on the radius-ct
+    # sphere, surface density weight * chi / (ct)^(m-1)
+    p = FlightParams(3, 2.0, 0.5)
+    field = DensityField(p, 2.0, (), (), tail_mass(0, p, 2.0))
+    assert field.singular_weight == math.exp(-1.0)
+    assert field.singular_weight == poisson_weight(0, p, 2.0)
+    assert field.total_mass() == pytest.approx(1.0, abs=1e-15)
+    chi = UniformLaw(p).density_from_axis_cos(1.0)
+    assert field.singular_weight * chi / p.radius(2.0) ** 2 == \
+        pytest.approx(math.exp(-1.0) / (4 * math.pi * 16.0), rel=1e-12)

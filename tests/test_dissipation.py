@@ -19,30 +19,37 @@ def p3():
 
 
 def test_uniform_density_values(p2, p3):
-    assert UniformLaw(p2).density(np.array([1.0, 0.0])) == pytest.approx(
+    # chi is one over the area of the unit sphere, whatever the direction
+    law2, law3 = UniformLaw(p2), UniformLaw(p3)
+    assert law2.density_from_axis_cos(1.0) == pytest.approx(
         1.0 / (2 * math.pi), rel=1e-14)
-    u = np.array([1.0, 1.0, 1.0]) / math.sqrt(3.0)
-    assert UniformLaw(p3).density(u) == pytest.approx(1.0 / (4 * math.pi),
-                                                      rel=1e-14)
-
-
-def test_density_rejects_non_unit(p2):
-    with pytest.raises(DomainError):
-        UniformLaw(p2).density(np.array([1.0, 0.5]))
+    assert law3.density_from_axis_cos(1.0 / math.sqrt(3.0)) == \
+        pytest.approx(1.0 / (4 * math.pi), rel=1e-14)
+    ux = np.array([[-1.0, 0.0], [0.3, 1.0]])
+    got = law3.density_from_axis_cos(ux)
+    assert got.shape == ux.shape
+    assert np.all(got == law3.density_from_axis_cos(0.0))
 
 
 def test_circular_gaussian_values(p2):
     # oracle: I0 by series
     law = CircularGaussianLaw(p2, 1.0)
     expected = math.e / (2 * math.pi * 1.2660658777520084)
-    assert law.density(np.array([1.0, 0.0])) == pytest.approx(expected,
-                                                              rel=1e-12)
+    assert law.density_from_axis_cos(1.0) == pytest.approx(expected,
+                                                           rel=1e-12)
     assert expected == pytest.approx(0.3417104886234632, rel=1e-12)
+    assert CircularGaussianLaw(p2, 2.0).density_from_axis_cos(1.0) == \
+        pytest.approx(math.exp(2.0) / (2 * math.pi * special.i0(2.0)),
+                      rel=1e-12)
+    # the array form is the scalar form elementwise
+    th = np.linspace(-np.pi, np.pi, 9)
+    vals = law.density_from_axis_cos(np.cos(th))
+    assert np.array_equal(vals, [law.density_from_axis_cos(math.cos(a))
+                                 for a in th])
     # k = 0 degenerates to uniform everywhere
     law0 = CircularGaussianLaw(p2, 0.0)
-    for th in np.linspace(-np.pi, np.pi, 9):
-        u = np.array([math.cos(th), math.sin(th)])
-        assert law0.density(u) == pytest.approx(1.0 / (2 * math.pi), rel=1e-14)
+    assert np.allclose(law0.density_from_axis_cos(np.cos(th)),
+                       1.0 / (2 * math.pi), rtol=1e-14, atol=0.0)
 
 
 def test_circular_gaussian_needs_m2(p3):
@@ -50,38 +57,23 @@ def test_circular_gaussian_needs_m2(p3):
         CircularGaussianLaw(p3, 1.0)
 
 
-def test_sphere_density_scaling(p2):
-    law = UniformLaw(p2)
-    assert law.sphere_density(np.array([2.0, 0.0]), 2.0) == pytest.approx(
-        1.0 / (2 * math.pi), rel=1e-12)
-    with pytest.raises(DomainError):
-        law.sphere_density(np.array([1.5, 0.0]), 2.0)
-    cg = CircularGaussianLaw(p2, 2.0)
-    got = cg.sphere_density(np.array([3.0, 0.0]), 3.0)
-    assert got == pytest.approx(math.exp(2.0) / (2 * math.pi * special.i0(2.0)),
-                                rel=1e-12)
-
-
 def test_chi_normalization_by_quadrature(p2, p3):
     # planar laws: periodic trapezoid
     th = np.linspace(-np.pi, np.pi, 2049)[:-1]
-    for law in (UniformLaw(p2), CircularGaussianLaw(p2, 0.0),
-                CircularGaussianLaw(p2, 3.0)):
-        vals = [law.density(np.array([math.cos(a), math.sin(a)])) for a in th]
-        total = np.sum(vals) * (2 * np.pi / len(th))
+    for law in [UniformLaw(p2)] + [CircularGaussianLaw(p2, k)
+                                   for k in (0.0, 1.0, 2.0, 3.0)]:
+        total = np.sum(law.density_from_axis_cos(np.cos(th))) \
+            * (2 * np.pi / len(th))
         assert total == pytest.approx(1.0, abs=1e-9)
     # m=3 uniform: Gauss-Legendre in colatitude x trapezoid in longitude
-    law = UniformLaw(p3)
     xg, wg = np.polynomial.legendre.leggauss(64)
     colat = 0.5 * np.pi * (xg + 1.0)
     wc = 0.5 * np.pi * wg
     phis = np.linspace(-np.pi, np.pi, 65)[:-1]
-    total = 0.0
-    for g, w in zip(colat, wc):
-        for ph in phis:
-            u = np.array([math.sin(g) * math.cos(ph),
-                          math.sin(g) * math.sin(ph), math.cos(g)])
-            total += law.density(u) * math.sin(g) * w * (2 * np.pi / len(phis))
+    ux = np.sin(colat)[:, None] * np.cos(phis)[None, :]
+    chi = UniformLaw(p3).density_from_axis_cos(ux)
+    total = np.sum(chi * (np.sin(colat) * wc)[:, None]) \
+        * (2 * np.pi / len(phis))
     assert total == pytest.approx(1.0, abs=1e-9)
 
 
