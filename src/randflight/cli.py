@@ -150,15 +150,16 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                 setattr(cfg, key, v)
     cfg.nr, cfg.ntheta = int(cfg.nr), int(cfg.ntheta)
     cfg.alphas, cfg.s_values = _floats(cfg.alphas), _floats(cfg.s_values)
+    k = getattr(args, "k", None)
     if getattr(args, "law", None) is not None:
         cfg.law = {"kind": args.law}
-        if args.law == "circular_gaussian":
-            if getattr(args, "k", None) is None:
-                raise DomainError("--law circular_gaussian requires --k")
-            cfg.law["k"] = args.k
-    elif getattr(args, "k", None) is not None and \
-            cfg.law.get("kind") == "circular_gaussian":
-        cfg.law["k"] = args.k
+        if args.law == "circular_gaussian" and k is None:
+            raise DomainError("--law circular_gaussian requires --k")
+    if k is not None:
+        if cfg.law.get("kind") != "circular_gaussian":
+            raise DomainError("--k is the circular_gaussian concentration; "
+                              f"the law is {cfg.law.get('kind')!r}")
+        cfg.law["k"] = k
     if getattr(args, "alphas", None):
         cfg.alphas = _floats(args.alphas.split(","))
 
@@ -174,9 +175,11 @@ def _validate_config(cfg: RunConfig) -> None:
             raise DomainError(f"{name} must be positive")
     if cfg.K < 1 or cfg.nr < 2 or cfg.n_samples < 1:
         raise DomainError("K, nr and n must be positive")
+    if cfg.ntheta < 8 or cfg.ntheta % 2:  # PolarGrid's rule
+        raise DomainError(f"ntheta must be even and >= 8, got {cfg.ntheta}")
     if cfg.fmt not in ("csv", "json"):
         raise DomainError(f"unknown format {cfg.fmt}")
-    if cfg.conditioning != "all":
+    if isinstance(cfg.conditioning, str) and cfg.conditioning != "all":
         cfg.conditioning = int(cfg.conditioning)
 
 

@@ -61,7 +61,8 @@ class UniformLaw(DissipationLaw):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         v = rng.standard_normal((size, self.params.m))
-        return v / np.linalg.norm(v, axis=1, keepdims=True)
+        v /= np.sqrt(np.einsum("ij,ij->i", v, v))[:, None]
+        return v
 
 
 class CircularGaussianLaw(DissipationLaw):

@@ -9,6 +9,7 @@ fixed order, so results do not depend on the worker count.
 
 from __future__ import annotations
 
+import math
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
@@ -25,23 +26,55 @@ __all__ = [
 ]
 
 _BOUNDARY_REL_TOL = 1e-9
-_CHUNK = 1 << 16  # directions (and radii) per run: bounds a block's temporaries
+_CHUNK = 1 << 16  # directions per run: bounds a block's temporaries
+
+
+def _is_count(x) -> bool:
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
+
+
+def _check_time(t: float) -> None:
+    if not (math.isfinite(t) and t > 0.0):
+        raise DomainError(f"t must be positive and finite, got {t!r}")
+
+
+def _check_conditioning(conditioning) -> str | int:
+    if isinstance(conditioning, str) and conditioning == "all":
+        return conditioning
+    if not _is_count(conditioning):
+        raise DomainError("conditioning must be 'all' or a nonnegative "
+                          f"integer, got {conditioning!r}")
+    return int(conditioning)
 
 
 def simulate_batch(params: FlightParams, law: DissipationLaw, t: float,
-                   n_samples: int,
-                   rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized simulation; returns (positions (n, m), event counts (n,)).
+                   n_samples: int, rng: np.random.Generator,
+                   conditioning: str | int | None = None
+                   ) -> tuple[np.ndarray, np.ndarray]:
+    """Vectorized simulation of ``n_samples`` flights.
 
-    Samples are grouped by event count, in a deterministic order; a group
-    draws its directions in runs of about ``_CHUNK``, in the same order
-    whatever the run length.
+    Returns the positions (k, m) of the flights that ``conditioning``
+    selects, in flight order, and the event counts (n_samples,) of all
+    flights.  ``None`` selects every flight, ``'all'`` those with at
+    least one turn and an integer j those with exactly j turns; only
+    selected flights draw switching times and directions.
+
+    Selected flights are grouped by event count, in ascending order; a
+    group draws its directions in runs of about ``_CHUNK``, in the same
+    order whatever the run length.
     """
+    _check_time(t)
+    if conditioning is not None:
+        conditioning = _check_conditioning(conditioning)
     counts = rng.poisson(params.lam * t, n_samples)
-    positions = np.empty((n_samples, params.m))
-    for n in np.unique(counts):
-        sel = np.flatnonzero(counts == n)
-        times = np.sort(rng.random((sel.size, n)), axis=1) * t
+    kept = counts if conditioning is None else counts[
+        counts >= 1 if conditioning == "all" else counts == conditioning]
+    positions = np.empty((kept.size, params.m))
+    for n in np.flatnonzero(np.bincount(kept)):
+        sel = np.flatnonzero(kept == n)
+        times = rng.random((sel.size, n))
+        times.sort(axis=1)
+        times *= t
         step = max(1, _CHUNK // (n + 1))
         for a in range(0, sel.size, step):
             rows = sel[a:a + step]
@@ -60,9 +93,10 @@ class DensityEstimate:
     """Histogram density estimate on a grid with per-bin standard errors.
 
     For ``conditioning='all'`` the estimate targets the absolutely
-    continuous component: zero-event samples (which sit exactly on the
-    support sphere) are excluded from the bins and reported through
-    ``boundary_fraction``; the binned mass then estimates 1 - exp(-lam t).
+    continuous component: zero-event flights (which sit exactly on the
+    support sphere) are neither simulated nor binned, so the binned mass
+    estimates 1 - exp(-lam t).  ``boundary_fraction`` is the share of
+    binned flights within 1e-9 (relative) of that sphere.
     For integer conditioning the estimate is the conditional density
     given that many turns, normalized by the conditioned sample count.
     """
@@ -91,10 +125,16 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
     """Bin-count density estimate from ``n_samples`` simulated flights.
 
     ``seed`` is a nonnegative integer: it roots one ``SeedSequence`` whose
-    children seed the blocks, so equal seeds give equal estimates.
+    children seed the blocks, so equal seeds give equal estimates.  Only
+    the flights that ``conditioning`` keeps are simulated (see
+    `simulate_batch`); the event counts of all of them are drawn.
     """
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
+    _check_time(t)
+    conditioning = _check_conditioning(conditioning)
+    if not _is_count(seed):
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
+    if not _is_count(block_size) or block_size < 1:
+        raise DomainError(f"block_size must be a positive integer, got {block_size!r}")
     if n_samples < 10_000:
         raise DomainError("estimate_density needs at least 1e4 samples")
     if isinstance(grid, PolarGrid) and params.m != 2:
@@ -113,27 +153,22 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
     def one_block(args):
         size, ss = args
         rng = np.random.default_rng(ss)
-        pos, counts = simulate_batch(params, law, t, size, rng)
-        n_zero = int(np.count_nonzero(counts == 0))
-        if conditioning == "all":
-            keep = counts >= 1
-        else:
-            keep = counts == int(conditioning)
-        radii = np.concatenate([np.linalg.norm(pos[a:a + _CHUNK], axis=1)
-                                for a in range(0, len(pos), _CHUNK)])[keep]
+        pos, counts = simulate_batch(params, law, t, size, rng, conditioning)
+        radii = np.sqrt(np.einsum("ij,ij->i", pos, pos))
         ct = params.radius(t)
         n_boundary = int(np.count_nonzero(radii >= ct * (1.0 - _BOUNDARY_REL_TOL)))
         if polar:
-            theta = np.arctan2(pos[keep, 1], pos[keep, 0])
+            theta = np.arctan2(pos[:, 1], pos[:, 0])
             # angular bins centered on the grid angles, with wraparound
             jth = np.floor((theta + np.pi + 0.5 * dth) / dth).astype(int) % n_th
             ir = np.searchsorted(edges_r, radii, side="right") - 1
-            ok = (ir >= 0) & (ir < grid.n_r)
-            hist = np.zeros((grid.n_r, n_th))
-            np.add.at(hist, (ir[ok], jth[ok]), 1.0)
+            ok = ir < grid.n_r
+            hist = np.bincount(ir[ok] * n_th + jth[ok],
+                               minlength=grid.n_r * n_th).reshape(grid.n_r, n_th)
         else:
             hist, _ = np.histogram(radii, bins=edges_r)
-        return hist.astype(float), int(keep.sum()), n_zero, n_boundary
+        return (hist.astype(float), len(pos), int(np.count_nonzero(counts == 0)),
+                n_boundary)
 
     work = list(zip(sizes, child_seeds))
     if threads and threads > 1:

@@ -1,6 +1,10 @@
 import csv
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -209,3 +213,49 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
     assert code == 0
     meta = json.loads((tmp_path / "e.csv.meta.json").read_text())
     assert meta["config"]["threads"] == 2
+
+
+@pytest.mark.parametrize("args", [
+    ["density", "--m", "2", "--k", "2.5", "--K", "1", "--nr", "8"],
+    ["density", "--law", "uniform", "--k", "1.0", "--K", "1", "--nr", "8"],
+    ["layers", "--m", "2", "--ntheta", "5"],
+    ["layers", "--m", "2", "--ntheta", "0"],
+], ids=["k-default-law", "k-uniform-law", "ntheta-odd", "ntheta-zero"])
+def test_config_rejects_flags_it_would_ignore(tmp_path, args):
+    # --k with the uniform law, and an ntheta that PolarGrid refuses, once
+    # ran and wrote the ignored value into the sidecar
+    out = tmp_path / "x.csv"
+    assert run_cli(args + ["--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_simulate_rejects_a_fractional_conditioning(tmp_path):
+    # a config file's 1.5 once ran as conditioning 1
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"conditioning": 1.5, "n_samples": 20000}))
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_k_overrides_a_config_file_circular_gaussian(tmp_path):
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps({"law": {"kind": "circular_gaussian",
+                                           "k": 0.5}}))
+    cfg = load_config(_build_parser().parse_args(
+        ["density", "--config", str(cfgfile), "--k", "2.0"]))
+    assert cfg.law == {"kind": "circular_gaussian", "k": 2.0}
+
+
+def test_python_dash_m_runs_the_cli(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(
+               filter(None, [str(src), os.environ.get("PYTHONPATH")]))}
+    out = tmp_path / "d.csv"
+    proc = subprocess.run(
+        [sys.executable, "-m", "randflight", "density", "--m", "2", "--K", "1",
+         "--nr", "8", "--out", str(out)],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert out.read_text().splitlines()[0] == "r,p_ac"

@@ -180,3 +180,117 @@ def test_block_temporaries_stay_small():
     # positions (16 B), counts (8 B) and radii (16 B) per flight, plus a few
     # MB of runs; drawing a count group at once peaked at about 95 B
     assert peak < 48 * n
+
+
+_BAD_ARGUMENTS = [
+    ("estimate", {"conditioning": 1.5}, "conditioning"),
+    ("estimate", {"conditioning": True}, "conditioning"),
+    ("estimate", {"conditioning": "foo"}, "conditioning"),
+    ("estimate", {"conditioning": -1}, "conditioning"),
+    ("estimate", {"conditioning": None}, "conditioning"),
+    ("simulate", {"conditioning": 1.5}, "conditioning"),
+    ("simulate", {"conditioning": "foo"}, "conditioning"),
+    ("estimate", {"block_size": 0}, "block_size"),
+    ("estimate", {"block_size": -5}, "block_size"),
+    ("estimate", {"t": 0.0}, "t"),
+    ("estimate", {"t": -1.0}, "t"),
+    ("estimate", {"t": math.nan}, "t"),
+    ("estimate", {"t": math.inf}, "t"),
+    ("simulate", {"t": 0.0}, "t"),
+    ("simulate", {"t": -1.0}, "t"),
+    ("simulate", {"t": math.nan}, "t"),
+]
+
+
+@pytest.mark.parametrize("route, bad, name", _BAD_ARGUMENTS,
+                         ids=[f"{r}-{k}={v}" for r, kw, _ in _BAD_ARGUMENTS
+                              for k, v in kw.items()])
+def test_sampler_rejects_bad_arguments(p2, route, bad, name):
+    # 1.5 once ran as 1 and was reported as 1.5, True as 1; block_size 0
+    # raised ZeroDivisionError; t = 0 read as an empty conditioning set
+    law = UniformLaw(p2)
+    kwargs = {"t": 1.0, **bad}
+    t = kwargs.pop("t")
+    with pytest.raises(DomainError, match=rf"\b{name}\b"):
+        if route == "estimate":
+            estimate_density(p2, law, t, 20_000,
+                             RadialGrid.build_uniform(p2, 1.0, 16), **kwargs)
+        else:
+            simulate_batch(p2, law, t, 1_000, np.random.default_rng(0), **kwargs)
+
+
+def _reference_flights(p, law, t, n, seed, select):
+    """Positions of the flights ``select(counts)`` keeps, drawing times and
+    directions group by group for the kept event counts only."""
+    rng = np.random.default_rng(seed)
+    counts = rng.poisson(p.lam * t, n)
+    pos = np.full((n, p.m), np.nan)
+    for j in np.unique(counts[select(counts)]):
+        rows = np.flatnonzero(counts == j)
+        times = np.sort(rng.random((rows.size, j)), axis=1) * t
+        dirs = law.sample(rng, rows.size * (j + 1)).reshape(-1, j + 1, p.m)
+        durations = np.diff(times, axis=1, prepend=0.0, append=t)
+        pos[rows] = p.c * np.einsum("ij,ijk->ik", durations, dirs)
+    return pos[select(counts)], counts
+
+
+@pytest.mark.parametrize("conditioning, select", [
+    ("all", lambda c: c >= 1), (2, lambda c: c == 2)], ids=["all", "2"])
+def test_selected_flights_in_counts_order(p2, conditioning, select):
+    law = UniformLaw(p2)
+    pos, counts = simulate_batch(p2, law, 1.0, 20_000,
+                                 np.random.default_rng(14), conditioning)
+    ref_pos, ref_counts = _reference_flights(p2, law, 1.0, 20_000, 14, select)
+    # the counts of every flight, as without a selection
+    _, all_counts = simulate_batch(p2, law, 1.0, 20_000,
+                                   np.random.default_rng(14))
+    assert np.array_equal(counts, all_counts)
+    assert np.array_equal(counts, ref_counts)
+    assert pos.shape == (np.count_nonzero(select(counts)), 2)
+    assert np.array_equal(pos, ref_pos)
+
+
+def _count_draws(monkeypatch, law):
+    drawn = []
+    sample = law.sample
+
+    def counted(rng, size):
+        drawn.append(size)
+        return sample(rng, size)
+
+    monkeypatch.setattr(law, "sample", counted)
+    return drawn
+
+
+@pytest.mark.parametrize("j", [0, 1, 3])
+def test_conditioned_estimate_draws_only_kept_directions(p2, monkeypatch, j):
+    law = UniformLaw(p2)
+    drawn = _count_draws(monkeypatch, law)
+    grid = RadialGrid.build_uniform(p2, 1.0, 16)
+    est = estimate_density(p2, law, 1.0, 50_000, grid, conditioning=j,
+                           seed=15, block_size=20_000)
+    assert est.n_conditioned > 0
+    assert sum(drawn) == (j + 1) * est.n_conditioned
+
+
+def test_all_mode_skips_zero_turn_directions(p2, monkeypatch):
+    from randflight import sampler
+    law = UniformLaw(p2)
+    drawn = _count_draws(monkeypatch, law)
+    seen = []
+    simulate = sampler.simulate_batch
+
+    def spy(*args, **kwargs):
+        pos, counts = simulate(*args, **kwargs)
+        seen.append(counts)
+        return pos, counts
+
+    monkeypatch.setattr(sampler, "simulate_batch", spy)
+    grid = RadialGrid.build_uniform(p2, 1.0, 16)
+    est = estimate_density(p2, law, 1.0, 50_000, grid, conditioning="all",
+                           seed=16, block_size=20_000)
+    counts = np.concatenate(seen)
+    assert counts.size == 50_000
+    turned = counts[counts >= 1]
+    assert est.n_conditioned == turned.size
+    assert sum(drawn) == int(np.sum(turned + 1))
