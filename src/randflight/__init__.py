@@ -10,11 +10,11 @@ and the characteristic-function (spectral) route.
 from .analytic import one_turn_profile
 from .cf import (CFLadder, laplace_identity_error, layer_fourier,
                  next_conv_power, psi_ladder, sphere_cf, volterra_cf)
-from .convolution import (StepConfig, ac_profile, conditional_layer,
-                          next_layer, residual_check, seed_layer,
-                          transition_density)
-from .core import (DensityField, DensityLayer, FlightParams, PolarGrid,
-                   RadialGrid, poisson_weight, tail_mass)
+from .convolution import (DensityLayer, StepConfig, ac_profile,
+                          conditional_layer, next_layer, residual_check,
+                          seed_layer, transition_density)
+from .core import (DensityField, FlightParams, PolarGrid, RadialGrid,
+                   poisson_weight, tail_mass)
 from .dissipation import (CircularGaussianLaw, DissipationLaw, UniformLaw,
                           law_from_config)
 from .errors import DomainError, EstimationError, NumericError

@@ -26,7 +26,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import DensityLayer, FlightParams, _angles, check_layer_source
+from .convolution import DensityLayer
+from .core import FlightParams, _angles
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError, NumericError
 from .specfun import bessel_j0
@@ -303,19 +304,17 @@ def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
     The kernel is cos(|alpha| r cos(theta - phi)) on angular layers and
     its angular average, J0(|alpha| r) in the plane or sinc(|alpha| r)
     in dimension 3, on isotropic ones.  Every layer integrates its table
-    against it (`_Ladder.moment`, the rule that gives its mass); at
+    against it (`DensityLayer.moment`, the rule that gives its mass); at
     alpha = 0 the kernel is exactly 1 and the result is the layer mass.
     Raises `DomainError` for an ``alpha`` that is not a finite m-vector
     and for ``params`` other than those the layer was built with.
     """
     if layer.kind != "joint":
         raise DomainError("layer_fourier expects a joint layer")
-    if layer.ladder is None:
-        raise DomainError("layer_fourier needs a layer built by the recurrence")
-    check_layer_source(layer, params)
+    layer.check_source(params)
     alpha = _check_alpha(params, alpha)
     a = float(np.linalg.norm(alpha))
-    if layer.ladder.thetas is not None:
+    if layer.thetas is not None:
         phi = math.atan2(alpha[1], alpha[0])
 
         def kern(r, th):
@@ -323,4 +322,4 @@ def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
     else:
         def kern(r, th):
             return _radial_kernel(params.m, a, r)
-    return layer.ladder.moment(kern)
+    return layer.moment(kern)

@@ -48,21 +48,22 @@ the latter case.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
 from .analytic import one_turn_coefficient, one_turn_profile
-from .core import (DensityField, DensityLayer, FlightParams, PolarGrid,
-                   RadialGrid, _angles, _ball_volume, _clustered_nodes,
-                   check_layer_source, conditional_weight_or_raise, tail_mass)
+from .core import (DensityField, FlightParams, PolarGrid, RadialGrid, _angles,
+                   _ball_volume, _clustered_nodes, conditional_weight_or_raise,
+                   tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError
 from .specfun import SeriesControl, gauss_2f1
 
 __all__ = [
     "StepConfig",
+    "DensityLayer",
     "seed_layer",
     "next_layer",
     "conditional_layer",
@@ -149,32 +150,58 @@ def _default_config(law: DissipationLaw) -> StepConfig:
     return StepConfig()
 
 
-@dataclass(frozen=True)
-class _Ladder:
-    """The table of one layer at its final time ``t``.
+@dataclass(frozen=True, eq=False)
+class DensityLayer:
+    """One layer of the recurrence: the density of position jointly with
+    (or, with ``kind`` "conditional", given) exactly ``n`` direction
+    changes at time ``t`` of a flight with ``params`` and ``law``.
 
+    ``values`` holds the layer at the nodes of ``grid``, clipped at 0:
+    shape (n_r,) on a radial grid, (n_r, n_theta) on a polar one.
+    ``at_nodes`` holds the unclipped values the layer was built with,
+    shape (n_r, n_theta of the grid, or 1 for isotropic tables).
     ``tab`` holds h_n = f_n(sigma c t, t) / E_n(sigma) at the nodes
     ``sigma``, shape (n_sigma, n_theta); rotation-invariant data uses
-    n_theta = 1.  The m=3 seed has no table (``tab`` None), since the
-    step consumes it through its closed form.  ``cfg`` is the resolution
-    the ladder was built at and ``source`` the ladder the step consumed
-    to make it (None for the seed): exact values re-apply that step.
-    ``at_nodes`` holds the values that step made at the nodes of
-    ``grid``, shape (n_r, n_theta of the grid, or 1 for isotropic
-    tables); both are None for the seed.
+    n_theta = 1 (``thetas`` None).  The m=3 seed has no table (``tab``
+    None), since the step consumes it through its closed form.  ``cfg``
+    is the resolution the layer was built at and ``source`` the joint
+    layer the step consumed to make it (None for the seed): exact values
+    away from the grid nodes re-apply that step.
     """
 
     n: int
     params: FlightParams
     law: DissipationLaw
     t: float
+    grid: RadialGrid | PolarGrid
+    values: np.ndarray
+    at_nodes: np.ndarray
     sigma: np.ndarray
     thetas: np.ndarray | None
     tab: np.ndarray | None
     cfg: StepConfig
-    source: "_Ladder | None" = None
-    grid: RadialGrid | PolarGrid | None = None
-    at_nodes: np.ndarray | None = None
+    source: "DensityLayer | None" = field(default=None, repr=False)
+    kind: str = "joint"
+
+    def __post_init__(self) -> None:
+        if self.n < 1:
+            raise DomainError("layer index n must be >= 1")
+        if self.kind not in ("joint", "conditional"):
+            raise DomainError(f"unknown layer kind {self.kind!r}")
+        values = np.asarray(self.values, dtype=float)
+        values.flags.writeable = False
+        object.__setattr__(self, "values", values)
+        if np.any(values < 0):
+            raise DomainError("layer values must be nonnegative")
+
+    def check_source(self, params: FlightParams, law=None) -> None:
+        """Raise `DomainError` unless ``params`` and ``law`` (its type and
+        concentration) are those the layer was built with."""
+        if params != self.params or law is not None and (
+                type(law) is not type(self.law)
+                or getattr(law, "k", None) != getattr(self.law, "k", None)):
+            raise DomainError(f"arguments differ from the layer's own "
+                              f"{self.params} and {type(self.law).__name__}")
 
     def radial(self, s, tau, support_gap=None) -> tuple:
         """Where points (radius s, time tau) fall in the table: the flat
@@ -225,23 +252,19 @@ class _Ladder:
         return out
 
     def top_values(self, r, theta=None):
-        """Exact layer values at time t: the one-turn closed form (m=3) or
-        quadrature (planar) for the seed; for a stepped layer the values
-        its step made when every point is a grid node, and the step
-        re-applied to ``source`` otherwise.  ``theta`` (default 0) has the
-        shape of ``r``; isotropic ladders ignore it."""
+        """Exact layer values at time t: ``at_nodes`` when every point is
+        a grid node; otherwise the one-turn closed form (m=3) or
+        quadrature (planar) for the seed, and the step re-applied to
+        ``source`` for a stepped layer.  ``theta`` (default 0) has the
+        shape of ``r``; isotropic layers ignore it."""
         r = np.asarray(r, dtype=float)
-        p, t = self.params, self.t
-        if self.source is None and p.m == 3:
-            return one_turn_profile(p, r, t)
         th = np.zeros_like(r) if theta is None or self.thetas is None \
             else np.asarray(theta, dtype=float)
-        if self.source is None:
-            g = _one_turn_reg_planar(p, self.law, r, th, t)
-            return g / np.sqrt(np.maximum(p.radius(t) ** 2 - r * r, _TINY))
         stored = self._stored(r, th)
         if stored is not None:
             return stored
+        if self.source is None:
+            return _seed_values(self.params, self.law, r, th, self.t)
         if self.thetas is None:
             return _step_values(self.source, r, np.zeros(1), self.cfg)[:, 0]
         out = np.empty(r.shape)
@@ -254,8 +277,6 @@ class _Ladder:
     def _stored(self, r: np.ndarray, th: np.ndarray):
         """``at_nodes`` at the points (r, th) when each is a grid node,
         None otherwise."""
-        if self.at_nodes is None:
-            return None
         nodes = self.grid.nodes
         i = np.minimum(np.searchsorted(nodes, r), len(nodes) - 1)
         if not np.array_equal(nodes[i], r):
@@ -385,21 +406,14 @@ def _seed_profile_generic(params: FlightParams, r: np.ndarray,
     return out
 
 
-def _make_seed_ladder(params: FlightParams, law: DissipationLaw, t: float,
-                      cfg: StepConfig) -> _Ladder:
-    sigma = _clustered_nodes(1.0, cfg.n_sigma)
+def _seed_values(params: FlightParams, law: DissipationLaw, r: np.ndarray,
+                 th: np.ndarray, t: float) -> np.ndarray:
+    """The one-turn layer at radii ``r`` and angles ``th`` (the shape of
+    ``r``) at time t: the closed form (m=3) or quadrature (planar)."""
     if params.m == 3:
-        if not isinstance(law, UniformLaw):
-            raise DomainError("dimension 3 supports the uniform law only")
-        return _Ladder(1, params, law, t, sigma, None, None, cfg)
-    thetas = _angles(cfg.n_theta) if isinstance(law, CircularGaussianLaw) \
-        else None
-    R = params.radius(t)
-    r, th = np.meshgrid(sigma * R, np.zeros(1) if thetas is None else thetas,
-                        indexing="ij")
-    # h_1 = f_1 sqrt(1 - sigma^2): the regular factor over ct
-    tab = _one_turn_reg_planar(params, law, r, th, t) / R
-    return _Ladder(1, params, law, t, sigma, thetas, tab, cfg)
+        return one_turn_profile(params, r, t)
+    g = _one_turn_reg_planar(params, law, r, th, t)
+    return g / np.sqrt(np.maximum(params.radius(t) ** 2 - r * r, _TINY))
 
 
 # --------------------------------------------------------------------------
@@ -450,19 +464,19 @@ def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
         + np.where(lo > 0, lo * np.log(np.maximum(lo, _TINY)), 0.0)
 
 
-def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
+def _step_terms(layer: DensityLayer, r_targets: np.ndarray,
                 th_targets: np.ndarray, cfg: StepConfig):
-    """One application of the layer recurrence at the ladder's time T, as
+    """One application of the layer recurrence at the layer's time T, as
     weighted reads of its table at radii ``r_targets`` x angles
     ``th_targets``.
 
     Yields ``(sel, l, w, rad, theta)``: the targets picked by the mask
     ``sel`` at angle index ``l`` (None: every angle) gain the sum over
-    all but the first axis of ``w * ladder.read(rad, theta)``, whose
+    all but the first axis of ``w * layer.read(rad, theta)``, whose
     first axis runs over those targets or has length 1 (shared by all
     of them).  With ``rad`` None, ``w`` is that sum itself: the m=3 seed
     is consumed through its closed form and reads no table.  ``rad``
-    (from `_Ladder.radial`) does not depend on the angle, so it is
+    (from `DensityLayer.radial`) does not depend on the angle, so it is
     found once for every target angle and arc branch.
 
     Planar surface integrals run in the chord-radius variable s over
@@ -473,10 +487,10 @@ def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
     ds; while consuming the one-turn layer the inner integral has the
     exact primitive (a+s) log(a+s) + (a-s) log(a-s).
     """
-    params, law, T = ladder.params, ladder.law, ladder.t
+    params, law, T = layer.params, layer.law, layer.t
     lam, c = params.lam, params.c
     planar = params.m == 2
-    from_seed = ladder.n == 1
+    from_seed = layer.n == 1
 
     regular = r_targets >= _R_TINY_REL * c * T
     if np.any(regular):
@@ -501,7 +515,7 @@ def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
         elif not planar:
             ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
             w = (decay / np.maximum(2.0 * rho * rr, _TINY))[..., None] * ws * ss
-            yield regular, None, w, ladder.radial(ss, tau[..., None]), None
+            yield regular, None, w, layer.radial(ss, tau[..., None]), None
         else:
             ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
                                                   with_gaps=True)
@@ -517,7 +531,7 @@ def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
                 / np.maximum(2.0 * rr[..., None], _TINY)
             d2 = np.sqrt(np.maximum(ss**2 - d1**2, 0.0))
             omega = np.arctan2(d2, d1)
-            rad = ladder.radial(ss, tau[..., None], gap)
+            rad = layer.radial(ss, tau[..., None], gap)
             rho3 = np.maximum(rho[..., None], _TINY)
             wk = decay[..., None] * ws * ker
             for li, th in enumerate(th_targets):
@@ -525,7 +539,7 @@ def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
                 chi = (law.density_from_axis_cos(
                     (cth * (rr[..., None] - d1) + sth * sgn * d2) / rho3)
                     for sgn in (1.0, -1.0))
-                if ladder.thetas is None:
+                if layer.thetas is None:
                     # an isotropic table reads both arc branches alike
                     yield regular, li, wk * sum(chi), rad, None
                     continue
@@ -550,7 +564,7 @@ def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
             col = (slice(None), None)  # time down, angle across
             yield ~regular, None, \
                 (decay[col] * chi * (2.0 * np.pi / len(phi)))[None], \
-                ladder.radial(rho[col][None], tau[col][None],
+                layer.radial(rho[col][None], tau[col][None],
                               (c * (2.0 * tau - T))[col][None]), phi
         elif from_seed:
             F = one_turn_profile(params, np.minimum(rho, c * tau * (1.0 - 1e-12)),
@@ -558,16 +572,16 @@ def _step_terms(ladder: _Ladder, r_targets: np.ndarray,
             yield ~regular, None, np.array([np.sum(decay * F)]), None, None
         else:
             yield ~regular, None, decay[None], \
-                ladder.radial(rho[None], tau[None]), None
+                layer.radial(rho[None], tau[None]), None
 
 
 _TARGET_BLOCK = 8  # targets per pass of the step: bounds its scratch arrays
 
 
-def _step_values(ladder: _Ladder, r_targets: np.ndarray,
+def _step_values(layer: DensityLayer, r_targets: np.ndarray,
                  th_targets: np.ndarray, cfg: StepConfig) -> np.ndarray:
-    """The layer after ``ladder`` at radii ``r_targets`` and angles
-    ``th_targets``, at the ladder's time, shape (len(r_targets),
+    """The layer after ``layer`` at radii ``r_targets`` and angles
+    ``th_targets``, at the layer's time, shape (len(r_targets),
     len(th_targets)): the step's reads applied to the table at once, a
     block of targets at a time."""
     r_targets = np.asarray(r_targets, dtype=float)
@@ -575,9 +589,9 @@ def _step_values(ladder: _Ladder, r_targets: np.ndarray,
     for b in range(0, len(r_targets), _TARGET_BLOCK):
         block = out[b:b + _TARGET_BLOCK]
         for sel, l, w, rad, theta in _step_terms(
-                ladder, r_targets[b:b + _TARGET_BLOCK], th_targets, cfg):
+                layer, r_targets[b:b + _TARGET_BLOCK], th_targets, cfg):
             if rad is not None:
-                v = w * ladder.read(rad, theta)
+                v = w * layer.read(rad, theta)
                 w = np.sum(v, axis=tuple(range(1, v.ndim)))
             if l is None:
                 block[sel] += w[:, None]
@@ -586,46 +600,34 @@ def _step_values(ladder: _Ladder, r_targets: np.ndarray,
     return out
 
 
-def _step_ladder(ladder: _Ladder, cfg: StepConfig,
-                 grid: RadialGrid | PolarGrid) -> _Ladder:
+def _clipped(at_nodes: np.ndarray, grid: RadialGrid | PolarGrid) -> np.ndarray:
+    """Node values in the grid's shape, (n_r,) or (n_r, n_theta), clipped
+    at 0."""
+    if isinstance(grid, RadialGrid):
+        return np.maximum(at_nodes[:, 0], 0.0)
+    return np.maximum(np.broadcast_to(at_nodes, (grid.n_r, grid.n_theta)), 0.0)
+
+
+def _step_layer(layer: DensityLayer, cfg: StepConfig,
+                grid: RadialGrid | PolarGrid) -> DensityLayer:
     """Full recurrence step: consume the table of layer n and make the
     table of layer n+1 at time t, together with its values at the grid
     nodes."""
-    p = ladder.params
+    p = layer.params
     sigma = _clustered_nodes(_SIGMA_CAP, cfg.n_sigma)
-    th_tab = np.zeros(1) if ladder.thetas is None else ladder.thetas
-    raw = _step_values(ladder, sigma * p.radius(ladder.t), th_tab, cfg)
-    at_nodes = _step_values(ladder, grid.nodes, th_tab if ladder.thetas is None
+    th_tab = np.zeros(1) if layer.thetas is None else layer.thetas
+    raw = _step_values(layer, sigma * p.radius(layer.t), th_tab, cfg)
+    at_nodes = _step_values(layer, grid.nodes, th_tab if layer.thetas is None
                             else grid.thetas, cfg)
-    n = ladder.n + 1
+    n = layer.n + 1
     tab = raw / _edge(p.m, n, 1.0 - sigma**2)[:, None]
-    return _Ladder(n, p, ladder.law, ladder.t, sigma, ladder.thetas, tab, cfg,
-                   source=ladder, grid=grid, at_nodes=at_nodes)
+    return DensityLayer(n, p, layer.law, layer.t, grid, _clipped(at_nodes, grid),
+                        at_nodes, sigma, layer.thetas, tab, cfg, source=layer)
 
 
 # --------------------------------------------------------------------------
 # public layer operations
 # --------------------------------------------------------------------------
-
-def _node_values(ladder: _Ladder, grid: RadialGrid | PolarGrid) -> np.ndarray:
-    """Layer values at the grid nodes: shape (n_r,) on a radial grid,
-    (n_r, n_theta) on a polar one."""
-    if isinstance(grid, RadialGrid):
-        return ladder.top_values(grid.nodes)
-    if ladder.thetas is None:
-        return np.repeat(ladder.top_values(grid.nodes)[:, None], grid.n_theta,
-                         axis=1)
-    return ladder.top_values(*np.meshgrid(grid.nodes, grid.thetas,
-                                          indexing="ij"))
-
-
-def _public_layer(ladder: _Ladder, grid: RadialGrid | PolarGrid,
-                  values: np.ndarray | None = None) -> DensityLayer:
-    if values is None:
-        values = _node_values(ladder, grid)
-    return DensityLayer(ladder.n, grid, np.maximum(values, 0.0), "joint",
-                        ladder=ladder)
-
 
 def _check_grid(params: FlightParams, law: DissipationLaw, t: float,
                 grid: RadialGrid | PolarGrid) -> None:
@@ -643,10 +645,10 @@ def seed_layer(params: FlightParams, law: DissipationLaw, t: float,
     """The one-turn joint layer (n = 1), the seed of the recurrence.
 
     For the isotropic law on a radial grid the node values are computed
-    through the generic hypergeometric series; for the circular Gaussian
-    law through the two-point reduction of the sphere-sphere convolution
-    (see `_one_turn_reg_planar`).  Either way the layer carries its table
-    for consumption by :func:`next_layer`.
+    through the generic hypergeometric series; ``at_nodes`` holds the
+    closed form (m=3) or the two-point reduction of the sphere-sphere
+    convolution (planar, any law; see `_one_turn_reg_planar`), which also
+    gives the table that :func:`next_layer` consumes.
     """
     if params.m not in (2, 3):
         raise DomainError(
@@ -654,11 +656,27 @@ def seed_layer(params: FlightParams, law: DissipationLaw, t: float,
             "dimensions need the cap-measure reduction derived for that m")
     cfg = config or _default_config(law)
     _check_grid(params, law, t, grid)
-    ladder = _make_seed_ladder(params, law, t, cfg)
+    if params.m == 3 and not isinstance(law, UniformLaw):
+        raise DomainError("dimension 3 supports the uniform law only")
+    sigma = _clustered_nodes(1.0, cfg.n_sigma)
+    thetas = _angles(cfg.n_theta) if isinstance(law, CircularGaussianLaw) \
+        else None
+    tab = None
+    if params.m == 2:
+        R = params.radius(t)
+        r, th = np.meshgrid(sigma * R, np.zeros(1) if thetas is None
+                            else thetas, indexing="ij")
+        # h_1 = f_1 sqrt(1 - sigma^2): the regular factor over ct
+        tab = _one_turn_reg_planar(params, law, r, th, t) / R
+    r, th = np.meshgrid(grid.nodes, np.zeros(1) if thetas is None
+                        else grid.thetas, indexing="ij")
+    at_nodes = _seed_values(params, law, r, th, t)
     if isinstance(law, UniformLaw) and isinstance(grid, RadialGrid):
-        return _public_layer(ladder, grid,
-                             _seed_profile_generic(params, grid.nodes, t))
-    return _public_layer(ladder, grid)
+        values = np.maximum(_seed_profile_generic(params, grid.nodes, t), 0.0)
+    else:
+        values = _clipped(at_nodes, grid)
+    return DensityLayer(1, params, law, t, grid, values, at_nodes, sigma,
+                        thetas, tab, cfg)
 
 
 def next_layer(params: FlightParams, law: DissipationLaw,
@@ -670,14 +688,10 @@ def next_layer(params: FlightParams, law: DissipationLaw,
     ``params`` and ``law`` must be those the layer was built with."""
     if layer.kind != "joint":
         raise DomainError("the recurrence consumes joint layers")
-    if layer.ladder is None:
-        raise DomainError(
-            "layer lacks its table; build it with seed_layer/next_layer")
-    check_layer_source(layer, params, law)
+    layer.check_source(params, law)
     out_grid = grid if grid is not None else layer.grid
-    _check_grid(params, law, layer.ladder.t, out_grid)
-    return _public_layer(_step_ladder(layer.ladder, config or layer.ladder.cfg,
-                                      out_grid), out_grid)
+    _check_grid(params, law, layer.t, out_grid)
+    return _step_layer(layer, config or layer.cfg, out_grid)
 
 
 def conditional_layer(layer: DensityLayer,
@@ -687,7 +701,7 @@ def conditional_layer(layer: DensityLayer,
     with."""
     if layer.kind != "joint":
         raise DomainError("layer is already conditional")
-    check_layer_source(layer, params)
+    layer.check_source(params)
     w = conditional_weight_or_raise(layer.n, params, layer.grid.t)
     return replace(layer, values=layer.values / w, kind="conditional")
 
@@ -702,20 +716,20 @@ def transition_density(params: FlightParams, law: DissipationLaw, t: float,
     layers = [seed_layer(params, law, t, grid, config)]
     for _ in range(K - 1):
         layers.append(next_layer(params, law, layers[-1], config=config))
-    masses = tuple(layer.ladder.mass() for layer in layers)
+    masses = tuple(layer.mass() for layer in layers)
     return DensityField(params, t, tuple(layers), masses,
                         tail_mass(K, params, t), law=law)
 
 
 def ac_profile(field_obj: DensityField, r, theta=None) -> np.ndarray:
     """Absolutely continuous density of an assembled field at radius r;
-    zero outside the support.  A field with angular ladders (a
+    zero outside the support.  A field with angular tables (a
     non-symmetric law) needs ``theta``, broadcast against ``r``; an
     isotropic field ignores it."""
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    angular = field_obj.layers[0].ladder.thetas is not None
+    angular = field_obj.layers[0].thetas is not None
     if angular and theta is None:
-        raise DomainError("a field with angular ladders needs theta")
+        raise DomainError("a field with angular tables needs theta")
     if angular:
         r, theta = np.broadcast_arrays(r, np.asarray(theta, dtype=float))
     R = field_obj.params.radius(field_obj.t)
@@ -725,7 +739,7 @@ def ac_profile(field_obj: DensityField, r, theta=None) -> np.ndarray:
         th = theta[inside] if angular else None
         acc = 0.0
         for layer in field_obj.layers:
-            acc = acc + layer.ladder.top_values(r[inside], th)
+            acc = acc + layer.top_values(r[inside], th)
         out[inside] = acc
     return out
 
@@ -748,20 +762,16 @@ def residual_check(field_obj: DensityField,
     """
     grid = field_obj.layers[0].grid
     th_targets = grid.thetas if isinstance(grid, PolarGrid) else np.zeros(1)
-    ladders = [layer.ladder for layer in field_obj.layers]
-
-    def node_values(lad: _Ladder) -> np.ndarray:
-        return _node_values(lad, grid).reshape(grid.n_r, -1)
-
+    layers = list(field_obj.layers)
     lhs = 0.0
-    for lad in ladders:
-        lhs = lhs + node_values(lad)
+    for layer in layers:
+        lhs = lhs + layer.at_nodes
 
-    rhs = node_values(ladders[0])
-    for lad, nxt in zip(ladders, ladders[1:] + [None]):
-        cfg = config or lad.cfg
-        if nxt is not None and nxt.source is lad and nxt.cfg == cfg:
-            rhs = rhs + node_values(nxt)
+    rhs = layers[0].at_nodes
+    for layer, nxt in zip(layers, layers[1:] + [None]):
+        cfg = config or layer.cfg
+        if nxt is not None and nxt.source is layer and nxt.cfg == cfg:
+            rhs = rhs + nxt.at_nodes
         else:
-            rhs = rhs + _step_values(lad, grid.nodes, th_targets, cfg)
+            rhs = rhs + _step_values(layer, grid.nodes, th_targets, cfg)
     return float(np.max(np.abs(lhs - rhs)))

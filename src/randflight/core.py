@@ -7,7 +7,7 @@ parallel workers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,7 +17,6 @@ __all__ = [
     "FlightParams",
     "RadialGrid",
     "PolarGrid",
-    "DensityLayer",
     "DensityField",
     "poisson_weight",
     "tail_mass",
@@ -151,33 +150,6 @@ class PolarGrid(_Grid):
         return len(self.thetas)
 
 
-@dataclass(frozen=True)
-class DensityLayer:
-    """Grid-sampled density of position jointly with (or conditioned on)
-    exactly ``n`` direction changes, at the fixed time of its grid.
-
-    ``ladder`` holds the layer's table (a ``convolution._Ladder``)
-    when the recurrence built it; ``next_layer`` consumes it.
-    """
-
-    n: int
-    grid: RadialGrid | PolarGrid
-    values: np.ndarray
-    kind: str = "joint"
-    ladder: object = field(default=None, compare=False, repr=False)
-
-    def __post_init__(self) -> None:
-        if self.n < 1:
-            raise DomainError("layer index n must be >= 1")
-        if self.kind not in ("joint", "conditional"):
-            raise DomainError(f"unknown layer kind {self.kind!r}")
-        values = np.asarray(self.values, dtype=float)
-        values.flags.writeable = False
-        object.__setattr__(self, "values", values)
-        if np.any(values < 0):
-            raise DomainError("layer values must be nonnegative")
-
-
 def _ball_volume(r, m: int):
     """Volume of the ball of radius ``r`` in dimension m in {2, 3}."""
     if m == 2:
@@ -236,17 +208,3 @@ def conditional_weight_or_raise(n: int, params: FlightParams, t: float) -> float
         raise NumericError(
             f"poisson weight underflow: n={n}, lam*t={params.lam * t}")
     return w
-
-
-def check_layer_source(layer: DensityLayer, params: FlightParams,
-                       law=None) -> None:
-    """Raise `DomainError` unless ``params`` and ``law`` (its type and
-    concentration) are those the layer's table was built with."""
-    own = layer.ladder
-    if own is None:
-        return
-    if params != own.params or law is not None and (
-            type(law) is not type(own.law)
-            or getattr(law, "k", None) != getattr(own.law, "k", None)):
-        raise DomainError(f"arguments differ from the layer's own "
-                          f"{own.params} and {type(own.law).__name__}")

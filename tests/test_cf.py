@@ -256,7 +256,7 @@ def test_layer_fourier_at_zero_is_mass(params, law, polar):
         layers.append(next_layer(params, law, layers[-1]))
     for layer in layers:
         got = layer_fourier(layer, params, np.zeros(params.m))
-        assert got == layer.ladder.mass()
+        assert got == layer.mass()
     assert layer_fourier(layers[0], params, np.zeros(params.m)) == \
         pytest.approx(poisson_weight(1, params, 1.0), rel=1e-9)
 

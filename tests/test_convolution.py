@@ -95,7 +95,7 @@ def test_next_layer_m2_mass_and_constant_value():
                                                        1.0, grid, CFG),
                         config=CFG)
     assert layer2.n == 2
-    assert layer2.ladder.mass() == pytest.approx(
+    assert layer2.mass() == pytest.approx(
         poisson_weight(2, P2, 1.0), abs=1e-3)
     # two-turn planar joint layer is constant in space
     ref = f_n_planar(2, grid.nodes)
@@ -179,7 +179,7 @@ def test_conditional_layer_values_and_mass():
         / poisson_weight(1, P2, 1.0)
     assert at_half == pytest.approx(1.0 / (2 * math.pi * math.sqrt(0.75)),
                                     rel=1e-12)
-    assert cond.ladder.mass() / poisson_weight(1, P2, 1.0) == \
+    assert cond.mass() / poisson_weight(1, P2, 1.0) == \
         pytest.approx(1.0, abs=1e-3)
     with pytest.raises(DomainError):
         conditional_layer(cond, P2)
@@ -314,7 +314,7 @@ def test_layer_and_residual_default_to_the_ladder_config():
     seed = seed_layer(P2, law, 1.0, grid, cfg)
     implicit = next_layer(P2, law, seed)
     explicit = next_layer(P2, law, seed, config=cfg)
-    assert implicit.ladder.tab.shape == explicit.ladder.tab.shape
+    assert implicit.tab.shape == explicit.tab.shape
     assert np.array_equal(implicit.values, explicit.values)
     field = transition_density(P2, law, 1.0, 3, grid, cfg)
     assert residual_check(field) == residual_check(field, cfg)
@@ -348,7 +348,7 @@ def test_m3_origin_branch_is_continuous():
     field = transition_density(P3, UniformLaw(P3), 1.0, 3, grid)
     ct = P3.radius(1.0)
     for layer in field.layers[1:]:
-        at0, near = layer.ladder.top_values(np.array([0.0, 1e-6 * ct]))
+        at0, near = layer.top_values(np.array([0.0, 1e-6 * ct]))
         assert at0 == pytest.approx(near, rel=1e-6)
 
 
@@ -363,10 +363,10 @@ def test_graded_seed_step_runs_once_per_field(monkeypatch):
     at_nodes = []
     step = conv._step_values
 
-    def counted(ladder, r, th, cfg):
-        if ladder.n == 1:
+    def counted(layer, r, th, cfg):
+        if layer.n == 1:
             at_nodes.append(np.array_equal(r, grid.nodes))
-        return step(ladder, r, th, cfg)
+        return step(layer, r, th, cfg)
 
     monkeypatch.setattr(conv, "_step_values", counted)
     field = transition_density(P2, UniformLaw(P2), 1.0, 4, grid, CFG)
@@ -452,7 +452,7 @@ def test_walk_matches_transition_density(params, law_of, grid_of):
         walk.append(next_layer(params, law, walk[-1], config=cfg))
     for a, b in zip(walk, field.layers):
         assert np.array_equal(a.values, b.values)
-        assert a.ladder.mass() == b.ladder.mass()
+        assert a.mass() == b.mass()
 
 
 def test_polar_node_values_take_every_angle_at_once():
@@ -462,10 +462,15 @@ def test_polar_node_values_take_every_angle_at_once():
     field = transition_density(P2, CircularGaussianLaw(P2, 1.0), 1.0, 3,
                                grid, cfg)
     for layer in field.layers:
-        per_angle = np.stack([layer.ladder.top_values(
-            grid.nodes, np.full(grid.n_r, th)) for th in grid.thetas], axis=1)
-        assert np.array_equal(conv._node_values(layer.ladder, grid),
-                              per_angle)
+        if layer.source is None:
+            per_angle = [conv._seed_values(P2, layer.law, grid.nodes,
+                                           np.full(grid.n_r, th), 1.0)
+                         for th in grid.thetas]
+        else:
+            per_angle = [conv._step_values(layer.source, grid.nodes,
+                                           np.array([th]), layer.cfg)[:, 0]
+                         for th in grid.thetas]
+        assert np.array_equal(layer.at_nodes, np.stack(per_angle, axis=1))
 
 
 # --------------------------------------------------------------------------
@@ -504,11 +509,11 @@ def test_layer_moments_match_the_dirichlet_oracle(case):
         layers.append(next_layer(params, law, layers[-1]))
     ct = params.radius(1.0)
     for layer in layers:
-        n, lad = layer.n, layer.ladder
-        mass = lad.mass()
+        n = layer.n
+        mass = layer.mass()
         assert abs(mass / poisson_weight(n, params, 1.0) - 1.0) < tol_mass, n
-        r2 = lad.moment(lambda r, th: (r / ct) ** 2) / mass
+        r2 = layer.moment(lambda r, th: (r / ct) ** 2) / mass
         assert abs(r2 - (2.0 / (n + 2) * (1 - mu * mu) + mu * mu)) < tol_r2, n
         if tol_x1 is not None:
-            x1 = lad.moment(lambda r, th: r * np.cos(th) / ct) / mass
+            x1 = layer.moment(lambda r, th: r * np.cos(th) / ct) / mass
             assert abs(x1 - mu) < tol_x1, n
