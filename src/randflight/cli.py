@@ -61,7 +61,6 @@ class RunConfig:
     threads: int | None = None
     suite: str = "all"
     alphas: tuple = (0.5, 1.0, 2.0)
-    s_values: tuple = (0.5, 1.0, 2.0)
 
     def params(self) -> FlightParams:
         return FlightParams(self.m, self.c, self.lam)
@@ -149,7 +148,7 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             if v is not None:
                 setattr(cfg, key, v)
     cfg.nr, cfg.ntheta = int(cfg.nr), int(cfg.ntheta)
-    cfg.alphas, cfg.s_values = _floats(cfg.alphas), _floats(cfg.s_values)
+    cfg.alphas = _floats(cfg.alphas)
     k = getattr(args, "k", None)
     if getattr(args, "law", None) is not None:
         cfg.law = {"kind": args.law}

@@ -33,7 +33,10 @@ hold h_n on sigma nodes equispaced in u = arcsin(sigma / sigma_max);
 reads interpolate them with a 4-point Lagrange stencil in u, and masses
 and transforms integrate them in u by composite Simpson.  Each step
 evaluates the next table at the one time t, together with the layer's
-values at the grid nodes.
+values at the grid nodes.  The step integrates the reads against the
+kernel lam e^{-lam (t - tau)}, whose exponential cancels the read's
+e^{lam (t - tau)}; both are left out, so no factor overflows at large
+lam t.
 
 Surface integrals over caps are taken in the chord-radius variable
 s = |xi| (planar case: both arc branches summed), where the geometric
@@ -55,8 +58,8 @@ import numpy as np
 
 from .analytic import one_turn_coefficient, one_turn_profile
 from .core import (DensityField, FlightParams, PolarGrid, RadialGrid, _angles,
-                   _ball_volume, _clustered_nodes, conditional_weight_or_raise,
-                   tail_mass)
+                   _ball_volume, _clustered_nodes, check_grid_time,
+                   conditional_weight_or_raise, tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError
 from .specfun import SeriesControl, gauss_2f1
@@ -152,21 +155,18 @@ def _default_config(law: DissipationLaw) -> StepConfig:
 
 @dataclass(frozen=True, eq=False)
 class DensityLayer:
-    """One layer of the recurrence: the density of position jointly with
-    (or, with ``kind`` "conditional", given) exactly ``n`` direction
-    changes at time ``t`` of a flight with ``params`` and ``law``.
+    """The density of position jointly with (``kind`` "conditional":
+    given) exactly ``n`` direction changes at time ``t``.
 
-    ``values`` holds the layer at the nodes of ``grid``, clipped at 0:
-    shape (n_r,) on a radial grid, (n_r, n_theta) on a polar one.
-    ``at_nodes`` holds the unclipped values the layer was built with,
-    shape (n_r, n_theta of the grid, or 1 for isotropic tables).
-    ``tab`` holds h_n = f_n(sigma c t, t) / E_n(sigma) at the nodes
-    ``sigma``, shape (n_sigma, n_theta); rotation-invariant data uses
-    n_theta = 1 (``thetas`` None).  The m=3 seed has no table (``tab``
-    None), since the step consumes it through its closed form.  ``cfg``
-    is the resolution the layer was built at and ``source`` the joint
-    layer the step consumed to make it (None for the seed): exact values
-    away from the grid nodes re-apply that step.
+    ``values`` holds it at the nodes of ``grid`` clipped at 0, shape
+    (n_r,) or (n_r, n_theta); ``at_nodes`` unclipped, shape (n_r,
+    n_theta of the grid, or 1 for isotropic tables).  ``tab`` holds
+    h_n = f_n(sigma c t, t) / E_n(sigma) at the nodes ``sigma``, shape
+    (n_sigma, n_theta), with n_theta = 1 (``thetas`` None) for
+    rotation-invariant data; the m=3 seed, consumed through its closed
+    form, has none.  ``cfg`` is the resolution the layer was built at
+    and ``source`` the joint layer its step consumed (None for the
+    seed): values away from the grid nodes re-apply that step.
     """
 
     n: int
@@ -207,7 +207,8 @@ class DensityLayer:
         """Where points (radius s, time tau) fall in the table: the flat
         index into ``tab`` of the first node of the 4-point stencil in u
         (angle node 0), and the stencil's four weights, each carrying the
-        exact read factor e^{lam (t - tau)} (tau/t)^(n-m) E_n(sigma).
+        read factor (tau/t)^(n-m) E_n(sigma); the step cancels the exact
+        read's e^{lam (t - tau)} against its kernel.
 
         Callers probing close to the support sphere pass ``support_gap``
         = c*tau - s computed in a cancellation-free form.
@@ -218,7 +219,7 @@ class DensityLayer:
         n_s, n_th = self.tab.shape
         av = p.c * tau
         gap = av - s if support_gap is None else support_gap
-        scale = (np.exp(p.lam * (self.t - tau)) * (tau / self.t) ** (n - p.m)
+        scale = ((tau / self.t) ** (n - p.m)
                  * _edge(p.m, n, gap * (av + s) / np.maximum(av * av, _TINY)))
         # the nodes are equispaced in u, so the stencil's index is a floor
         sig = np.clip(s / np.maximum(av, _TINY) / self.sigma[-1], 0.0, 1.0)
@@ -502,19 +503,22 @@ def _step_terms(layer: DensityLayer, r_targets: np.ndarray,
         rr = r[:, None]
         s_lo = np.abs(rr - rho)
         s_hi = np.minimum(rr + rho, av)
-        # every factor below stays finite, so the zero weight of an
-        # empty cap also zeroes its reads
-        decay = np.where(s_hi > s_lo, lam * np.exp(-lam * (T - tau)) * wt,
-                         0.0)
+        # the kernel lam e^{-lam (T - tau)} times the time weight, less the
+        # exponential that cancels the read's e^{lam (T - tau)}.  Every
+        # factor below stays finite, so the zero weight of an empty cap
+        # also zeroes its reads
+        kw = np.where(s_hi > s_lo, lam * wt, 0.0)
         if not planar and from_seed:
-            B = lam * np.exp(-lam * tau) / (4.0 * math.pi * c**2 * tau)
+            # the seed's e^{-lam tau} times the kernel's exponential
+            B = lam * np.exp(-lam * tau) * np.exp(-lam * (T - tau)) \
+                / (4.0 * math.pi * c**2 * tau)
             inner = B * (_log_primitive(s_hi, av) - _log_primitive(s_lo, av))
             yield regular, None, np.sum(
-                decay * inner / np.maximum(2.0 * rho * rr, _TINY), axis=-1), \
+                kw * inner / np.maximum(2.0 * rho * rr, _TINY), axis=-1), \
                 None, None
         elif not planar:
             ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
-            w = (decay / np.maximum(2.0 * rho * rr, _TINY))[..., None] * ws * ss
+            w = (kw / np.maximum(2.0 * rho * rr, _TINY))[..., None] * ws * ss
             yield regular, None, w, layer.radial(ss, tau[..., None]), None
         else:
             ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
@@ -533,7 +537,7 @@ def _step_terms(layer: DensityLayer, r_targets: np.ndarray,
             omega = np.arctan2(d2, d1)
             rad = layer.radial(ss, tau[..., None], gap)
             rho3 = np.maximum(rho[..., None], _TINY)
-            wk = decay[..., None] * ws * ker
+            wk = kw[..., None] * ws * ker
             for li, th in enumerate(th_targets):
                 cth, sth = math.cos(th), math.sin(th)
                 chi = (law.density_from_axis_cos(
@@ -557,21 +561,22 @@ def _step_terms(layer: DensityLayer, r_targets: np.ndarray,
         tau, wt = _panels(bounds, cfg.time_order)
         tau, wt = tau[0], wt[0]
         rho = c * (T - tau)
-        decay = lam * np.exp(-lam * (T - tau)) * wt
+        kw = lam * wt
         if planar:
             phi = _angles(64)
             chi = law.density_from_axis_cos(-np.cos(phi))
             col = (slice(None), None)  # time down, angle across
             yield ~regular, None, \
-                (decay[col] * chi * (2.0 * np.pi / len(phi)))[None], \
+                (kw[col] * chi * (2.0 * np.pi / len(phi)))[None], \
                 layer.radial(rho[col][None], tau[col][None],
                               (c * (2.0 * tau - T))[col][None]), phi
         elif from_seed:
+            # the seed takes the kernel's exponential, as B does above
             F = one_turn_profile(params, np.minimum(rho, c * tau * (1.0 - 1e-12)),
-                                 tau)
-            yield ~regular, None, np.array([np.sum(decay * F)]), None, None
+                                 tau) * np.exp(-lam * (T - tau))
+            yield ~regular, None, np.array([np.sum(kw * F)]), None, None
         else:
-            yield ~regular, None, decay[None], \
+            yield ~regular, None, kw[None], \
                 layer.radial(rho[None], tau[None]), None
 
 
@@ -601,11 +606,9 @@ def _step_values(layer: DensityLayer, r_targets: np.ndarray,
 
 
 def _clipped(at_nodes: np.ndarray, grid: RadialGrid | PolarGrid) -> np.ndarray:
-    """Node values in the grid's shape, (n_r,) or (n_r, n_theta), clipped
-    at 0."""
-    if isinstance(grid, RadialGrid):
-        return np.maximum(at_nodes[:, 0], 0.0)
-    return np.maximum(np.broadcast_to(at_nodes, (grid.n_r, grid.n_theta)), 0.0)
+    """Node values in the grid's shape, clipped at 0."""
+    return np.maximum(at_nodes[:, 0] if isinstance(grid, RadialGrid) else
+                      np.broadcast_to(at_nodes, (grid.n_r, grid.n_theta)), 0.0)
 
 
 def _step_layer(layer: DensityLayer, cfg: StepConfig,
@@ -633,8 +636,7 @@ def _check_grid(params: FlightParams, law: DissipationLaw, t: float,
                 grid: RadialGrid | PolarGrid) -> None:
     if grid.nodes[-1] >= params.radius(t):
         raise DomainError("grid reaches the support boundary; keep a standoff")
-    if abs(grid.t - t) > 1e-12 * t:
-        raise DomainError("grid time does not match the requested time")
+    check_grid_time(grid, t)
     if isinstance(law, CircularGaussianLaw) and not isinstance(grid, PolarGrid):
         raise DomainError("non-symmetric laws need a PolarGrid")
 
@@ -658,19 +660,16 @@ def seed_layer(params: FlightParams, law: DissipationLaw, t: float,
     _check_grid(params, law, t, grid)
     if params.m == 3 and not isinstance(law, UniformLaw):
         raise DomainError("dimension 3 supports the uniform law only")
-    sigma = _clustered_nodes(1.0, cfg.n_sigma)
-    thetas = _angles(cfg.n_theta) if isinstance(law, CircularGaussianLaw) \
-        else None
+    sigma, R = _clustered_nodes(1.0, cfg.n_sigma), params.radius(t)
+    angular = isinstance(law, CircularGaussianLaw)
+    thetas = _angles(cfg.n_theta) if angular else None
     tab = None
     if params.m == 2:
-        R = params.radius(t)
-        r, th = np.meshgrid(sigma * R, np.zeros(1) if thetas is None
-                            else thetas, indexing="ij")
         # h_1 = f_1 sqrt(1 - sigma^2): the regular factor over ct
-        tab = _one_turn_reg_planar(params, law, r, th, t) / R
-    r, th = np.meshgrid(grid.nodes, np.zeros(1) if thetas is None
-                        else grid.thetas, indexing="ij")
-    at_nodes = _seed_values(params, law, r, th, t)
+        tab = _one_turn_reg_planar(params, law, *np.meshgrid(
+            sigma * R, thetas if angular else np.zeros(1), indexing="ij"), t) / R
+    at_nodes = _seed_values(params, law, *np.meshgrid(
+        grid.nodes, grid.thetas if angular else np.zeros(1), indexing="ij"), t)
     if isinstance(law, UniformLaw) and isinstance(grid, RadialGrid):
         values = np.maximum(_seed_profile_generic(params, grid.nodes, t), 0.0)
     else:
@@ -758,17 +757,15 @@ def residual_check(field_obj: DensityField,
     values are reused.  So by default the residual is exactly the first
     dropped layer up to rounding and sees no quadrature error; only an
     explicit ``config`` other than the build one compares two
-    resolutions.
+    resolutions.  The field's layers must share one grid.
     """
-    grid = field_obj.layers[0].grid
+    layers, grid = tuple(field_obj.layers), field_obj.layers[0].grid
+    if any(layer.grid is not grid for layer in layers):
+        raise DomainError("residual_check needs every layer on one grid")
     th_targets = grid.thetas if isinstance(grid, PolarGrid) else np.zeros(1)
-    layers = list(field_obj.layers)
-    lhs = 0.0
-    for layer in layers:
-        lhs = lhs + layer.at_nodes
-
+    lhs = sum(layer.at_nodes for layer in layers)
     rhs = layers[0].at_nodes
-    for layer, nxt in zip(layers, layers[1:] + [None]):
+    for layer, nxt in zip(layers, layers[1:] + (None,)):
         cfg = config or layer.cfg
         if nxt is not None and nxt.source is layer and nxt.cfg == cfg:
             rhs = rhs + nxt.at_nodes

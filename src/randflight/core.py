@@ -150,6 +150,12 @@ class PolarGrid(_Grid):
         return len(self.thetas)
 
 
+def check_grid_time(grid: RadialGrid | PolarGrid, t: float) -> None:
+    """Raise `DomainError` unless ``grid`` was built for time ``t``."""
+    if abs(grid.t - t) > 1e-12 * t:
+        raise DomainError(f"grid built for t={grid.t!r} used at t={t!r}")
+
+
 def _ball_volume(r, m: int):
     """Volume of the ball of radius ``r`` in dimension m in {2, 3}."""
     if m == 2:

@@ -15,7 +15,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .core import FlightParams, PolarGrid, RadialGrid, _ball_volume
+from .core import (FlightParams, PolarGrid, RadialGrid, _ball_volume,
+                   check_grid_time)
 from .dissipation import DissipationLaw
 from .errors import DomainError, EstimationError
 
@@ -128,8 +129,10 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
     children seed the blocks, so equal seeds give equal estimates.  Only
     the flights that ``conditioning`` keeps are simulated (see
     `simulate_batch`); the event counts of all of them are drawn.
+    ``grid`` must be built for ``t``, as in the recurrence.
     """
     _check_time(t)
+    check_grid_time(grid, t)
     conditioning = _check_conditioning(conditioning)
     if not _is_count(seed):
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")

@@ -85,7 +85,7 @@ def test_config_resolution_file_then_flags(tmp_path):
         "c": 0.5, "t": 1.5, "K": 4, "nr": 12.0, "ntheta": 10,
         "n_samples": 30000, "seed": 11, "out": "file.csv", "fmt": "json",
         "threads": 3, "suite": "core", "conditioning": "2",
-        "alphas": [1, 2], "s_values": [0.25]}))
+        "alphas": [1, 2]}))
     args = _build_parser().parse_args(
         ["cf", "--config", str(cfgfile), "--nr", "20", "--seed", "4",
          "--alphas", "0.5,3", "--law", "circular_gaussian", "--k", "1.5",
@@ -98,7 +98,7 @@ def test_config_resolution_file_then_flags(tmp_path):
     assert (cfg.n_samples, cfg.seed, cfg.out, cfg.fmt) == \
         (30000, 4, "file.csv", "json")
     assert (cfg.threads, cfg.suite, cfg.conditioning) == (1, "core", 2)
-    assert cfg.alphas == (0.5, 3.0) and cfg.s_values == (0.25,)
+    assert cfg.alphas == (0.5, 3.0)
 
 
 def test_config_file_beats_defaults_and_env(tmp_path, monkeypatch, capsys):
@@ -158,8 +158,10 @@ def test_sidecar_config_replays_the_run(tmp_path):
 
 
 @pytest.mark.parametrize("body", [{"lambda": 5, "nR": 3}, {"n_r": 12},
-                                  {"command": "simulate"}],
-                         ids=["unknown", "old-name", "other-command"])
+                                  {"command": "simulate"},
+                                  {"s_values": [0.5, 1.0, 2.0]}],
+                         ids=["unknown", "old-name", "other-command",
+                              "retired-key"])
 def test_config_rejects_keys_it_would_ignore(tmp_path, body):
     # unknown keys were once skipped: {"lambda": 5, "nR": 3} ran with
     # the defaults

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
-from randflight import (CircularGaussianLaw, DomainError, FlightParams,
-                        PolarGrid, RadialGrid, StepConfig, UniformLaw,
-                        ac_profile, conditional_layer, next_layer,
+from randflight import (CircularGaussianLaw, DensityField, DomainError,
+                        FlightParams, PolarGrid, RadialGrid, StepConfig,
+                        UniformLaw, ac_profile, conditional_layer, next_layer,
                         one_turn_profile, poisson_weight, residual_check,
-                        seed_layer, transition_density)
+                        seed_layer, tail_mass, transition_density)
 from randflight import convolution as conv
 
 P2 = FlightParams(2, 1.0, 1.0)
@@ -305,6 +305,18 @@ def test_residual_decreases_with_truncation():
     assert res[0] == pytest.approx(f_n_planar(3, 0.0), rel=0.1)
 
 
+def test_residual_needs_one_grid():
+    # it sums the layers' stored node values, which live on each layer's
+    # own grid
+    law = UniformLaw(P2)
+    seed = seed_layer(P2, law, 1.0, RadialGrid.build(P2, 1.0, 10), TINY_CFG)
+    other = next_layer(P2, law, seed, grid=RadialGrid.build(P2, 1.0, 12))
+    field = DensityField(P2, 1.0, (seed, other), (seed.mass(), other.mass()),
+                         tail_mass(2, P2, 1.0), law=law)
+    with pytest.raises(DomainError, match="one grid"):
+        residual_check(field)
+
+
 def test_layer_and_residual_default_to_the_ladder_config():
     # a layer built at a light resolution keeps that resolution: the next
     # step and the residual need no config to match the explicit calls
@@ -436,12 +448,16 @@ def test_m3_origin_step_takes_every_time_node_at_once():
     assert np.max(np.abs(once - each) / each) <= 1e-15
 
 
-@pytest.mark.parametrize("params,law_of,grid_of", [
+_FIELD_CASES = [
     (P2, UniformLaw, lambda p: RadialGrid.build(p, 1.0, 10)),
     (P3, UniformLaw, lambda p: RadialGrid.build(p, 1.0, 10)),
     (P2, lambda p: CircularGaussianLaw(p, 1.0),
      lambda p: PolarGrid.build(p, 1.0, 6, 8)),
-], ids=["m2", "m3", "circular-gaussian"])
+]
+
+
+@pytest.mark.parametrize("params,law_of,grid_of", _FIELD_CASES,
+                         ids=["m2", "m3", "circular-gaussian"])
 def test_walk_matches_transition_density(params, law_of, grid_of):
     cfg = StepConfig(ladder_slots=8, n_sigma=9, n_theta=8, time_order=6,
                      arc_order=6, seed_grade=(1e-1, 1.0))
@@ -455,7 +471,70 @@ def test_walk_matches_transition_density(params, law_of, grid_of):
         assert a.mass() == b.mass()
 
 
-def test_polar_node_values_take_every_angle_at_once():
+@pytest.mark.parametrize("params,law_of,grid_of", _FIELD_CASES,
+                         ids=["m2", "m3", "circular-gaussian"])
+def test_layer_state_is_explicit(monkeypatch, params, law_of, grid_of):
+    # values are at_nodes clipped at 0 in the grid's shape, except the
+    # uniform radial seed's, which come from the hypergeometric series
+    cfg = StepConfig(n_sigma=9, n_theta=8, time_order=6, arc_order=6,
+                     seed_grade=(1e-1, 1.0))
+    law, grid = law_of(params), grid_of(params)
+    field = transition_density(params, law, 1.0, 4, grid, cfg)
+    polar = isinstance(grid, PolarGrid)
+    for layer in field.layers:
+        want = np.maximum(layer.at_nodes, 0.0)
+        want = np.broadcast_to(want, (grid.n_r, grid.n_theta)) if polar \
+            else want[:, 0]
+        if layer.n == 1 and not polar:
+            assert np.max(np.abs(layer.values - want) / want) <= 1e-10
+        else:
+            assert np.array_equal(layer.values, want), layer.n
+
+    def forbidden(*args):
+        raise AssertionError("node values were recomputed")
+
+    # at the grid nodes ac_profile sums the stored values: it steps and
+    # evaluates nothing
+    monkeypatch.setattr(conv, "_step_values", forbidden)
+    monkeypatch.setattr(conv, "_seed_values", forbidden)
+    total = sum(layer.at_nodes for layer in field.layers)
+    if polar:
+        got = ac_profile(field, grid.nodes[:, None], grid.thetas[None, :])
+        assert np.array_equal(got, total)
+    else:
+        assert np.array_equal(ac_profile(field, grid.nodes), total[:, 0])
+
+
+@pytest.mark.parametrize("lam_t", [720.0, 800.0])
+@pytest.mark.parametrize("m", [2, 3])
+def test_large_lam_t_gives_a_finite_field(m, lam_t):
+    # exp(lam (t - tau)) in the table read overflowed from lam t = 700
+    # (m=2) and 720 (m=3) and turned the layer masses into NaN; the step
+    # kernel's exp(-lam (t - tau)) cancels it exactly
+    cfg = StepConfig(n_sigma=9, time_order=4, arc_order=4)
+
+    def field_at(params):
+        return transition_density(params, UniformLaw(params), 1.0, 4,
+                                  RadialGrid.build(params, 1.0, 8), cfg)
+
+    params, unit = FlightParams(m, 1.0, lam_t), FlightParams(m, 1.0, 1.0)
+    field, ref = field_at(params), field_at(unit)
+    for layer in field.layers:
+        assert np.all(np.isfinite(layer.at_nodes))
+    assert np.all(np.isfinite(ac_profile(field, field.layers[0].grid.nodes)))
+    assert field.total_mass() == pytest.approx(1.0, abs=1e-12)
+    # self-similar layers: mass over Poisson weight is free of lam, where
+    # the weight does not underflow
+    for n, (mass, mass1) in enumerate(zip(field.layer_masses,
+                                          ref.layer_masses), 1):
+        assert np.isfinite(mass) and mass >= 0.0
+        w = poisson_weight(n, params, 1.0)
+        if w > 0.0:
+            assert mass / w == pytest.approx(
+                mass1 / poisson_weight(n, unit, 1.0), rel=1e-9)
+
+
+def test_polar_at_nodes_take_every_angle_at_once():
     cfg = StepConfig(ladder_slots=8, n_sigma=9, n_theta=8, time_order=6,
                      arc_order=6, seed_grade=(1e-1, 1.0))
     grid = PolarGrid.build(P2, 1.0, 6, 8)

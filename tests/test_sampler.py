@@ -219,6 +219,19 @@ def test_sampler_rejects_bad_arguments(p2, route, bad, name):
             simulate_batch(p2, law, t, 1_000, np.random.default_rng(0), **kwargs)
 
 
+def test_estimate_needs_a_grid_built_for_its_time(p2):
+    # a t=1 grid at t=2 once binned a mass of 0.236 against the 0.865 of
+    # conditioning "all": the flights beyond its radius were dropped
+    law = UniformLaw(p2)
+    grid = RadialGrid.build_uniform(p2, 1.0, 16)
+    with pytest.raises(DomainError, match="grid"):
+        estimate_density(p2, law, 2.0, 20_000, grid, seed=1)
+    with pytest.raises(DomainError, match="grid"):
+        estimate_density(p2, law, 1.0 + 2e-12, 20_000, grid, seed=1)
+    est = estimate_density(p2, law, 1.0 + 5e-13, 20_000, grid, seed=1)
+    assert est.grid is grid and est.n_conditioned > 0
+
+
 def _reference_flights(p, law, t, n, seed, select):
     """Positions of the flights ``select(counts)`` keeps, drawing times and
     directions group by group for the kept event counts only."""
