@@ -247,47 +247,34 @@ def _cmd_simulate(cfg: RunConfig) -> dict:
     est = estimate_density(params, law, cfg.t, cfg.n_samples, grid,
                            conditioning=cfg.conditioning, seed=cfg.seed,
                            threads=cfg.threads)
-    polar = isinstance(grid, PolarGrid)
-    rows = []
-    if polar:
-        header = ["r", "theta", "density", "stderr"]
-        for i, r in enumerate(grid.nodes):
-            for j, th in enumerate(grid.thetas):
-                rows.append([r, th, est.values[i, j], est.standard_errors[i, j]])
-    else:
-        header = ["r", "density", "stderr"]
-        for i, r in enumerate(grid.nodes):
-            rows.append([r, est.values[i], est.standard_errors[i]])
-    _write_rows(cfg.out, cfg.fmt, header, rows)
-    counts = {
+    _write_rows(cfg.out, cfg.fmt, *_node_table(grid, ["density", "stderr"],
+                                               est.values, est.standard_errors))
+    return {"estimate": {
         "n_samples": est.n_samples,
         "n_conditioned": est.n_conditioned,
         "boundary_fraction": est.boundary_fraction,
         "zero_event_weight": math.exp(-params.lam * cfg.t),
-    }
-    return {"estimate": counts}
+    }}
 
 
-def _layer_rows(layers, grid) -> tuple[list[str], list]:
-    rows = []
+def _node_table(grid, names: list[str], *columns, lead=()) -> tuple[list, list]:
+    """Header and rows ``[*lead, r, theta (polar grids only), *columns]``
+    over the grid's nodes, radius-major; each column has the grid's shape."""
     if isinstance(grid, PolarGrid):
-        header = ["n", "r", "theta", "value"]
-        for layer in layers:
-            for i, r in enumerate(grid.nodes):
-                for j, th in enumerate(grid.thetas):
-                    rows.append([layer.n, r, th, layer.values[i, j]])
-    else:
-        header = ["n", "r", "value"]
-        for layer in layers:
-            for i, r in enumerate(grid.nodes):
-                rows.append([layer.n, r, layer.values[i]])
-    return header, rows
+        return ["r", "theta", *names], [
+            [*lead, r, th, *(col[i, j] for col in columns)]
+            for i, r in enumerate(grid.nodes) for j, th in enumerate(grid.thetas)]
+    return ["r", *names], [[*lead, r, *(col[i] for col in columns)]
+                           for i, r in enumerate(grid.nodes)]
 
 
 def _cmd_layers(cfg: RunConfig) -> dict:
     field_obj, grid = _field(cfg)
-    header, rows = _layer_rows(field_obj.layers, grid)
-    _write_rows(cfg.out, cfg.fmt, header, rows)
+    rows = []
+    for layer in field_obj.layers:
+        header, part = _node_table(grid, ["value"], layer.values, lead=(layer.n,))
+        rows += part
+    _write_rows(cfg.out, cfg.fmt, ["n", *header], rows)
     return {"mass_accounting": _mass_accounting(field_obj)}
 
 
@@ -302,18 +289,12 @@ def _mass_accounting(field_obj) -> dict:
 
 def _cmd_density(cfg: RunConfig) -> dict:
     field_obj, grid = _field(cfg)
-    rows = []
-    if isinstance(grid, PolarGrid):
+    if isinstance(grid, PolarGrid):  # angle-major
         header = ["r", "theta", "p_ac"]
-        for th in grid.thetas:
-            vals = ac_profile(field_obj, grid.nodes, th)
-            for i, r in enumerate(grid.nodes):
-                rows.append([r, th, vals[i]])
+        rows = [[r, th, v] for th in grid.thetas
+                for r, v in zip(grid.nodes, ac_profile(field_obj, grid.nodes, th))]
     else:
-        header = ["r", "p_ac"]
-        vals = ac_profile(field_obj, grid.nodes)
-        for i, r in enumerate(grid.nodes):
-            rows.append([r, vals[i]])
+        header, rows = _node_table(grid, ["p_ac"], ac_profile(field_obj, grid.nodes))
     _write_rows(cfg.out, cfg.fmt, header, rows)
     return {"mass_accounting": _mass_accounting(field_obj)}
 
@@ -377,11 +358,11 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
         checks.append(("bessel-i0-value", err < 1e-12, f"defect {err:.2e}"))
 
     if "sampler" in suites:
-        rng = np.random.default_rng(cfg.seed)
-        _, counts = simulate_batch(params, law, cfg.t, 200_000, rng)
-        p0 = np.count_nonzero(counts == 0) / counts.size
+        n, rng = 200_000, np.random.default_rng(cfg.seed)
+        _, sizes = simulate_batch(params, law, cfg.t, n, rng)
+        p0 = sizes[0] / n
         target = math.exp(-params.lam * cfg.t)
-        se = math.sqrt(target * (1 - target) / counts.size)
+        se = math.sqrt(target * (1 - target) / n)
         checks.append(("zero-event-fraction", abs(p0 - target) < 4 * se,
                        f"{p0:.5f} vs {target:.5f} (4se {4 * se:.5f})"))
 

@@ -59,7 +59,7 @@ import numpy as np
 from .analytic import one_turn_coefficient, one_turn_profile
 from .core import (DensityField, FlightParams, PolarGrid, RadialGrid, _angles,
                    _ball_volume, _clustered_nodes, check_grid_time,
-                   conditional_weight_or_raise, tail_mass)
+                   conditional_weight_or_raise, poisson_weight, tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError
 from .specfun import SeriesControl, gauss_2f1
@@ -265,15 +265,18 @@ class DensityLayer:
         if stored is not None:
             return stored
         if self.source is None:
-            return _seed_values(self.params, self.law, r, th, self.t)
-        if self.thetas is None:
-            return _step_values(self.source, r, np.zeros(1), self.cfg)[:, 0]
+            return self._scale * _seed_values(self.params, self.law, r, th, self.t)
         out = np.empty(r.shape)
         for a in np.unique(th):
             mask = th == a
             out[mask] = _step_values(self.source, r[mask], np.array([a]),
                                      self.cfg)[:, 0]
-        return out
+        return self._scale * out
+
+    @property
+    def _scale(self) -> float:  # takes the joint closed forms to this kind
+        w = 1.0 if self.kind == "joint" else poisson_weight(self.n, self.params, self.t)
+        return 1.0 / w
 
     def _stored(self, r: np.ndarray, th: np.ndarray):
         """``at_nodes`` at the points (r, th) when each is a grid node,
@@ -311,7 +314,7 @@ class DensityLayer:
                 th_r = np.full_like(r, th)
                 g = _one_turn_reg_planar(p, self.law, r, th_r, self.t)
                 acc += float(np.sum(wr * g * kern(r, th_r)))
-            return 2.0 * math.pi * acc / len(ths)
+            return self._scale * 2.0 * math.pi * acc / len(ths)
         if n == 1:
             # the exact mass (primitive of r log((R+r)/(R-r))) carries the
             # kernel's value at the log-singular edge r = R; quadrature
@@ -323,8 +326,8 @@ class DensityLayer:
             f = one_turn_profile(p, r, self.t)
             k = kern(np.append(r, R), np.zeros(len(r) + 1))
             dk = k[:-1] - k[-1]
-            return float(k[-1] * 4.0 * math.pi * B * R * R
-                         + 4.0 * math.pi * np.sum(wr * f * dk * r * r))
+            return self._scale * float(k[-1] * 4.0 * math.pi * B * R * R
+                                       + 4.0 * math.pi * np.sum(wr * f * dk * r * r))
         # composite Simpson in u over h_n * kern (averaged over the table
         # angles) * E_n * the volume element, with r = R sigma_max sin(u)
         n_s, cap = len(self.sigma), float(self.sigma[-1])
@@ -696,13 +699,14 @@ def next_layer(params: FlightParams, law: DissipationLaw,
 def conditional_layer(layer: DensityLayer,
                       params: FlightParams) -> DensityLayer:
     """Joint layer divided by its Poisson weight: the position density
-    given exactly n turns.  ``params`` must be those the layer was built
-    with."""
+    given exactly n turns, in every node and table field.  ``params`` must
+    be those the layer was built with."""
     if layer.kind != "joint":
         raise DomainError("layer is already conditional")
     layer.check_source(params)
     w = conditional_weight_or_raise(layer.n, params, layer.grid.t)
-    return replace(layer, values=layer.values / w, kind="conditional")
+    return replace(layer, values=layer.values / w, at_nodes=layer.at_nodes / w,
+                   tab=None if layer.tab is None else layer.tab / w, kind="conditional")
 
 
 def transition_density(params: FlightParams, law: DissipationLaw, t: float,

@@ -201,10 +201,7 @@ def tail_mass(K: int, params: FlightParams, t: float) -> float:
     """P(N(t) > K) = 1 - sum_{n<=K} poisson_weight(n)."""
     if K < 0:
         raise DomainError(f"truncation index must be nonnegative, got {K}")
-    total = 0.0
-    for n in range(K + 1):
-        total += poisson_weight(n, params, t)
-    return 1.0 - total
+    return 1.0 - sum(poisson_weight(n, params, t) for n in range(K + 1))
 
 
 def conditional_weight_or_raise(n: int, params: FlightParams, t: float) -> float:

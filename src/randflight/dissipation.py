@@ -97,7 +97,10 @@ class CircularGaussianLaw(DissipationLaw):
 
     def sample(self, rng: np.random.Generator, size: int) -> np.ndarray:
         th = self.sample_angles(rng, size)
-        return np.column_stack([np.cos(th), np.sin(th)])
+        out = np.empty((size, 2))
+        np.cos(th, out=out[:, 0])
+        np.sin(th, out=out[:, 1])
+        return out
 
 
 def law_from_config(config: dict, params: FlightParams) -> DissipationLaw:

@@ -1,10 +1,12 @@
 """Monte Carlo oracle: flight simulation and histogram density estimates.
 
-Sampling is exact: the switching count is Poisson, the switching times
-given the count are sorted uniforms, and every direction is an exact
-draw from the dissipation law.  All public entry points take explicit
-seeds or generators; runs are reproducible and blocks are merged in a
-fixed order, so results do not depend on the worker count.
+Sampling is exact and goes by turn-count group: one multinomial draw
+over the Poisson classes gives how many flights turn exactly j times;
+given j, the switching times are sorted uniforms and the j + 1
+directions are exact draws from the dissipation law.  All public entry
+points take explicit seeds or generators; runs are reproducible and
+blocks are merged in a fixed order, so results do not depend on the
+worker count.
 """
 
 from __future__ import annotations
@@ -28,6 +30,7 @@ __all__ = [
 
 _BOUNDARY_REL_TOL = 1e-9
 _CHUNK = 1 << 16  # directions per run: bounds a block's temporaries
+_TAIL = 1e-300  # a hazard table ends where the pmf falls below this share
 
 
 def _is_count(x) -> bool:
@@ -48,45 +51,72 @@ def _check_conditioning(conditioning) -> str | int:
     return int(conditioning)
 
 
+def _group_sizes(mean: float, n: int, rng: np.random.Generator) -> list[int]:
+    """Turn-count group sizes of ``n`` flights: one exact multinomial draw
+    over the Poisson(mean) classes by conditional binomials (Devroye, 1986,
+    ch. XI), group j taking each flight left with hazard pi_j / P(N >= j).
+    A hazard table ends where pi falls below ``_TAIL`` of its value at the
+    mode or its first class; flights left past it go to the next table.
+    Its tail sums run from above in log space from 40 e-folds further out
+    (past the mode log pi falls by ln2 min(k / mean, 1) or more at step k).
+    """
+    sizes: list[int] = []
+    drop = 40.0 - math.log(_TAIL)
+    while n or not sizes:
+        j0 = len(sizes)
+        i = max(j0, math.ceil(mean)) - j0
+        j = np.arange(j0 + 1, j0 + i + math.ceil(math.sqrt(3 * mean * drop) + 2 * drop))
+        lp = np.concatenate(([0.0], np.cumsum(np.log(mean / j))))  # log pi_j/pi_j0
+        ls = np.logaddexp.accumulate(lp[::-1])[::-1]  # log P(j <= N <= j[-1])/pi_j0
+        end = i + int(np.argmax(lp[i:] < lp[i] + math.log(_TAIL)))
+        for h in np.exp(lp[:end] - ls[:end]):
+            sizes.append(int(rng.binomial(n, h)))
+            n -= sizes[-1]
+            if not n:
+                break
+    return sizes
+
+
 def simulate_batch(params: FlightParams, law: DissipationLaw, t: float,
                    n_samples: int, rng: np.random.Generator,
                    conditioning: str | int | None = None
                    ) -> tuple[np.ndarray, np.ndarray]:
-    """Vectorized simulation of ``n_samples`` flights.
+    """Vectorized simulation of ``n_samples`` flights, by turn-count group.
 
-    Returns the positions (k, m) of the flights that ``conditioning``
-    selects, in flight order, and the event counts (n_samples,) of all
-    flights.  ``None`` selects every flight, ``'all'`` those with at
-    least one turn and an integer j those with exactly j turns; only
-    selected flights draw switching times and directions.
-
-    Selected flights are grouped by event count, in ascending order; a
-    group draws its directions in runs of about ``_CHUNK``, in the same
+    Returns ``(positions, sizes)``: ``sizes[j]`` flights have exactly j
+    turns, drawn as one multinomial, and ``positions`` (k, m) holds the
+    flights that ``conditioning`` selects, grouped by ascending turn
+    count, each group in its own contiguous slice; there is no flight
+    order.  ``None`` selects every flight, ``'all'`` those with at least
+    one turn and an integer j those with exactly j turns; only selected
+    groups draw switching times and directions.  The draws come in this
+    order: the sizes, then per selected group its switching times at
+    once and its directions in runs of about ``_CHUNK``, in the same
     order whatever the run length.
     """
     _check_time(t)
     if conditioning is not None:
         conditioning = _check_conditioning(conditioning)
-    counts = rng.poisson(params.lam * t, n_samples)
-    kept = counts if conditioning is None else counts[
-        counts >= 1 if conditioning == "all" else counts == conditioning]
-    positions = np.empty((kept.size, params.m))
-    for n in np.flatnonzero(np.bincount(kept)):
-        sel = np.flatnonzero(kept == n)
-        times = rng.random((sel.size, n))
-        times.sort(axis=1)
-        times *= t
+    sizes = _group_sizes(params.lam * t, n_samples, rng)
+    groups = [(n, s) for n, s in enumerate(sizes) if s and (conditioning is None or (
+        n >= 1 if conditioning == "all" else n == conditioning))]
+    positions = np.empty((sum(s for _, s in groups), params.m))
+    a = 0
+    for n, size in groups:
+        u = rng.random((size, n))  # switching times over t
+        u.sort(axis=1)
         step = max(1, _CHUNK // (n + 1))
-        for a in range(0, sel.size, step):
-            rows = sel[a:a + step]
-            dirs = law.sample(rng, rows.size * (n + 1))
-            if n == 0:
-                positions[rows] = params.c * t * dirs
-                continue
-            durations = np.diff(times[a:a + step], axis=1, prepend=0.0, append=t)
-            dirs = dirs.reshape(-1, n + 1, params.m)
-            positions[rows] = params.c * np.einsum("ij,ijk->ik", durations, dirs)
-    return positions, counts
+        for b in range(0, size, step):
+            out = positions[a + b:a + min(b + step, size)]
+            legs = np.empty((len(out), n + 1))  # leg durations over t
+            legs[:, :n] = u[b:b + step]
+            legs[:, n] = 1.0
+            np.subtract(legs[:, 1:], legs[:, :-1], out=legs[:, 1:])
+            dirs = law.sample(rng, len(out) * (n + 1)).reshape(-1, n + 1, params.m)
+            np.einsum("ij,ijk->ik", legs, dirs, out=out)
+            out *= params.c * t
+        a += size
+    return positions, np.array(sizes)
 
 
 @dataclass(frozen=True)
@@ -111,12 +141,6 @@ class DensityEstimate:
     boundary_fraction: float
 
 
-def _radial_bin_edges(grid: RadialGrid | PolarGrid) -> np.ndarray:
-    r = grid.nodes
-    inner = 0.5 * (r[:-1] + r[1:])
-    return np.concatenate([[0.0], inner, [grid.support_radius]])
-
-
 def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
                      n_samples: int, grid: RadialGrid | PolarGrid,
                      conditioning: str | int = "all",
@@ -128,7 +152,7 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
     ``seed`` is a nonnegative integer: it roots one ``SeedSequence`` whose
     children seed the blocks, so equal seeds give equal estimates.  Only
     the flights that ``conditioning`` keeps are simulated (see
-    `simulate_batch`); the event counts of all of them are drawn.
+    `simulate_batch`); the turn-count group sizes of all are drawn.
     ``grid`` must be built for ``t``, as in the recurrence.
     """
     _check_time(t)
@@ -143,20 +167,19 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
     if isinstance(grid, PolarGrid) and params.m != 2:
         raise DomainError("polar binning is planar only")
 
-    n_blocks = (n_samples + block_size - 1) // block_size
-    child_seeds = np.random.SeedSequence(seed).spawn(n_blocks)
-    sizes = [min(block_size, n_samples - i * block_size) for i in range(n_blocks)]
+    starts = range(0, n_samples, block_size)
+    work = list(zip([min(block_size, n_samples - a) for a in starts],
+                    np.random.SeedSequence(seed).spawn(len(starts))))
 
-    edges_r = _radial_bin_edges(grid)
+    r = grid.nodes  # bin edges: node midpoints, the origin and the support radius
+    edges_r = np.concatenate([[0.0], 0.5 * (r[:-1] + r[1:]), [grid.support_radius]])
     polar = isinstance(grid, PolarGrid)
     if polar:
-        n_th = grid.n_theta
-        dth = 2.0 * np.pi / n_th
+        n_th, dth = grid.n_theta, 2.0 * np.pi / grid.n_theta
 
-    def one_block(args):
-        size, ss = args
-        rng = np.random.default_rng(ss)
-        pos, counts = simulate_batch(params, law, t, size, rng, conditioning)
+    def one_block(size, ss):
+        pos, group_sizes = simulate_batch(params, law, t, size,
+                                          np.random.default_rng(ss), conditioning)
         radii = np.sqrt(np.einsum("ij,ij->i", pos, pos))
         ct = params.radius(t)
         n_boundary = int(np.count_nonzero(radii >= ct * (1.0 - _BOUNDARY_REL_TOL)))
@@ -170,21 +193,15 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
                                minlength=grid.n_r * n_th).reshape(grid.n_r, n_th)
         else:
             hist, _ = np.histogram(radii, bins=edges_r)
-        return (hist.astype(float), len(pos), int(np.count_nonzero(counts == 0)),
-                n_boundary)
+        return hist.astype(float), len(pos), int(group_sizes[0]), n_boundary
 
-    work = list(zip(sizes, child_seeds))
     if threads and threads > 1:
         with ThreadPoolExecutor(max_workers=threads) as ex:
-            results = list(ex.map(one_block, work))
+            results = list(ex.map(one_block, *zip(*work)))
     else:
-        results = [one_block(w) for w in work]
+        results = [one_block(*w) for w in work]
 
-    hist = sum(r[0] for r in results)
-    n_kept = sum(r[1] for r in results)
-    n_zero = sum(r[2] for r in results)
-    n_boundary = sum(r[3] for r in results)
-
+    hist, n_kept, n_zero, n_boundary = (sum(col) for col in zip(*results))
     if n_kept == 0:
         raise EstimationError(
             f"empty conditioning set: no samples with conditioning="
@@ -193,10 +210,8 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
     vols = np.diff(_ball_volume(edges_r, params.m))
     if polar:
         vols = vols[:, None] * (dth / (2.0 * np.pi))
-    if conditioning == "all":
-        norm = n_samples  # joint AC density: mass sums to P(N >= 1)
-    else:
-        norm = n_kept  # conditional density: mass sums to 1
+    # "all": joint AC density, mass P(N >= 1); j: conditional, mass 1
+    norm = n_samples if conditioning == "all" else n_kept
     values = hist / (norm * vols)
     errors = np.sqrt(hist) / (norm * vols)
     return DensityEstimate(grid, values, errors, n_samples, conditioning,

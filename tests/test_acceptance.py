@@ -252,12 +252,13 @@ def test_criterion_9_singular_mass():
     for lam_t in (0.5, 1.0, 2.0):
         params = FlightParams(2, 1.0, lam_t)
         from randflight import simulate_batch
-        _, counts = simulate_batch(params, UniformLaw(params), 1.0,
-                                   1_000_000, np.random.default_rng(90))
-        p0 = np.count_nonzero(counts == 0) / counts.size
+        n = 1_000_000
+        _, sizes = simulate_batch(params, UniformLaw(params), 1.0, n,
+                                  np.random.default_rng(90))
+        p0 = sizes[0] / n
         target = math.exp(-lam_t)
-        se = math.sqrt(target * (1 - target) / counts.size)
-        ok &= abs(p0 - target) < 4 * se
+        se = math.sqrt(target * (1 - target) / n)
+        ok &= sizes.sum() == n and abs(p0 - target) < 4 * se
         details.append(f"lam*t={lam_t}: {p0:.5f} vs {target:.5f} "
                        f"(4se {4 * se:.1e})")
     report("criterion 9 (singular mass)", ok, "; ".join(details))

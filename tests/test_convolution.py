@@ -179,8 +179,18 @@ def test_conditional_layer_values_and_mass():
         / poisson_weight(1, P2, 1.0)
     assert at_half == pytest.approx(1.0 / (2 * math.pi * math.sqrt(0.75)),
                                     rel=1e-12)
-    assert cond.mass() / poisson_weight(1, P2, 1.0) == \
-        pytest.approx(1.0, abs=1e-3)
+    # every field is conditional: the joint ones once read a mass of pi_1
+    # and node values e times below ``values``
+    assert cond.mass() == pytest.approx(1.0, abs=1e-3)
+    np.testing.assert_allclose(cond.top_values(grid.nodes), cond.values,
+                               rtol=1e-9)
+    off = np.array([0.123, 0.77])
+    np.testing.assert_allclose(cond.top_values(off),
+                               seed.top_values(off) / poisson_weight(1, P2, 1.0),
+                               rtol=1e-15)
+    layer2 = conditional_layer(next_layer(P2, UniformLaw(P2), seed), P2)
+    assert layer2.mass() == pytest.approx(1.0, abs=1e-3)
+    np.testing.assert_array_equal(layer2.top_values(grid.nodes), layer2.values)
     with pytest.raises(DomainError):
         conditional_layer(cond, P2)
 

@@ -142,6 +142,18 @@ def test_sampler_negative_k_concentrates_about_pi(p2):
     assert abs(u[:, 1].mean()) < 5 * se
 
 
+@pytest.mark.parametrize("k", [-1.5, 0.0, 2.0])
+@pytest.mark.parametrize("size", [0, 1, 7, 65_537])
+def test_sampler_writes_the_stacked_cos_sin(p2, k, size):
+    # cos and sin go straight into their columns, bit for bit the values
+    # of the column_stack they replaced
+    law = CircularGaussianLaw(p2, k)
+    u = law.sample(np.random.default_rng(16), size)
+    th = law.sample_angles(np.random.default_rng(16), size)
+    assert u.shape == (size, 2) and u.flags.c_contiguous
+    assert u.tobytes() == np.column_stack([np.cos(th), np.sin(th)]).tobytes()
+
+
 def test_law_from_config(p2):
     law = law_from_config({"kind": "uniform"}, p2)
     assert isinstance(law, UniformLaw)

@@ -1,4 +1,5 @@
 import math
+from statistics import NormalDist
 
 import numpy as np
 import pytest
@@ -15,25 +16,102 @@ def p2():
 
 def test_support_bound(p2):
     law = UniformLaw(p2)
-    pos, counts = simulate_batch(p2, law, 1.0, 100_000,
-                                 np.random.default_rng(1))
+    pos, sizes = simulate_batch(p2, law, 1.0, 100_000,
+                                np.random.default_rng(1))
     r = np.linalg.norm(pos, axis=1)
+    assert len(pos) == sizes.sum() == 100_000
     assert np.all(r <= 1.0 + 1e-12)
-    # zero-event flights sit on the support sphere
-    assert np.count_nonzero(counts == 0) > 30_000
-    assert np.max(np.abs(r[counts == 0] - 1.0)) < 1e-12
+    # zero-event flights are the first sizes[0] rows, on the support sphere
+    zero = sizes[0]
+    assert zero > 30_000
+    assert np.max(np.abs(r[:zero] - 1.0)) < 1e-12
     # positive events => strictly inside (probability-one event)
-    assert np.all(r[counts > 0] < 1.0)
+    assert np.all(r[zero:] < 1.0)
 
 
 def test_zero_event_fraction_matches_poisson(p2):
     law = UniformLaw(p2)
-    _, counts = simulate_batch(p2, law, 1.0, 1_000_000,
-                               np.random.default_rng(2))
-    p0 = np.count_nonzero(counts == 0) / counts.size
+    n = 1_000_000
+    _, sizes = simulate_batch(p2, law, 1.0, n, np.random.default_rng(2))
+    assert sizes.sum() == n
+    p0 = sizes[0] / n
     target = math.exp(-1.0)
-    se = math.sqrt(target * (1 - target) / counts.size)
+    se = math.sqrt(target * (1 - target) / n)
     assert abs(p0 - target) < 4 * se
+
+
+def _poisson_pmf(mean, j):
+    return math.exp(j * math.log(mean) - mean - math.lgamma(j + 1))
+
+
+def _sizes_z(sizes, mean):
+    """|z| of each turn-count group size against n pi_j, over the groups
+    expecting at least 20 flights and one pooled group of the rest."""
+    n = int(sizes.sum())
+    expected = np.array([n * _poisson_pmf(mean, j) for j in range(len(sizes))])
+    big = expected >= 20
+    observed = np.append(sizes[big], n - sizes[big].sum())
+    expected = np.append(expected[big], n - expected[big].sum())
+    p = expected / n
+    return np.abs(observed - expected) / np.sqrt(n * p * (1 - p) + 1e-300)
+
+
+def _bonferroni(cells):
+    # two-sided |z| limit at a 1e-6 family-wise false-alarm rate
+    return NormalDist().inv_cdf(1.0 - 1e-6 / (2.0 * cells))
+
+
+def _sizes_only(p, lam_t, n, rng):
+    # a conditioning that selects no group draws the sizes and nothing else
+    pos, sizes = simulate_batch(p, UniformLaw(p), lam_t / p.lam, n, rng,
+                                conditioning=100_000)
+    assert pos.shape == (0, p.m)
+    return sizes
+
+
+@pytest.mark.parametrize("lam_t", [0.05, 1.0, 10.0])
+def test_group_sizes_match_poisson_pmf(p2, lam_t):
+    n = 2_000_000
+    sizes = _sizes_only(p2, lam_t, n, np.random.default_rng(17))
+    assert sizes.sum() == n and sizes[-1] > 0
+    z = _sizes_z(sizes, lam_t)
+    assert np.max(z) < _bonferroni(len(z))
+
+
+@pytest.mark.parametrize("lam_t", [1.0, 10.0])
+def test_group_sizes_exact_past_a_forced_short_table(p2, monkeypatch, lam_t):
+    # a hazard table that ends near the mean sends many flights on to the
+    # next table; the draw must stay the exact multinomial
+    from randflight import sampler
+    n = 1_000_000
+    full = _sizes_only(p2, lam_t, n, np.random.default_rng(18))
+    monkeypatch.setattr(sampler, "_TAIL", 0.5)
+    short = _sizes_only(p2, lam_t, n, np.random.default_rng(18))
+    # the first table ends at the first class past the mode whose pmf is
+    # below half the mode's; flights beyond it were resolved after it
+    mode = math.ceil(lam_t)
+    end = next(j for j in range(mode, 100)
+               if _poisson_pmf(lam_t, j) < 0.5 * _poisson_pmf(lam_t, mode))
+    assert len(short) > end + 2
+    z = _sizes_z(short, lam_t)
+    assert np.max(z) < _bonferroni(len(z))
+    # the hazards are exact either way, so the draws agree
+    assert np.array_equal(short, full)
+
+
+@pytest.mark.parametrize("lam_t", [1e-3, 800.0])
+def test_extreme_rates_draw_finite_flights(lam_t):
+    import warnings
+    p = FlightParams(2, 1.0, lam_t)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        pos, sizes = simulate_batch(p, UniformLaw(p), 1.0, 2_000,
+                                    np.random.default_rng(19))
+    assert sizes.sum() == len(pos) == 2_000
+    assert np.all(np.isfinite(pos))
+    assert np.all(np.linalg.norm(pos, axis=1) <= 1.0 + 1e-12)
+    turns = np.repeat(np.arange(len(sizes)), sizes)
+    assert abs(turns.mean() - lam_t) < 6 * math.sqrt(lam_t / 2_000)
 
 
 def test_mean_vector_vanishes_by_symmetry(p2):
@@ -177,9 +255,10 @@ def test_block_temporaries_stay_small():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # positions (16 B), counts (8 B) and radii (16 B) per flight, plus a few
-    # MB of runs; drawing a count group at once peaked at about 95 B
-    assert peak < 48 * n
+    # positions (16 B) and radii (16 B) per kept flight, the sorted switching
+    # times of a group and a few MB of runs; drawing a count group at once
+    # peaked at about 95 B, and per-flight Poisson counts added 8 B
+    assert peak < 40 * n
 
 
 _BAD_ARGUMENTS = [
@@ -233,33 +312,42 @@ def test_estimate_needs_a_grid_built_for_its_time(p2):
 
 
 def _reference_flights(p, law, t, n, seed, select):
-    """Positions of the flights ``select(counts)`` keeps, drawing times and
-    directions group by group for the kept event counts only."""
+    """Positions of the turn-count groups ``select(j)`` keeps, in ascending
+    j, and the sizes of all groups: the sizes by conditional binomials
+    with hazards pi_j / P(N >= j) summed directly, then per kept group its
+    times and its directions."""
     rng = np.random.default_rng(seed)
-    counts = rng.poisson(p.lam * t, n)
-    pos = np.full((n, p.m), np.nan)
-    for j in np.unique(counts[select(counts)]):
-        rows = np.flatnonzero(counts == j)
-        times = np.sort(rng.random((rows.size, j)), axis=1) * t
-        dirs = law.sample(rng, rows.size * (j + 1)).reshape(-1, j + 1, p.m)
-        durations = np.diff(times, axis=1, prepend=0.0, append=t)
-        pos[rows] = p.c * np.einsum("ij,ijk->ik", durations, dirs)
-    return pos[select(counts)], counts
+    mean = p.lam * t
+    pmf = [_poisson_pmf(mean, j) for j in range(60)]
+    sizes, left = [], n
+    while left:
+        h = pmf[len(sizes)] / math.fsum(pmf[len(sizes):])
+        sizes.append(int(rng.binomial(left, h)))
+        left -= sizes[-1]
+    parts = []
+    for j, size in enumerate(sizes):
+        if size and select(j):
+            times = np.sort(rng.random((size, j)), axis=1)  # over t
+            dirs = law.sample(rng, size * (j + 1)).reshape(-1, j + 1, p.m)
+            durations = np.diff(times, axis=1, prepend=0.0, append=1.0)
+            parts.append(np.einsum("ij,ijk->ik", durations, dirs) * (p.c * t))
+    return np.concatenate(parts), np.array(sizes)
 
 
 @pytest.mark.parametrize("conditioning, select", [
-    ("all", lambda c: c >= 1), (2, lambda c: c == 2)], ids=["all", "2"])
+    ("all", lambda j: j >= 1), (2, lambda j: j == 2)], ids=["all", "2"])
 def test_selected_flights_in_counts_order(p2, conditioning, select):
     law = UniformLaw(p2)
-    pos, counts = simulate_batch(p2, law, 1.0, 20_000,
-                                 np.random.default_rng(14), conditioning)
-    ref_pos, ref_counts = _reference_flights(p2, law, 1.0, 20_000, 14, select)
-    # the counts of every flight, as without a selection
-    _, all_counts = simulate_batch(p2, law, 1.0, 20_000,
-                                   np.random.default_rng(14))
-    assert np.array_equal(counts, all_counts)
-    assert np.array_equal(counts, ref_counts)
-    assert pos.shape == (np.count_nonzero(select(counts)), 2)
+    pos, sizes = simulate_batch(p2, law, 1.0, 20_000,
+                                np.random.default_rng(14), conditioning)
+    ref_pos, ref_sizes = _reference_flights(p2, law, 1.0, 20_000, 14, select)
+    # the sizes of every group, as without a selection
+    _, all_sizes = simulate_batch(p2, law, 1.0, 20_000,
+                                  np.random.default_rng(14))
+    assert np.array_equal(sizes, all_sizes)
+    assert np.array_equal(sizes, ref_sizes)
+    kept = sum(s for j, s in enumerate(sizes) if select(j))
+    assert pos.shape == (kept, 2)
     assert np.array_equal(pos, ref_pos)
 
 
@@ -294,16 +382,17 @@ def test_all_mode_skips_zero_turn_directions(p2, monkeypatch):
     simulate = sampler.simulate_batch
 
     def spy(*args, **kwargs):
-        pos, counts = simulate(*args, **kwargs)
-        seen.append(counts)
-        return pos, counts
+        pos, sizes = simulate(*args, **kwargs)
+        seen.append(sizes)
+        return pos, sizes
 
     monkeypatch.setattr(sampler, "simulate_batch", spy)
     grid = RadialGrid.build_uniform(p2, 1.0, 16)
     est = estimate_density(p2, law, 1.0, 50_000, grid, conditioning="all",
                            seed=16, block_size=20_000)
-    counts = np.concatenate(seen)
-    assert counts.size == 50_000
-    turned = counts[counts >= 1]
-    assert est.n_conditioned == turned.size
-    assert sum(drawn) == int(np.sum(turned + 1))
+    assert len(seen) == 3
+    assert sum(int(s.sum()) for s in seen) == 50_000
+    turns = [np.arange(len(s)) for s in seen]
+    assert est.n_conditioned == sum(int(s[1:].sum()) for s in seen)
+    assert sum(drawn) == sum(int(np.sum((j[1:] + 1) * s[1:]))
+                             for j, s in zip(turns, seen))
