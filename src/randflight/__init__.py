@@ -19,7 +19,7 @@ from .dissipation import (CircularGaussianLaw, DissipationLaw, UniformLaw,
                           law_from_config)
 from .errors import DomainError, EstimationError, NumericError
 from .sampler import DensityEstimate, estimate_density, simulate_batch
-from .specfun import SeriesControl, bessel_j0, gamma_half, gauss_2f1
+from .specfun import bessel_j0, gauss_2f1
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,7 @@ __all__ = [
     "__version__",
     "FlightParams", "RadialGrid", "PolarGrid",
     "DensityLayer", "DensityField", "poisson_weight", "tail_mass",
-    "SeriesControl", "gauss_2f1", "bessel_j0", "gamma_half",
+    "gauss_2f1", "bessel_j0",
     "DissipationLaw", "UniformLaw", "CircularGaussianLaw", "law_from_config",
     "one_turn_profile",
     "DensityEstimate", "simulate_batch", "estimate_density",

@@ -8,7 +8,6 @@ import numpy as np
 
 from .core import FlightParams
 from .errors import DomainError
-from .specfun import gamma_half
 
 __all__ = [
     "one_turn_profile",
@@ -19,7 +18,7 @@ __all__ = [
 def one_turn_coefficient(params: FlightParams, t: float) -> float:
     """Prefactor of the one-turn joint density for isotropic scattering."""
     m, c, lam = params.m, params.c, params.lam
-    return (lam * math.exp(-lam * t) * 2.0 ** (m - 3) * gamma_half(m)
+    return (lam * math.exp(-lam * t) * 2.0 ** (m - 3) * math.gamma(m / 2)
             / (math.pi ** (m / 2.0) * c**m * t ** (m - 1)))
 
 

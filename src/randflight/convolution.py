@@ -62,7 +62,7 @@ from .core import (DensityField, FlightParams, PolarGrid, RadialGrid, _angles,
                    conditional_weight_or_raise, poisson_weight, tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError
-from .specfun import SeriesControl, gauss_2f1
+from .specfun import gauss_2f1
 
 __all__ = [
     "StepConfig",
@@ -133,6 +133,14 @@ class StepConfig:
             raise DomainError("n_sigma must be odd and >= 5 (Simpson in u)")
         if self.n_theta < 8 or self.n_theta % 2:
             raise DomainError("n_theta must be even and >= 8")
+
+
+def _radii(r) -> np.ndarray:
+    """``r`` as floats; `DomainError` unless finite and nonnegative."""
+    r = np.asarray(r, dtype=float)
+    if not (np.all(np.isfinite(r)) and np.all(r >= 0.0)):
+        raise DomainError("radii must be finite and nonnegative")
+    return r
 
 
 def _edge(m: int, n: int, one_minus_sig2):
@@ -257,8 +265,9 @@ class DensityLayer:
         a grid node; otherwise the one-turn closed form (m=3) or
         quadrature (planar) for the seed, and the step re-applied to
         ``source`` for a stepped layer.  ``theta`` (default 0) has the
-        shape of ``r``; isotropic layers ignore it."""
-        r = np.asarray(r, dtype=float)
+        shape of ``r``; isotropic layers ignore it.  Radii must be finite
+        and nonnegative."""
+        r = _radii(r)
         th = np.zeros_like(r) if theta is None or self.thetas is None \
             else np.asarray(theta, dtype=float)
         stored = self._stored(r, th)
@@ -402,11 +411,10 @@ def _seed_profile_generic(params: FlightParams, r: np.ndarray,
     m = params.m
     ct = params.radius(t)
     coeff = one_turn_coefficient(params, t)
-    ctrl = SeriesControl(rel_tol=1e-14, max_terms=200_000)
     out = np.empty(len(r))
     for i, ri in enumerate(r):
         out[i] = coeff * gauss_2f1(0.5 * (m - 1), 2.0 - 0.5 * m, 0.5 * m,
-                                   (ri / ct) ** 2, ctrl)
+                                   (ri / ct) ** 2, 1e-14, 200_000)
     return out
 
 
@@ -468,20 +476,18 @@ def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
         + np.where(lo > 0, lo * np.log(np.maximum(lo, _TINY)), 0.0)
 
 
-def _step_terms(layer: DensityLayer, r_targets: np.ndarray,
-                th_targets: np.ndarray, cfg: StepConfig):
-    """One application of the layer recurrence at the layer's time T, as
-    weighted reads of its table at radii ``r_targets`` x angles
-    ``th_targets``.
+_TARGET_BLOCK = 8  # targets per pass of the step: bounds its scratch arrays
 
-    Yields ``(sel, l, w, rad, theta)``: the targets picked by the mask
-    ``sel`` at angle index ``l`` (None: every angle) gain the sum over
-    all but the first axis of ``w * layer.read(rad, theta)``, whose
-    first axis runs over those targets or has length 1 (shared by all
-    of them).  With ``rad`` None, ``w`` is that sum itself: the m=3 seed
-    is consumed through its closed form and reads no table.  ``rad``
-    (from `DensityLayer.radial`) does not depend on the angle, so it is
-    found once for every target angle and arc branch.
+
+def _step_values(layer: DensityLayer, r_targets: np.ndarray,
+                 th_targets: np.ndarray, cfg: StepConfig) -> np.ndarray:
+    """The layer after ``layer`` at radii ``r_targets`` and angles
+    ``th_targets``, at the layer's time T, shape (len(r_targets),
+    len(th_targets)): one application of the recurrence, a block of
+    targets at a time.  Each branch adds the table's weighted reads to
+    its targets (the m=3 seed is consumed through its closed form); a
+    read's position does not depend on the angle, so it is found once
+    for every target angle and arc branch.
 
     Planar surface integrals run in the chord-radius variable s over
     both arc branches; the angle-to-radius Jacobian is
@@ -496,9 +502,19 @@ def _step_terms(layer: DensityLayer, r_targets: np.ndarray,
     planar = params.m == 2
     from_seed = layer.n == 1
 
+    def reads(w, rad, theta=None):
+        v = w * layer.read(rad, theta)
+        return np.sum(v, axis=tuple(range(1, v.ndim)))
+
+    r_targets = np.asarray(r_targets, dtype=float)
     regular = r_targets >= _R_TINY_REL * c * T
-    if np.any(regular):
-        r = r_targets[regular]
+    out = np.zeros((len(r_targets), len(th_targets)))
+    for b in range(0, len(r_targets), _TARGET_BLOCK):
+        sel = regular[b:b + _TARGET_BLOCK]
+        if not np.any(sel):
+            continue
+        block = out[b:b + _TARGET_BLOCK]
+        r = r_targets[b:b + _TARGET_BLOCK][sel]
         tau, wt = _time_panels(r, T, c, cfg.time_order,
                                cfg.seed_grade if from_seed else None)
         rho = c * (T - tau)
@@ -516,95 +532,71 @@ def _step_terms(layer: DensityLayer, r_targets: np.ndarray,
             B = lam * np.exp(-lam * tau) * np.exp(-lam * (T - tau)) \
                 / (4.0 * math.pi * c**2 * tau)
             inner = B * (_log_primitive(s_hi, av) - _log_primitive(s_lo, av))
-            yield regular, None, np.sum(
-                kw * inner / np.maximum(2.0 * rho * rr, _TINY), axis=-1), \
-                None, None
-        elif not planar:
+            block[sel] += np.sum(kw * inner / np.maximum(2.0 * rho * rr, _TINY),
+                                 axis=-1)[:, None]
+            continue
+        if not planar:
             ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
             w = (kw / np.maximum(2.0 * rho * rr, _TINY))[..., None] * ws * ss
-            yield regular, None, w, layer.radial(ss, tau[..., None]), None
-        else:
-            ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
-                                                  with_gaps=True)
-            # endpoint distances in cancellation-free form: to the inner
-            # support sphere (exact when s_hi is the sphere itself) and to
-            # the two roots of the arc Jacobian
-            gap = np.maximum(av - s_hi, 0.0)[..., None] + hi_gap
-            gap_outer = np.maximum((rr + rho) - s_hi, 0.0)[..., None] + hi_gap
-            ker = 2.0 * ss / np.sqrt(np.maximum(
-                gap_outer * ((rr + rho)[..., None] + ss)
-                * lo_gap * (s_lo[..., None] + ss), _TINY))
-            d1 = (rr[..., None] ** 2 + ss**2 - (rho**2)[..., None]) \
-                / np.maximum(2.0 * rr[..., None], _TINY)
-            d2 = np.sqrt(np.maximum(ss**2 - d1**2, 0.0))
-            omega = np.arctan2(d2, d1)
-            rad = layer.radial(ss, tau[..., None], gap)
-            rho3 = np.maximum(rho[..., None], _TINY)
-            wk = kw[..., None] * ws * ker
-            for li, th in enumerate(th_targets):
-                cth, sth = math.cos(th), math.sin(th)
-                chi = (law.density_from_axis_cos(
-                    (cth * (rr[..., None] - d1) + sth * sgn * d2) / rho3)
-                    for sgn in (1.0, -1.0))
-                if layer.thetas is None:
-                    # an isotropic table reads both arc branches alike
-                    yield regular, li, wk * sum(chi), rad, None
-                    continue
-                for sgn, ch in zip((1.0, -1.0), chi):
-                    yield regular, li, wk * ch, rad, th + sgn * omega
+            block[sel] += reads(w, layer.radial(ss, tau[..., None]))[:, None]
+            continue
+        ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
+                                              with_gaps=True)
+        # endpoint distances in cancellation-free form: to the inner
+        # support sphere (exact when s_hi is the sphere itself) and to
+        # the two roots of the arc Jacobian
+        gap = np.maximum(av - s_hi, 0.0)[..., None] + hi_gap
+        gap_outer = np.maximum((rr + rho) - s_hi, 0.0)[..., None] + hi_gap
+        ker = 2.0 * ss / np.sqrt(np.maximum(
+            gap_outer * ((rr + rho)[..., None] + ss)
+            * lo_gap * (s_lo[..., None] + ss), _TINY))
+        d1 = (rr[..., None] ** 2 + ss**2 - (rho**2)[..., None]) \
+            / np.maximum(2.0 * rr[..., None], _TINY)
+        d2 = np.sqrt(np.maximum(ss**2 - d1**2, 0.0))
+        omega = np.arctan2(d2, d1)
+        rad = layer.radial(ss, tau[..., None], gap)
+        rho3 = np.maximum(rho[..., None], _TINY)
+        wk = kw[..., None] * ws * ker
+        for li, th in enumerate(th_targets):
+            cth, sth = math.cos(th), math.sin(th)
+            chi = (law.density_from_axis_cos(
+                (cth * (rr[..., None] - d1) + sth * sgn * d2) / rho3)
+                for sgn in (1.0, -1.0))
+            if layer.thetas is None:
+                # an isotropic table reads both arc branches alike
+                block[sel, li] += reads(wk * sum(chi), rad)
+                continue
+            for sgn, ch in zip((1.0, -1.0), chi):
+                block[sel, li] += reads(wk * ch, rad, th + sgn * omega)
 
-    if np.any(~regular):
-        # at the origin the cap window has width r/c -> 0; only the
-        # full-sphere stretch contributes, as a plain spherical average.
-        # Consuming the m=3 seed it starts at the seed's log singularity
-        # (rho = c tau at tau = T/2), so that stretch is graded toward it
-        mid, end = np.full(1, 0.5 * T), np.full(1, T)
-        bounds = _graded(mid, end, cfg.seed_grade) \
-            if from_seed and not planar else [(mid, end)]
-        tau, wt = _panels(bounds, cfg.time_order)
-        tau, wt = tau[0], wt[0]
-        rho = c * (T - tau)
-        kw = lam * wt
-        if planar:
-            phi = _angles(64)
-            chi = law.density_from_axis_cos(-np.cos(phi))
-            col = (slice(None), None)  # time down, angle across
-            yield ~regular, None, \
-                (kw[col] * chi * (2.0 * np.pi / len(phi)))[None], \
-                layer.radial(rho[col][None], tau[col][None],
-                              (c * (2.0 * tau - T))[col][None]), phi
-        elif from_seed:
-            # the seed takes the kernel's exponential, as B does above
-            F = one_turn_profile(params, np.minimum(rho, c * tau * (1.0 - 1e-12)),
-                                 tau) * np.exp(-lam * (T - tau))
-            yield ~regular, None, np.array([np.sum(kw * F)]), None, None
-        else:
-            yield ~regular, None, kw[None], \
-                layer.radial(rho[None], tau[None]), None
-
-
-_TARGET_BLOCK = 8  # targets per pass of the step: bounds its scratch arrays
-
-
-def _step_values(layer: DensityLayer, r_targets: np.ndarray,
-                 th_targets: np.ndarray, cfg: StepConfig) -> np.ndarray:
-    """The layer after ``layer`` at radii ``r_targets`` and angles
-    ``th_targets``, at the layer's time, shape (len(r_targets),
-    len(th_targets)): the step's reads applied to the table at once, a
-    block of targets at a time."""
-    r_targets = np.asarray(r_targets, dtype=float)
-    out = np.zeros((len(r_targets), len(th_targets)))
-    for b in range(0, len(r_targets), _TARGET_BLOCK):
-        block = out[b:b + _TARGET_BLOCK]
-        for sel, l, w, rad, theta in _step_terms(
-                layer, r_targets[b:b + _TARGET_BLOCK], th_targets, cfg):
-            if rad is not None:
-                v = w * layer.read(rad, theta)
-                w = np.sum(v, axis=tuple(range(1, v.ndim)))
-            if l is None:
-                block[sel] += w[:, None]
-            else:
-                block[sel, l] += w
+    if np.all(regular):
+        return out
+    # at the origin the cap window has width r/c -> 0; only the
+    # full-sphere stretch contributes, as a plain spherical average.
+    # Consuming the m=3 seed it starts at the seed's log singularity
+    # (rho = c tau at tau = T/2), so that stretch is graded toward it
+    mid, end = np.full(1, 0.5 * T), np.full(1, T)
+    bounds = _graded(mid, end, cfg.seed_grade) \
+        if from_seed and not planar else [(mid, end)]
+    tau, wt = _panels(bounds, cfg.time_order)
+    tau, wt = tau[0], wt[0]
+    rho = c * (T - tau)
+    kw = lam * wt
+    if planar:
+        phi = _angles(64)
+        chi = law.density_from_axis_cos(-np.cos(phi))
+        col = (slice(None), None)  # time down, angle across
+        origin = reads((kw[col] * chi * (2.0 * np.pi / len(phi)))[None],
+                       layer.radial(rho[col][None], tau[col][None],
+                                    (c * (2.0 * tau - T))[col][None]), phi)
+    elif from_seed:
+        # the seed takes the kernel's exponential, as B does above
+        F = one_turn_profile(params, np.minimum(rho, c * tau * (1.0 - 1e-12)),
+                             tau) * np.exp(-lam * (T - tau))
+        origin = np.array([np.sum(kw * F)])
+    else:
+        origin = reads(kw[None], layer.radial(rho[None], tau[None]))
+    out[~regular] += origin[:, None]
     return out
 
 
@@ -728,8 +720,8 @@ def ac_profile(field_obj: DensityField, r, theta=None) -> np.ndarray:
     """Absolutely continuous density of an assembled field at radius r;
     zero outside the support.  A field with angular tables (a
     non-symmetric law) needs ``theta``, broadcast against ``r``; an
-    isotropic field ignores it."""
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    isotropic field ignores it.  Radii must be finite and nonnegative."""
+    r = np.atleast_1d(_radii(r))
     angular = field_obj.layers[0].thetas is not None
     if angular and theta is None:
         raise DomainError("a field with angular tables needs theta")

@@ -198,10 +198,17 @@ def poisson_weight(n: int, params: FlightParams, t: float) -> float:
 
 
 def tail_mass(K: int, params: FlightParams, t: float) -> float:
-    """P(N(t) > K) = 1 - sum_{n<=K} poisson_weight(n)."""
+    """P(N(t) > K): summed from above when its first class is at or past
+    the mean, else 1 - sum_{n<=K} poisson_weight(n), which is then >~ 1/2."""
     if K < 0:
         raise DomainError(f"truncation index must be nonnegative, got {K}")
-    return 1.0 - sum(poisson_weight(n, params, t) for n in range(K + 1))
+    lt = params.lam * t
+    if K + 1 < lt:
+        return 1.0 - sum(poisson_weight(n, params, t) for n in range(K + 1))
+    terms = [poisson_weight(K + 1, params, t)]  # falling geometrically
+    while terms[-1] > 1e-17 * terms[0]:
+        terms.append(terms[-1] * lt / (K + 1 + len(terms)))
+    return math.fsum(terms)
 
 
 def conditional_weight_or_raise(n: int, params: FlightParams, t: float) -> float:

@@ -17,7 +17,6 @@ import numpy as np
 
 from .core import FlightParams
 from .errors import DomainError, NumericError
-from .specfun import gamma_half
 
 __all__ = [
     "DissipationLaw",
@@ -53,7 +52,7 @@ class UniformLaw(DissipationLaw):
     def __init__(self, params: FlightParams):
         super().__init__(params)
         m = params.m
-        self._value = gamma_half(m) / (2.0 * math.pi ** (m / 2.0))
+        self._value = math.gamma(m / 2) / (2.0 * math.pi ** (m / 2.0))
 
     def density_from_axis_cos(self, ux):
         return np.broadcast_to(self._value, np.shape(ux)).copy() \

@@ -1,41 +1,23 @@
 """Self-contained special functions used by the closed-form densities.
 
 Everything here is double precision and needs only numpy: the Gauss
-hypergeometric series on [0, 1) (scalar), the Bessel function J0
-(scalar or array), and the gamma function at integer and half-integer
-arguments.  The modified Bessel function I0 of the circular Gaussian
-law comes from numpy (``np.i0``).
+hypergeometric series on [0, 1) (scalar) and the Bessel function J0
+(scalar or array).  The modified Bessel function I0 of the circular
+Gaussian law comes from numpy (``np.i0``).
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DomainError, NumericError
 
 __all__ = [
-    "SeriesControl",
     "gauss_2f1",
     "bessel_j0",
-    "gamma_half",
 ]
-
-
-@dataclass(frozen=True)
-class SeriesControl:
-    """Convergence policy for the power series evaluated in this module."""
-
-    rel_tol: float = 1e-12
-    max_terms: int = 500
-
-    def __post_init__(self) -> None:
-        if self.rel_tol <= 0:
-            raise DomainError("rel_tol must be positive")
-        if self.max_terms < 1:
-            raise DomainError("max_terms must be at least 1")
 
 
 def _is_nonpositive_int(x: float) -> bool:
@@ -43,18 +25,23 @@ def _is_nonpositive_int(x: float) -> bool:
 
 
 def gauss_2f1(a: float, b: float, c: float, z: float,
-              control: SeriesControl | None = None) -> float:
+              rel_tol: float = 1e-12, max_terms: int = 500) -> float:
     """Gauss hypergeometric function F(a, b; c; z) for 0 <= z < 1.
 
-    The series sum_k (a)_k (b)_k / (c)_k * z^k / k! is summed directly.
-    If ``a`` or ``b`` is a nonpositive integer the series terminates and
-    is summed exactly as a polynomial, ignoring the term cap.
+    The series sum_k (a)_k (b)_k / (c)_k * z^k / k! is summed until a
+    term is at most ``rel_tol`` times the sum, and raises `NumericError`
+    after ``max_terms`` terms.  If ``a`` or ``b`` is a nonpositive integer
+    the series terminates and is summed exactly as a polynomial, ignoring
+    the term cap.
 
     Near z = 1 the series converges slowly (geometrically with ratio z),
-    so callers probing close to the support boundary must supply a
-    ``control`` with a generous ``max_terms``.
+    so callers probing close to the support boundary must pass a
+    generous ``max_terms``.
     """
-    ctrl = control or SeriesControl()
+    if rel_tol <= 0:
+        raise DomainError("rel_tol must be positive")
+    if max_terms < 1:
+        raise DomainError("max_terms must be at least 1")
     if not 0.0 <= z < 1.0:
         raise DomainError(f"gauss_2f1 requires 0 <= z < 1, got z={z}")
     if _is_nonpositive_int(c):
@@ -75,11 +62,11 @@ def gauss_2f1(a: float, b: float, c: float, z: float,
         total += term
         k += 1
         if n_exact is None:
-            if abs(term) <= ctrl.rel_tol * abs(total):
+            if abs(term) <= rel_tol * abs(total):
                 return total
-            if k >= ctrl.max_terms:
+            if k >= max_terms:
                 raise NumericError(
-                    f"gauss_2f1 did not converge within {ctrl.max_terms} terms "
+                    f"gauss_2f1 did not converge within {max_terms} terms "
                     f"(a={a}, b={b}, c={c}, z={z}, last term {term:.3e})")
 
 
@@ -131,18 +118,3 @@ def bessel_j0(x):
     out[~small] = np.sqrt(2.0 / (math.pi * xl)) * (p * np.cos(omega)
                                                    - qa * np.sin(omega))
     return float(out) if out.ndim == 0 else out
-
-
-_SQRT_PI = math.sqrt(math.pi)
-
-
-def gamma_half(two_a: int) -> float:
-    """Gamma(two_a / 2) by exact recursion from Gamma(1/2) and Gamma(1)."""
-    if two_a < 1:
-        raise DomainError("gamma_half requires two_a >= 1")
-    value = _SQRT_PI if two_a % 2 == 1 else 1.0
-    arg = two_a % 2 if two_a % 2 == 1 else 2  # 2*argument of the base case
-    while arg < two_a:
-        value *= arg / 2.0
-        arg += 2
-    return value

@@ -6,8 +6,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from randflight import cli
 from randflight.cli import _build_parser, load_config, main
 
 
@@ -84,7 +86,7 @@ def test_config_resolution_file_then_flags(tmp_path):
         "schema": 1, "m": 3, "law": {"kind": "uniform"}, "lam": 2.0,
         "c": 0.5, "t": 1.5, "K": 4, "nr": 12.0, "ntheta": 10,
         "n_samples": 30000, "seed": 11, "out": "file.csv", "fmt": "json",
-        "threads": 3, "suite": "core", "conditioning": "2",
+        "threads": 3, "conditioning": "2",
         "alphas": [1, 2]}))
     args = _build_parser().parse_args(
         ["cf", "--config", str(cfgfile), "--nr", "20", "--seed", "4",
@@ -97,7 +99,7 @@ def test_config_resolution_file_then_flags(tmp_path):
     assert isinstance(cfg.ntheta, int)
     assert (cfg.n_samples, cfg.seed, cfg.out, cfg.fmt) == \
         (30000, 4, "file.csv", "json")
-    assert (cfg.threads, cfg.suite, cfg.conditioning) == (1, "core", 2)
+    assert (cfg.threads, cfg.conditioning) == (1, 2)
     assert cfg.alphas == (0.5, 3.0)
 
 
@@ -105,18 +107,19 @@ def test_config_file_beats_defaults_and_env(tmp_path, monkeypatch, capsys):
     # defaults, then RANDFLIGHT_THREADS, then the file, then the flags
     monkeypatch.setenv("RANDFLIGHT_THREADS", "2")
     cfgfile = tmp_path / "run.json"
-    cfgfile.write_text(json.dumps({"suite": "core", "threads": 1}))
+    # K = 1 once left validate's mass cascade empty and crashed it
+    cfgfile.write_text(json.dumps({"seed": 5, "threads": 1, "K": 1}))
     assert run_cli(["validate", "--config", str(cfgfile)]) == 0
-    assert capsys.readouterr().out.splitlines()[-1] == "1/1 checks passed"
+    assert capsys.readouterr().out.splitlines()[-1] == "3/3 checks passed"
     parser = _build_parser()
     cfg = load_config(parser.parse_args(["validate", "--config", str(cfgfile)]))
-    assert (cfg.suite, cfg.threads) == ("core", 1)
+    assert (cfg.seed, cfg.threads) == (5, 1)
     cfg = load_config(parser.parse_args(
         ["validate", "--config", str(cfgfile), "--threads", "3",
-         "--suite", "specfun"]))
-    assert (cfg.suite, cfg.threads) == ("specfun", 3)
+         "--seed", "6"]))
+    assert (cfg.seed, cfg.threads) == (6, 3)
     cfg = load_config(parser.parse_args(["validate"]))
-    assert (cfg.suite, cfg.threads) == ("all", 2)
+    assert (cfg.seed, cfg.threads) == (0, 2)
 
 
 def test_circular_gaussian_cli(tmp_path):
@@ -159,9 +162,10 @@ def test_sidecar_config_replays_the_run(tmp_path):
 
 @pytest.mark.parametrize("body", [{"lambda": 5, "nR": 3}, {"n_r": 12},
                                   {"command": "simulate"},
-                                  {"s_values": [0.5, 1.0, 2.0]}],
+                                  {"s_values": [0.5, 1.0, 2.0]},
+                                  {"suite": "core"}],
                          ids=["unknown", "old-name", "other-command",
-                              "retired-key"])
+                              "retired-key", "retired-suite"])
 def test_config_rejects_keys_it_would_ignore(tmp_path, body):
     # unknown keys were once skipped: {"lambda": 5, "nR": 3} ran with
     # the defaults
@@ -199,11 +203,26 @@ def test_cf_command(tmp_path):
 
 
 def test_validate_command(capsys):
-    code = run_cli(["validate", "--suite", "all", "--m", "2"])
+    code = run_cli(["validate", "--m", "2"])
     captured = capsys.readouterr()
     assert code == 0
     assert "PASS" in captured.out
     assert "FAIL" not in captured.out
+    # validate has no --suite option
+    with pytest.raises(SystemExit):
+        run_cli(["validate", "--suite", "all"])
+
+
+def test_validate_fails_on_a_wrong_zero_turn_count(monkeypatch, capsys):
+    # a sampler that puts every flight in the one-turn group
+    def no_zero_turn(params, law, t, n_samples, rng, conditioning=None):
+        return np.zeros((0, params.m)), [0, n_samples]
+
+    monkeypatch.setattr(cli, "simulate_batch", no_zero_turn)
+    assert main(["validate"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert "FAIL" in next(ln for ln in lines if ln.startswith("zero-event-fraction"))
+    assert lines[-1] == "2/3 checks passed"
 
 
 def test_env_threads_fallback(tmp_path, monkeypatch):

@@ -280,6 +280,20 @@ def test_transition_density_mass_and_support():
     assert np.all(inside > 0.0)
 
 
+def test_radii_must_be_finite_and_nonnegative():
+    # ac_profile(field, [-0.5]) once read the layers at |r| = 0.5 and NaN
+    # read 0
+    grid = RadialGrid.build(P2, 1.0, 8)
+    field = transition_density(P2, UniformLaw(P2), 1.0, 2, grid, CFG)
+    for bad in (-0.5, np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError):
+            ac_profile(field, np.array([0.3, bad]))
+        for layer in field.layers:
+            with pytest.raises(DomainError):
+                layer.top_values(np.array([bad]))
+    assert ac_profile(field, np.array([0.0, 0.3]))[0] > 0.0
+
+
 def test_transition_density_matches_planar_closed_form():
     grid = RadialGrid.build(P2, 1.0, 33)
     field = transition_density(P2, UniformLaw(P2), 1.0, 8, grid, CFG)

@@ -1,7 +1,9 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from randflight import (DensityField, DomainError, FlightParams, PolarGrid,
                         RadialGrid, UniformLaw, poisson_weight, tail_mass)
@@ -55,6 +57,17 @@ def test_tail_plus_partial_sum_is_exactly_one():
         for K in (0, 1, 5, 17, 50):
             s = sum(poisson_weight(n, params, t) for n in range(K + 1))
             assert s + tail_mass(K, params, t) == pytest.approx(1.0, abs=5e-15)
+
+
+@pytest.mark.parametrize("lam_t", [0.05, 0.25, 1.0, 10.0, 800.0])
+@pytest.mark.parametrize("K", [0, 1, 4, 12, 40])
+def test_tail_mass_against_scipy(K, lam_t):
+    # 1 - sum_{n<=K} pi_n once read 0.0 for K = 12 at lam t = 0.25 (the
+    # tail is 1.9e-18) and missed it by 2e-6 relative at lam t = 1
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        got = tail_mass(K, FlightParams(2, 1.0, lam_t), 1.0)
+    assert got == pytest.approx(stats.poisson.sf(K, lam_t), rel=1e-13, abs=0.0)
 
 
 def test_tail_mass_decreasing(params):

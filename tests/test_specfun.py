@@ -5,8 +5,7 @@ import pytest
 from scipy import special
 
 from randflight import (CircularGaussianLaw, DomainError, FlightParams,
-                        NumericError, SeriesControl, bessel_j0, gamma_half,
-                        gauss_2f1)
+                        NumericError, bessel_j0, gauss_2f1)
 
 
 def hyp_series(a, b, c, z, terms=400):
@@ -45,20 +44,19 @@ def test_2f1_terminating_polynomial_exact():
         exact = 1.0 - 2 * a * z / c + a * (a + 1) * z * z / (c * (c + 1))
         assert gauss_2f1(a, -2.0, c, z) == pytest.approx(exact, abs=1e-14)
     # termination ignores the term cap
-    ctrl = SeriesControl(max_terms=1)
-    assert gauss_2f1(a, -2.0, c, 0.5, ctrl) == pytest.approx(
+    assert gauss_2f1(a, -2.0, c, 0.5, max_terms=1) == pytest.approx(
         1.0 - 2 * a * 0.5 / c + a * (a + 1) * 0.25 / (c * (c + 1)), abs=1e-14)
 
 
 def test_2f1_against_scipy():
     rng = np.random.default_rng(1)
-    ctrl = SeriesControl(rel_tol=1e-14, max_terms=100_000)
     for _ in range(40):
         a = rng.uniform(0.1, 3.0)
         b = rng.uniform(0.1, 3.0)
         c = rng.uniform(0.5, 4.0)
         z = rng.uniform(0.0, 0.97)
-        assert gauss_2f1(a, b, c, z, ctrl) == pytest.approx(
+        assert gauss_2f1(a, b, c, z, rel_tol=1e-14,
+                         max_terms=100_000) == pytest.approx(
             float(special.hyp2f1(a, b, c, z)), rel=1e-9)
 
 
@@ -70,7 +68,11 @@ def test_2f1_domain_errors():
     with pytest.raises(DomainError):
         gauss_2f1(1.0, 1.0, -2.0, 0.5)
     with pytest.raises(NumericError):
-        gauss_2f1(0.5, 1.0, 1.0, 0.999, SeriesControl(max_terms=50))
+        gauss_2f1(0.5, 1.0, 1.0, 0.999, max_terms=50)
+    with pytest.raises(DomainError):
+        gauss_2f1(0.5, 1.0, 1.0, 0.5, rel_tol=0.0)
+    with pytest.raises(DomainError):
+        gauss_2f1(0.5, 1.0, 1.0, 0.5, max_terms=0)
 
 
 def test_j0_basics():
@@ -144,13 +146,3 @@ def test_i0_overflow():
         CircularGaussianLaw(p2, -701.0)
     assert math.isfinite(CircularGaussianLaw(p2, 700.0).density_from_axis_cos(0.0))
 
-
-def test_gamma_half():
-    assert gamma_half(2) == 1.0
-    assert gamma_half(1) == pytest.approx(math.sqrt(math.pi), rel=1e-15)
-    assert gamma_half(5) == pytest.approx(1.3293403881791372, rel=1e-14)
-    for two_a in range(1, 14):
-        assert gamma_half(two_a) == pytest.approx(math.gamma(two_a / 2),
-                                                  rel=1e-13)
-    with pytest.raises(DomainError):
-        gamma_half(0)
