@@ -143,6 +143,14 @@ def _radii(r) -> np.ndarray:
     return r
 
 
+def _theta(theta) -> np.ndarray:
+    """``theta`` as floats; `DomainError` unless finite."""
+    theta = np.asarray(theta, dtype=float)
+    if not np.all(np.isfinite(theta)):
+        raise DomainError("theta must be finite")
+    return theta
+
+
 def _edge(m: int, n: int, one_minus_sig2):
     """Edge factor E_n of layer n at 1 - sigma^2: (1 - sigma^2)^((n-2)/2)
     in the plane, 1 in dimension 3."""
@@ -175,6 +183,9 @@ class DensityLayer:
     form, has none.  ``cfg`` is the resolution the layer was built at
     and ``source`` the joint layer its step consumed (None for the
     seed): values away from the grid nodes re-apply that step.
+    ``geometry`` is the n-independent part of a regular step (one that
+    consumed a layer n >= 2) at the table nodes and at the grid nodes,
+    for ``cfg`` and ``grid``; the next step at those reuses it.
     """
 
     n: int
@@ -190,6 +201,7 @@ class DensityLayer:
     cfg: StepConfig
     source: "DensityLayer | None" = field(default=None, repr=False)
     kind: str = "joint"
+    geometry: tuple | None = field(default=None, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
@@ -211,34 +223,42 @@ class DensityLayer:
             raise DomainError(f"arguments differ from the layer's own "
                               f"{self.params} and {type(self.law).__name__}")
 
-    def radial(self, s, tau, support_gap=None) -> tuple:
-        """Where points (radius s, time tau) fall in the table: the flat
-        index into ``tab`` of the first node of the 4-point stencil in u
-        (angle node 0), and the stencil's four weights, each carrying the
-        read factor (tau/t)^(n-m) E_n(sigma); the step cancels the exact
-        read's e^{lam (t - tau)} against its kernel.
-
-        Callers probing close to the support sphere pass ``support_gap``
-        = c*tau - s computed in a cancellation-free form.
-        """
-        s = np.asarray(s, dtype=float)
-        tau = np.asarray(tau, dtype=float)
-        p, n = self.params, self.n
+    def radial(self, pos: tuple) -> tuple:
+        """Where points at ``pos`` (from `_position`) fall in the table:
+        the flat index into ``tab`` of the first node of the 4-point
+        stencil in u (angle node 0), and the stencil's four weights, each
+        carrying the read factor (tau/t)^(n-m) E_n(sigma); the step
+        cancels the exact read's e^{lam (t - tau)} against its kernel."""
+        q, edge, u = pos
+        m, n = self.params.m, self.n
         n_s, n_th = self.tab.shape
-        av = p.c * tau
-        gap = av - s if support_gap is None else support_gap
-        scale = ((tau / self.t) ** (n - p.m)
-                 * _edge(p.m, n, gap * (av + s) / np.maximum(av * av, _TINY)))
-        # the nodes are equispaced in u, so the stencil's index is a floor
-        sig = np.clip(s / np.maximum(av, _TINY) / self.sigma[-1], 0.0, 1.0)
-        x = np.arcsin(sig) * ((n_s - 1) / (0.5 * np.pi))
-        i0 = np.clip(np.floor(x).astype(int) - 1, 0, n_s - 4)
-        d = x - i0
-        w = (-(d - 1.0) * (d - 2.0) * (d - 3.0) / 6.0,
-             0.5 * d * (d - 2.0) * (d - 3.0),
-             -0.5 * d * (d - 1.0) * (d - 3.0),
-             d * (d - 1.0) * (d - 2.0) / 6.0)
-        return i0 * n_th, tuple(scale * wk for wk in w)
+        scale = q ** (n - m)
+        if edge is not None:
+            scale = scale * _edge(m, n, edge)
+        # the nodes are equispaced in u, so the stencil's index is a floor.
+        # A step's arrays are large: the arithmetic runs in place
+        d = u * ((n_s - 1) / (0.5 * np.pi))
+        i0 = np.floor(d)
+        i0 -= 1.0
+        np.clip(i0, 0.0, n_s - 4, out=i0)
+        d -= i0
+        d1, d2, d3 = d - 1.0, d - 2.0, d - 3.0
+        w0 = -d1        # -(d-1)(d-2)(d-3)/6
+        w0 *= d2
+        w0 *= d3
+        w0 /= 6.0
+        w1 = 0.5 * d    # d(d-2)(d-3)/2
+        w1 *= d2
+        w1 *= d3
+        w2 = -0.5 * d   # -d(d-1)(d-3)/2
+        w2 *= d1
+        w2 *= d3
+        w3 = d * d1     # d(d-1)(d-2)/6
+        w3 *= d2
+        w3 /= 6.0
+        for wk in (w0, w1, w2, w3):
+            wk *= scale
+        return i0.astype(int) * n_th, (w0, w1, w2, w3)
 
     def read(self, rad: tuple, theta) -> np.ndarray:
         """Layer values at the points ``rad`` (from `radial`) and angles
@@ -248,7 +268,12 @@ class DensityLayer:
         flat = self.tab.ravel()
         n_th = self.tab.shape[1]
         if n_th == 1:
-            return sum(w * flat[base + k] for k, w in enumerate(sig_w))
+            out = sig_w[0] * flat[base]
+            for k in (1, 2, 3):
+                f = flat[k:][base]
+                f *= sig_w[k]
+                out += f
+            return out
         tf = (np.asarray(theta, dtype=float) + np.pi) / (2.0 * np.pi / n_th)
         fl = np.floor(tf)
         k0 = fl.astype(int) % n_th
@@ -266,10 +291,10 @@ class DensityLayer:
         quadrature (planar) for the seed, and the step re-applied to
         ``source`` for a stepped layer.  ``theta`` (default 0) has the
         shape of ``r``; isotropic layers ignore it.  Radii must be finite
-        and nonnegative."""
+        and nonnegative, and angles finite."""
         r = _radii(r)
         th = np.zeros_like(r) if theta is None or self.thetas is None \
-            else np.asarray(theta, dtype=float)
+            else _theta(theta)
         stored = self._stored(r, th)
         if stored is not None:
             return stored
@@ -479,124 +504,219 @@ def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
 _TARGET_BLOCK = 8  # targets per pass of the step: bounds its scratch arrays
 
 
-def _step_values(layer: DensityLayer, r_targets: np.ndarray,
-                 th_targets: np.ndarray, cfg: StepConfig) -> np.ndarray:
-    """The layer after ``layer`` at radii ``r_targets`` and angles
-    ``th_targets``, at the layer's time T, shape (len(r_targets),
-    len(th_targets)): one application of the recurrence, a block of
-    targets at a time.  Each branch adds the table's weighted reads to
-    its targets (the m=3 seed is consumed through its closed form); a
-    read's position does not depend on the angle, so it is found once
-    for every target angle and arc branch.
+def _position(params: FlightParams, t: float, cap: float, s: np.ndarray,
+              tau: np.ndarray, support_gap=None) -> tuple:
+    """Where points (radius s, time tau) fall in a layer table whose last
+    node is sigma = ``cap``, free of the layer index: tau/t, the planar
+    edge argument 1 - sigma^2 (None in dimension 3, which has no edge
+    factor) and u = arcsin(sigma / cap).  `DensityLayer.radial` takes it
+    to the layer's stencil.
 
-    Planar surface integrals run in the chord-radius variable s over
+    Callers probing close to the support sphere pass ``support_gap``
+    = c*tau - s computed in a cancellation-free form.
+    """
+    av = params.c * tau
+    edge = None
+    if params.m == 2:
+        gap = av - s if support_gap is None else support_gap
+        edge = gap * (av + s) / np.maximum(av * av, _TINY)
+    sig = np.clip(s / np.maximum(av, _TINY) / cap, 0.0, 1.0)
+    return tau / t, edge, np.arcsin(sig)
+
+
+@dataclass(frozen=True, eq=False)
+class _Arcs:
+    """The part of a step at a block of targets that does not depend on
+    the consumed layer's index: the table position ``pos`` (from
+    `_position`) of every quadrature point, shape (targets, time, arc),
+    and its weight ``w``.
+
+    For isotropic tables ``w`` is the kernel times chi summed over both
+    arc branches, one slice per target angle (a single slice serves
+    every angle).  At the origin it is the kernel times chi at the turn
+    angles ``theta``, where the reads take place.  Elsewhere an angular
+    table needs chi and the read angle per target angle: ``w`` is the
+    kernel alone, and ``chi_args`` = (r - d1, d2, rho, omega) gives both
+    on each arc branch.
+    """
+
+    pos: tuple
+    w: np.ndarray
+    chi_args: tuple | None = None
+    theta: np.ndarray | None = None
+
+
+def _blocks(layer: DensityLayer, r_targets: np.ndarray):
+    """Yield (indices, radii) of the targets a block at a time, skipping
+    the targets at the origin, then (indices, None) of those."""
+    origin = r_targets < _R_TINY_REL * layer.params.c * layer.t
+    for b in range(0, len(r_targets), _TARGET_BLOCK):
+        idx = b + np.flatnonzero(~origin[b:b + _TARGET_BLOCK])
+        if len(idx):
+            yield idx, r_targets[idx]
+    if np.any(origin):
+        yield np.flatnonzero(origin), None
+
+
+def _window(layer: DensityLayer, r: np.ndarray, cfg: StepConfig):
+    """Time nodes ``tau`` of the step at target radii ``r`` (graded
+    after the one-turn layer), the last-leg radius rho and the first-leg
+    reach c*tau, the chord-radius bounds of each cap, and the kernel lam
+    e^{-lam (T - tau)} times the time weight, less the exponential that
+    cancels the read's e^{lam (T - tau)}.  Every factor stays finite, so
+    the zero weight of an empty cap also zeroes its reads."""
+    c, T = layer.params.c, layer.t
+    tau, wt = _time_panels(r, T, c, cfg.time_order,
+                           cfg.seed_grade if layer.n == 1 else None)
+    rho = c * (T - tau)
+    av = c * tau
+    s_lo = np.abs(r[:, None] - rho)
+    s_hi = np.minimum(r[:, None] + rho, av)
+    return tau, rho, av, s_lo, s_hi, np.where(s_hi > s_lo, layer.params.lam * wt, 0.0)
+
+
+def _origin_window(layer: DensityLayer, cfg: StepConfig):
+    """Time nodes and kernel weights of the step at the origin.  There
+    the cap window has width r/c -> 0; only the full-sphere stretch
+    contributes, as a plain spherical average.  Consuming the m=3 seed
+    it starts at the seed's log singularity (rho = c tau at tau = T/2),
+    so that stretch is graded toward it."""
+    T = layer.t
+    mid, end = np.full(1, 0.5 * T), np.full(1, T)
+    bounds = _graded(mid, end, cfg.seed_grade) \
+        if layer.n == 1 and layer.params.m == 3 else [(mid, end)]
+    tau, wt = _panels(bounds, cfg.time_order)
+    return tau[0], layer.params.lam * wt[0]
+
+
+def _arcs(layer: DensityLayer, r: np.ndarray | None, th_targets: np.ndarray,
+          cfg: StepConfig) -> _Arcs:
+    """The surface integrals of the step at target radii ``r`` (None:
+    the origin).  Planar ones run in the chord-radius variable s over
     both arc branches; the angle-to-radius Jacobian is
     2 s / sqrt(((r+rho)^2 - s^2)(s^2 - (r-rho)^2)), whose endpoint
     singularities the sin^2 panel map integrates exactly.  In dimension
-    3 (uniform law) the cap integral reduces to (1 / (2 rho r)) int s f(s)
-    ds; while consuming the one-turn layer the inner integral has the
-    exact primitive (a+s) log(a+s) + (a-s) log(a-s).
-    """
-    params, law, T = layer.params, layer.law, layer.t
-    lam, c = params.lam, params.c
-    planar = params.m == 2
-    from_seed = layer.n == 1
-
-    def reads(w, rad, theta=None):
-        v = w * layer.read(rad, theta)
-        return np.sum(v, axis=tuple(range(1, v.ndim)))
-
-    r_targets = np.asarray(r_targets, dtype=float)
-    regular = r_targets >= _R_TINY_REL * c * T
-    out = np.zeros((len(r_targets), len(th_targets)))
-    for b in range(0, len(r_targets), _TARGET_BLOCK):
-        sel = regular[b:b + _TARGET_BLOCK]
-        if not np.any(sel):
-            continue
-        block = out[b:b + _TARGET_BLOCK]
-        r = r_targets[b:b + _TARGET_BLOCK][sel]
-        tau, wt = _time_panels(r, T, c, cfg.time_order,
-                               cfg.seed_grade if from_seed else None)
+    3 the cap integral reduces to (1 / (2 rho r)) int s f(s) ds."""
+    params, T, cap = layer.params, layer.t, layer.sigma[-1]
+    c = params.c
+    if r is None:
+        tau, kw = _origin_window(layer, cfg)
         rho = c * (T - tau)
-        av = c * tau
-        rr = r[:, None]
-        s_lo = np.abs(rr - rho)
-        s_hi = np.minimum(rr + rho, av)
-        # the kernel lam e^{-lam (T - tau)} times the time weight, less the
-        # exponential that cancels the read's e^{lam (T - tau)}.  Every
-        # factor below stays finite, so the zero weight of an empty cap
-        # also zeroes its reads
-        kw = np.where(s_hi > s_lo, lam * wt, 0.0)
-        if not planar and from_seed:
-            # the seed's e^{-lam tau} times the kernel's exponential
-            B = lam * np.exp(-lam * tau) * np.exp(-lam * (T - tau)) \
-                / (4.0 * math.pi * c**2 * tau)
-            inner = B * (_log_primitive(s_hi, av) - _log_primitive(s_lo, av))
-            block[sel] += np.sum(kw * inner / np.maximum(2.0 * rho * rr, _TINY),
-                                 axis=-1)[:, None]
-            continue
-        if not planar:
-            ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
-            w = (kw / np.maximum(2.0 * rho * rr, _TINY))[..., None] * ws * ss
-            block[sel] += reads(w, layer.radial(ss, tau[..., None]))[:, None]
-            continue
-        ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
-                                              with_gaps=True)
-        # endpoint distances in cancellation-free form: to the inner
-        # support sphere (exact when s_hi is the sphere itself) and to
-        # the two roots of the arc Jacobian
-        gap = np.maximum(av - s_hi, 0.0)[..., None] + hi_gap
-        gap_outer = np.maximum((rr + rho) - s_hi, 0.0)[..., None] + hi_gap
-        ker = 2.0 * ss / np.sqrt(np.maximum(
-            gap_outer * ((rr + rho)[..., None] + ss)
-            * lo_gap * (s_lo[..., None] + ss), _TINY))
-        d1 = (rr[..., None] ** 2 + ss**2 - (rho**2)[..., None]) \
-            / np.maximum(2.0 * rr[..., None], _TINY)
-        d2 = np.sqrt(np.maximum(ss**2 - d1**2, 0.0))
-        omega = np.arctan2(d2, d1)
-        rad = layer.radial(ss, tau[..., None], gap)
-        rho3 = np.maximum(rho[..., None], _TINY)
-        wk = kw[..., None] * ws * ker
-        for li, th in enumerate(th_targets):
-            cth, sth = math.cos(th), math.sin(th)
-            chi = (law.density_from_axis_cos(
-                (cth * (rr[..., None] - d1) + sth * sgn * d2) / rho3)
-                for sgn in (1.0, -1.0))
-            if layer.thetas is None:
-                # an isotropic table reads both arc branches alike
-                block[sel, li] += reads(wk * sum(chi), rad)
-                continue
-            for sgn, ch in zip((1.0, -1.0), chi):
-                block[sel, li] += reads(wk * ch, rad, th + sgn * omega)
-
-    if np.all(regular):
-        return out
-    # at the origin the cap window has width r/c -> 0; only the
-    # full-sphere stretch contributes, as a plain spherical average.
-    # Consuming the m=3 seed it starts at the seed's log singularity
-    # (rho = c tau at tau = T/2), so that stretch is graded toward it
-    mid, end = np.full(1, 0.5 * T), np.full(1, T)
-    bounds = _graded(mid, end, cfg.seed_grade) \
-        if from_seed and not planar else [(mid, end)]
-    tau, wt = _panels(bounds, cfg.time_order)
-    tau, wt = tau[0], wt[0]
-    rho = c * (T - tau)
-    kw = lam * wt
-    if planar:
+        col = (None, slice(None), None)  # (one target, time, angle)
+        if params.m == 3:
+            return _Arcs(_position(params, T, cap, rho[col], tau[col]),
+                         kw[col][None])
         phi = _angles(64)
-        chi = law.density_from_axis_cos(-np.cos(phi))
-        col = (slice(None), None)  # time down, angle across
-        origin = reads((kw[col] * chi * (2.0 * np.pi / len(phi)))[None],
-                       layer.radial(rho[col][None], tau[col][None],
-                                    (c * (2.0 * tau - T))[col][None]), phi)
-    elif from_seed:
-        # the seed takes the kernel's exponential, as B does above
-        F = one_turn_profile(params, np.minimum(rho, c * tau * (1.0 - 1e-12)),
-                             tau) * np.exp(-lam * (T - tau))
-        origin = np.array([np.sum(kw * F)])
-    else:
-        origin = reads(kw[None], layer.radial(rho[None], tau[None]))
-    out[~regular] += origin[:, None]
+        w = kw[:, None] * layer.law.density_from_axis_cos(-np.cos(phi)) \
+            * (2.0 * np.pi / len(phi))
+        return _Arcs(_position(params, T, cap, rho[col], tau[col],
+                               (c * (2.0 * tau - T))[col]), w[None, None],
+                     theta=phi)
+    tau, rho, av, s_lo, s_hi, kw = _window(layer, r, cfg)
+    rr = r[:, None]
+    if params.m == 3:
+        ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
+        w = (kw / np.maximum(2.0 * rho * rr, _TINY))[..., None] * ws * ss
+        return _Arcs(_position(params, T, cap, ss, tau[..., None]), w[None])
+    ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
+                                          with_gaps=True)
+    # endpoint distances in cancellation-free form: to the inner
+    # support sphere (exact when s_hi is the sphere itself) and to
+    # the two roots of the arc Jacobian
+    gap = np.maximum(av - s_hi, 0.0)[..., None] + hi_gap
+    gap_outer = np.maximum((rr + rho) - s_hi, 0.0)[..., None] + hi_gap
+    ker = 2.0 * ss / np.sqrt(np.maximum(
+        gap_outer * ((rr + rho)[..., None] + ss)
+        * lo_gap * (s_lo[..., None] + ss), _TINY))
+    d1 = (rr[..., None] ** 2 + ss**2 - (rho**2)[..., None]) \
+        / np.maximum(2.0 * rr[..., None], _TINY)
+    d2 = np.sqrt(np.maximum(ss**2 - d1**2, 0.0))
+    pos = _position(params, T, cap, ss, tau[..., None], gap)
+    wk = kw[..., None] * ws * ker
+    chi_args = (rr[..., None] - d1, d2, np.maximum(rho[..., None], _TINY),
+                np.arctan2(d2, d1))
+    if layer.thetas is not None:
+        return _Arcs(pos, wk, chi_args)
+    # an isotropic table reads both arc branches alike
+    return _Arcs(pos, np.stack([wk * sum(_chi(layer.law, chi_args, th))
+                                for th in th_targets]))
+
+
+def _chi(law: DissipationLaw, chi_args: tuple, th: float):
+    """The last-leg direction density on the arc branches +1 and -1 at
+    target angle ``th``."""
+    a, d2, rho3, _ = chi_args
+    cth, sth = math.cos(th), math.sin(th)
+    return (law.density_from_axis_cos((cth * a + sth * sgn * d2) / rho3)
+            for sgn in (1.0, -1.0))
+
+
+def _geometry(layer: DensityLayer, r_targets: np.ndarray,
+              th_targets: np.ndarray, cfg: StepConfig):
+    """Yield (target indices, `_Arcs`) of the step from ``layer``, a block
+    of targets at a time."""
+    for idx, r in _blocks(layer, r_targets):
+        yield idx, _arcs(layer, r, th_targets, cfg)
+
+
+def _apply(layer: DensityLayer, arcs: _Arcs,
+           th_targets: np.ndarray) -> np.ndarray:
+    """The reads of ``layer``'s table that ``arcs`` weighs, summed per
+    target: shape (targets, target angles), or (targets, 1) when every
+    angle gets the same."""
+    rad = layer.radial(arcs.pos)
+    if arcs.chi_args is None:
+        val = layer.read(rad, arcs.theta)
+        return np.stack([np.sum(w * val, axis=(1, 2)) for w in arcs.w], axis=1)
+    out = np.zeros((len(arcs.w), len(th_targets)))
+    omega = arcs.chi_args[3]
+    for li, th in enumerate(th_targets):
+        for sgn, ch in zip((1.0, -1.0), _chi(layer.law, arcs.chi_args, th)):
+            out[:, li] += np.sum(arcs.w * ch * layer.read(rad, th + sgn * omega),
+                                 axis=(1, 2))
+    return out
+
+
+def _step_values(layer: DensityLayer, r_targets: np.ndarray,
+                 th_targets: np.ndarray, cfg: StepConfig,
+                 geometry: tuple | None = None) -> np.ndarray:
+    """The layer after ``layer`` at radii ``r_targets`` and angles
+    ``th_targets``, at the layer's time T, shape (len(r_targets),
+    len(th_targets)): one application of the recurrence, a block of
+    targets at a time.  ``geometry`` is the step's kept `_geometry` at
+    these targets; without it the step builds it block by block and
+    keeps none.  A read's position does not depend on the angle, so it
+    is found once for every target angle and arc branch.
+
+    The m=3 one-turn layer is consumed through its closed form, where
+    the inner cap integral has the exact primitive
+    (a+s) log(a+s) + (a-s) log(a-s).
+    """
+    params, T = layer.params, layer.t
+    lam, c = params.lam, params.c
+    r_targets = np.asarray(r_targets, dtype=float)
+    out = np.zeros((len(r_targets), len(th_targets)))
+    if layer.n > 1 or params.m == 2:
+        for idx, arcs in geometry if geometry is not None else \
+                _geometry(layer, r_targets, th_targets, cfg):
+            out[idx] += _apply(layer, arcs, th_targets)
+        return out
+    for idx, r in _blocks(layer, r_targets):  # the m=3 seed's closed form
+        if r is None:
+            # the seed takes the kernel's exponential, as B does below
+            tau, kw = _origin_window(layer, cfg)
+            rho = c * (T - tau)
+            F = one_turn_profile(params, np.minimum(rho, c * tau * (1.0 - 1e-12)),
+                                 tau) * np.exp(-lam * (T - tau))
+            out[idx] += np.sum(kw * F)
+            continue
+        tau, rho, av, s_lo, s_hi, kw = _window(layer, r, cfg)
+        # the seed's e^{-lam tau} times the kernel's exponential
+        B = lam * np.exp(-lam * tau) * np.exp(-lam * (T - tau)) \
+            / (4.0 * math.pi * c**2 * tau)
+        inner = B * (_log_primitive(s_hi, av) - _log_primitive(s_lo, av))
+        out[idx] += np.sum(kw * inner / np.maximum(2.0 * rho * r[:, None], _TINY),
+                           axis=-1)[:, None]
     return out
 
 
@@ -606,21 +726,42 @@ def _clipped(at_nodes: np.ndarray, grid: RadialGrid | PolarGrid) -> np.ndarray:
                       np.broadcast_to(at_nodes, (grid.n_r, grid.n_theta)), 0.0)
 
 
+def _node_angles(layer: DensityLayer, grid: RadialGrid | PolarGrid) -> np.ndarray:
+    """The angles a step from ``layer`` takes at the grid nodes: every
+    grid angle for an angular table, one for an isotropic one."""
+    return np.zeros(1) if layer.thetas is None else grid.thetas
+
+
+def _kept_geometry(layer: DensityLayer, cfg: StepConfig,
+                   grid: RadialGrid | PolarGrid) -> tuple | None:
+    """``layer.geometry`` if a step from ``layer`` at ``cfg`` onto
+    ``grid`` may reuse it, else None.  Every table it reads is a stepped
+    one, with the last node sigma = _SIGMA_CAP the geometry was built at."""
+    if layer.geometry is not None and cfg == layer.cfg and grid is layer.grid:
+        return layer.geometry
+    return None
+
+
 def _step_layer(layer: DensityLayer, cfg: StepConfig,
                 grid: RadialGrid | PolarGrid) -> DensityLayer:
     """Full recurrence step: consume the table of layer n and make the
     table of layer n+1 at time t, together with its values at the grid
-    nodes."""
+    nodes.  A regular step (n >= 2) keeps its geometry on the new layer."""
     p = layer.params
     sigma = _clustered_nodes(_SIGMA_CAP, cfg.n_sigma)
-    th_tab = np.zeros(1) if layer.thetas is None else layer.thetas
-    raw = _step_values(layer, sigma * p.radius(layer.t), th_tab, cfg)
-    at_nodes = _step_values(layer, grid.nodes, th_tab if layer.thetas is None
-                            else grid.thetas, cfg)
+    targets = ((sigma * p.radius(layer.t),
+                np.zeros(1) if layer.thetas is None else layer.thetas),
+               (grid.nodes, _node_angles(layer, grid)))
+    geometry = _kept_geometry(layer, cfg, grid)
+    if geometry is None and layer.n >= 2:
+        geometry = tuple(tuple(_geometry(layer, r, th, cfg)) for r, th in targets)
+    raw, at_nodes = (_step_values(layer, r, th, cfg, geo) for (r, th), geo
+                     in zip(targets, geometry or (None, None)))
     n = layer.n + 1
     tab = raw / _edge(p.m, n, 1.0 - sigma**2)[:, None]
     return DensityLayer(n, p, layer.law, layer.t, grid, _clipped(at_nodes, grid),
-                        at_nodes, sigma, layer.thetas, tab, cfg, source=layer)
+                        at_nodes, sigma, layer.thetas, tab, cfg, source=layer,
+                        geometry=geometry)
 
 
 # --------------------------------------------------------------------------
@@ -679,7 +820,9 @@ def next_layer(params: FlightParams, law: DissipationLaw,
                config: StepConfig | None = None) -> DensityLayer:
     """Apply the recurrence once: joint layer n -> joint layer n+1, at the
     resolution the layer was built at unless ``config`` is given.
-    ``params`` and ``law`` must be those the layer was built with."""
+    ``params`` and ``law`` must be those the layer was built with.  A
+    step at the layer's own resolution onto its own grid reuses the
+    step geometry the layer keeps (layers 3 and up)."""
     if layer.kind != "joint":
         raise DomainError("the recurrence consumes joint layers")
     layer.check_source(params, law)
@@ -720,13 +863,14 @@ def ac_profile(field_obj: DensityField, r, theta=None) -> np.ndarray:
     """Absolutely continuous density of an assembled field at radius r;
     zero outside the support.  A field with angular tables (a
     non-symmetric law) needs ``theta``, broadcast against ``r``; an
-    isotropic field ignores it.  Radii must be finite and nonnegative."""
+    isotropic field ignores it.  Radii must be finite and nonnegative, and
+    angles finite."""
     r = np.atleast_1d(_radii(r))
     angular = field_obj.layers[0].thetas is not None
     if angular and theta is None:
         raise DomainError("a field with angular tables needs theta")
     if angular:
-        r, theta = np.broadcast_arrays(r, np.asarray(theta, dtype=float))
+        r, theta = np.broadcast_arrays(r, _theta(theta))
     R = field_obj.params.radius(field_obj.t)
     inside = r < R
     out = np.zeros(r.shape)
@@ -750,7 +894,8 @@ def residual_check(field_obj: DensityField,
     operator applied to the truncated stack gives layers 2..K+1.  Each
     layer is stepped at the resolution it was built at unless ``config``
     is given; where that step made the field's next layer, its node
-    values are reused.  So by default the residual is exactly the first
+    values are reused, and the last layer's step reuses the geometry
+    it keeps.  So by default the residual is exactly the first
     dropped layer up to rounding and sees no quadrature error; only an
     explicit ``config`` other than the build one compares two
     resolutions.  The field's layers must share one grid.
@@ -758,13 +903,14 @@ def residual_check(field_obj: DensityField,
     layers, grid = tuple(field_obj.layers), field_obj.layers[0].grid
     if any(layer.grid is not grid for layer in layers):
         raise DomainError("residual_check needs every layer on one grid")
-    th_targets = grid.thetas if isinstance(grid, PolarGrid) else np.zeros(1)
     lhs = sum(layer.at_nodes for layer in layers)
     rhs = layers[0].at_nodes
     for layer, nxt in zip(layers, layers[1:] + (None,)):
         cfg = config or layer.cfg
         if nxt is not None and nxt.source is layer and nxt.cfg == cfg:
             rhs = rhs + nxt.at_nodes
-        else:
-            rhs = rhs + _step_values(layer, grid.nodes, th_targets, cfg)
+            continue
+        kept = _kept_geometry(layer, cfg, grid)
+        rhs = rhs + _step_values(layer, grid.nodes, _node_angles(layer, grid),
+                                 cfg, None if kept is None else kept[1])
     return float(np.max(np.abs(lhs - rhs)))

@@ -186,15 +186,63 @@ class DensityField:
         return self.singular_weight + sum(self.layer_masses) + self.tail
 
 
+# log(n!) - log(sqrt(2 pi n) (n/e)^n) for n = 1..15, where its series is
+# too short to converge
+_STIRLERR = (0.08106146679532726, 0.0413406959554093, 0.02767792568499834,
+             0.020790672103765093, 0.016644691189821193, 0.013876128823070748,
+             0.01189670994589177, 0.010411265261972096, 0.009255462182712733,
+             0.00833056343336287, 0.007573675487951841, 0.00694284010720953,
+             0.006408994188004207, 0.0059513701127588475, 0.005554733551962801)
+
+
+def _stirlerr(n: int) -> float:
+    """The error of Stirling's formula, log(n!) - log(sqrt(2 pi n) (n/e)^n)."""
+    if n <= len(_STIRLERR):
+        return _STIRLERR[n - 1]
+    nn = float(n) * n
+    # the asymptotic series 1/(12n) - 1/(360n^3) + 1/(1260n^5) - ...,
+    # as many terms as reach double precision at this n
+    terms = (1 / 12, 1 / 360, 1 / 1260, 1 / 1680, 1 / 1188)
+    k = 2 if n > 500 else 3 if n > 80 else 4 if n > 35 else 5
+    acc = terms[k - 1]
+    for a in reversed(terms[:k - 1]):
+        acc = a - acc / nn
+    return acc / n
+
+
+def _bd0(x: float, mu: float) -> float:
+    """x log(x / mu) + mu - x, the Poisson deviance term, summed as a
+    series in v = (x - mu) / (x + mu) where the plain form cancels."""
+    if abs(x - mu) >= 0.1 * (x + mu):
+        return x * math.log(x / mu) + mu - x
+    v = (x - mu) / (x + mu)
+    s = (x - mu) * v
+    ej = 2.0 * x * v
+    for j in range(1, 1000):
+        ej *= v * v
+        s_next = s + ej / (2 * j + 1)
+        if s_next == s:
+            break
+        s = s_next
+    return s
+
+
 def poisson_weight(n: int, params: FlightParams, t: float) -> float:
-    """P(N(t) = n) = exp(-lam*t) (lam*t)^n / n! for the switching count."""
+    """P(N(t) = n) = exp(-lam*t) (lam*t)^n / n! for the switching count.
+
+    Loader's saddle-point form exp(-stirlerr(n) - bd0(n, lam t)) /
+    sqrt(2 pi n) keeps full relative precision where n log(lam t), lam t
+    and log(n!) are large and nearly cancel (C. Loader, "Fast and
+    accurate computation of binomial probabilities", 2000).
+    """
     if n < 0:
         raise DomainError(f"event count must be nonnegative, got {n}")
     if not t > 0:
         raise DomainError(f"time must be positive, got {t}")
     lt = params.lam * t
-    # log form: robust for large lam*t and large n
-    return math.exp(n * math.log(lt) - lt - math.lgamma(n + 1)) if n else math.exp(-lt)
+    if n == 0:
+        return math.exp(-lt)
+    return math.exp(-_stirlerr(n) - _bd0(n, lt)) / math.sqrt(2.0 * math.pi * n)
 
 
 def tail_mass(K: int, params: FlightParams, t: float) -> float:

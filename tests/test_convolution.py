@@ -369,6 +369,13 @@ def test_ac_profile_angle_rules():
     # a skewed field has no default angle
     with pytest.raises(DomainError):
         ac_profile(field, r)
+    # nor a non-finite one: NaN once read NaN, and inf warned and read NaN
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(DomainError, match="theta"):
+            ac_profile(field, r, bad)
+        for layer in field.layers:
+            with pytest.raises(DomainError, match="theta"):
+                layer.top_values(r, np.full(len(r), bad))
     # an isotropic field ignores the angle
     rgrid = RadialGrid.build(P2, 1.0, 6)
     iso = transition_density(P2, UniformLaw(P2), 1.0, 2, rgrid, cfg)
@@ -399,10 +406,10 @@ def test_graded_seed_step_runs_once_per_field(monkeypatch):
     at_nodes = []
     step = conv._step_values
 
-    def counted(layer, r, th, cfg):
+    def counted(layer, r, th, cfg, geometry=None):
         if layer.n == 1:
             at_nodes.append(np.array_equal(r, grid.nodes))
-        return step(layer, r, th, cfg)
+        return step(layer, r, th, cfg, geometry)
 
     monkeypatch.setattr(conv, "_step_values", counted)
     field = transition_density(P2, UniformLaw(P2), 1.0, 4, grid, CFG)
@@ -514,7 +521,7 @@ def test_layer_state_is_explicit(monkeypatch, params, law_of, grid_of):
         else:
             assert np.array_equal(layer.values, want), layer.n
 
-    def forbidden(*args):
+    def forbidden(*args, **kwargs):
         raise AssertionError("node values were recomputed")
 
     # at the grid nodes ac_profile sums the stored values: it steps and
@@ -527,6 +534,82 @@ def test_layer_state_is_explicit(monkeypatch, params, law_of, grid_of):
         assert np.array_equal(got, total)
     else:
         assert np.array_equal(ac_profile(field, grid.nodes), total[:, 0])
+
+
+def _count_geometry_builds(monkeypatch):
+    """Spy on regular step geometry builds (consumed layer n >= 2): one
+    entry per build, True where its targets are grid nodes."""
+    builds = []
+    build = conv._geometry
+
+    def counted(layer, r, th, cfg):
+        if layer.n >= 2:
+            builds.append(np.array_equal(r, layer.grid.nodes))
+        return build(layer, r, th, cfg)
+
+    monkeypatch.setattr(conv, "_geometry", counted)
+    return builds
+
+
+_GEOMETRY_CFG = StepConfig(n_sigma=9, n_theta=8, time_order=6, arc_order=6,
+                           seed_grade=(1e-1, 1.0))
+
+
+@pytest.mark.parametrize("params,law_of,grid_of", _FIELD_CASES,
+                         ids=["m2", "m3", "circular-gaussian"])
+def test_regular_step_geometry_is_built_once_per_field(monkeypatch, params,
+                                                       law_of, grid_of):
+    # the step from layer 2 builds it at the table and at the grid nodes;
+    # the steps to layers 4..K and the residual's step of layer K reuse it
+    builds = _count_geometry_builds(monkeypatch)
+    law, grid = law_of(params), grid_of(params)
+    field = transition_density(params, law, 1.0, 6, grid, _GEOMETRY_CFG)
+    ac_profile(field, grid.nodes[:, None],
+               grid.thetas[None, :] if isinstance(grid, PolarGrid) else None)
+    residual_check(field)
+    assert sorted(builds) == [False, True]
+    assert all(layer.geometry is field.layers[2].geometry
+               for layer in field.layers[2:])
+
+
+def test_new_grid_or_config_builds_new_geometry(monkeypatch):
+    grid = RadialGrid.build(P2, 1.0, 10)
+    law = UniformLaw(P2)
+    field = transition_density(P2, law, 1.0, 4, grid, _GEOMETRY_CFG)
+    last = field.layers[-1]
+    builds = _count_geometry_builds(monkeypatch)
+    assert next_layer(P2, law, last).geometry is last.geometry
+    assert builds == []
+    # an equal grid is another object: the geometry is kept per grid
+    other = next_layer(P2, law, last, grid=RadialGrid.build(P2, 1.0, 10))
+    assert sorted(builds) == [False, True]
+    assert next_layer(P2, law, other).geometry is other.geometry
+    builds.clear()
+    finer = dataclasses.replace(_GEOMETRY_CFG, time_order=8)
+    next_layer(P2, law, last, config=finer)
+    assert sorted(builds) == [False, True]
+    # at another config the residual steps layers 2..4 afresh
+    builds.clear()
+    residual_check(field, finer)
+    assert builds == [True, True, True]
+
+
+@pytest.mark.parametrize("params,law_of,grid_of", _FIELD_CASES,
+                         ids=["m2", "m3", "circular-gaussian"])
+def test_reused_geometry_steps_as_a_fresh_one(params, law_of, grid_of):
+    law, grid = law_of(params), grid_of(params)
+    field = transition_density(params, law, 1.0, 5, grid, _GEOMETRY_CFG)
+    last = field.layers[-1]
+    bare = dataclasses.replace(last, geometry=None)
+    reused, fresh = next_layer(params, law, last), next_layer(params, law, bare)
+    assert reused.geometry is last.geometry
+    assert fresh.geometry is not last.geometry
+    for a, b in ((reused.at_nodes, fresh.at_nodes), (reused.tab, fresh.tab),
+                 (reused.values, fresh.values)):
+        assert np.array_equal(a, b)
+    assert reused.mass() == fresh.mass()
+    stripped = dataclasses.replace(field, layers=field.layers[:-1] + (bare,))
+    assert residual_check(field) == residual_check(stripped)
 
 
 @pytest.mark.parametrize("lam_t", [720.0, 800.0])
@@ -620,3 +703,29 @@ def test_layer_moments_match_the_dirichlet_oracle(case):
         if tol_x1 is not None:
             x1 = layer.moment(lambda r, th: r * np.cos(th) / ct) / mass
             assert abs(x1 - mu) < tol_x1, n
+
+
+
+# E|X(t)|^2 = (2 c^2 / lam^2)(lam t - 1 + e^{-lam t}) for isotropic laws:
+# the per-layer Dirichlet second moments summed over the Poisson weights,
+# with the singular layer's (ct)^2 e^{-lam t}.  Tolerances: the relative
+# miss at n_sigma = 33 on 24 nodes with K = ceil(lam t + 7 sqrt(lam t) + 8),
+# times 1.5; self-similar layers make it the same for every (lam, c, t)
+FIELD_R2_TOL = {2: {0.05: 3.3e-10, 1.0: 3.8e-7, 5.0: 6.9e-6, 10.0: 1.7e-5},
+                3: {0.05: 1.3e-8, 1.0: 3.0e-6, 5.0: 2.6e-6, 10.0: 5.8e-5}}
+
+
+@pytest.mark.parametrize("lam_t", [0.05, 1.0, 5.0, 10.0])
+@pytest.mark.parametrize("m", [2, 3])
+def test_field_second_moment_over_lam_t(m, lam_t):
+    c, t = 1.5, 0.8
+    lam = lam_t / t
+    params = FlightParams(m, c, lam)
+    K = math.ceil(lam_t + 7.0 * math.sqrt(lam_t) + 8.0)
+    field = transition_density(params, UniformLaw(params), t, K,
+                               RadialGrid.build(params, t, 24),
+                               StepConfig(n_sigma=33))
+    got = sum(layer.moment(lambda r, th: r * r) for layer in field.layers) \
+        + math.exp(-lam_t) * params.radius(t) ** 2
+    want = 2.0 * c * c / lam**2 * (lam_t - 1.0 + math.exp(-lam_t))
+    assert abs(got / want - 1.0) < FIELD_R2_TOL[m][lam_t]

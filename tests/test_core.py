@@ -59,11 +59,15 @@ def test_tail_plus_partial_sum_is_exactly_one():
             assert s + tail_mass(K, params, t) == pytest.approx(1.0, abs=5e-15)
 
 
-@pytest.mark.parametrize("lam_t", [0.05, 0.25, 1.0, 10.0, 800.0])
-@pytest.mark.parametrize("K", [0, 1, 4, 12, 40])
+@pytest.mark.parametrize("K,lam_t", [
+    *((K, lam_t) for K in (0, 1, 4, 12, 40)
+      for lam_t in (0.05, 0.25, 1.0, 10.0, 800.0)),
+    (799, 800.0), (801, 800.0)])
 def test_tail_mass_against_scipy(K, lam_t):
     # 1 - sum_{n<=K} pi_n once read 0.0 for K = 12 at lam t = 0.25 (the
-    # tail is 1.9e-18) and missed it by 2e-6 relative at lam t = 1
+    # tail is 1.9e-18) and missed it by 2e-6 relative at lam t = 1.  Next
+    # to a large lam t the log form of pi_n cancelled: K = 799 at lam t =
+    # 800 missed by 5.2e-13
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         got = tail_mass(K, FlightParams(2, 1.0, lam_t), 1.0)
