@@ -298,8 +298,9 @@ def laplace_identity_error(params: FlightParams, law: DissipationLaw,
 # --------------------------------------------------------------------------
 
 def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
-    """Real part of the Fourier transform of a joint layer at the
-    inversion vector alpha (the whole transform for symmetric laws).
+    """Real part of the Fourier transform of a layer, joint or
+    conditional, at the inversion vector alpha (the whole transform for
+    symmetric laws).
 
     The kernel is cos(|alpha| r cos(theta - phi)) on angular layers and
     its angular average, J0(|alpha| r) in the plane or sinc(|alpha| r)
@@ -309,8 +310,6 @@ def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
     Raises `DomainError` for an ``alpha`` that is not a finite m-vector
     and for ``params`` other than those the layer was built with.
     """
-    if layer.kind != "joint":
-        raise DomainError("layer_fourier expects a joint layer")
     layer.check_source(params)
     alpha = _check_alpha(params, alpha)
     a = float(np.linalg.norm(alpha))

@@ -18,11 +18,13 @@ is self-similar:
 
     f_n(x, tau) = pi_n(lam tau) (c tau)^(-m) g_n(|x| / (c tau), theta).
 
-A layer therefore keeps one table over the scaled radius sigma = r/(ct)
-at the final time t and reads every earlier time exactly:
+The engine steps the layers g_n given n turns of the flight with
+c = t = 1, free of lam, c and t.  A layer keeps one table of g_n and its
+mass as a weight: pi_n(lam t) when joint, 1 when given n turns.  As
+pi_n(lam tau) lam e^{-lam (t - tau)} = pi_{n+1}(lam t) (n+1) tau^n / t^(n+1),
+the step's kernel is (n+1) tau^n, and it reads g_n at every time tau:
 
-    f_n(s, tau) = e^{lam (t - tau)} (tau / t)^(n - m) E_n(sigma) h_n(sigma),
-    sigma = s / (c tau).
+    tau^(-m) g_n(s / tau) = tau^(-m) E_n(sigma) h_n(sigma),  sigma = s / tau.
 
 E_n is the planar edge factor (1 - sigma^2)^((n-2)/2), exact for the
 uniform law's closed form g_n = n / (2 pi) (1 - sigma^2)^((n-2)/2) and
@@ -32,11 +34,8 @@ support boundary, so h_1 is that layer's regular factor.  The tables
 hold h_n on sigma nodes equispaced in u = arcsin(sigma / sigma_max);
 reads interpolate them with a 4-point Lagrange stencil in u, and masses
 and transforms integrate them in u by composite Simpson.  Each step
-evaluates the next table at the one time t, together with the layer's
-values at the grid nodes.  The step integrates the reads against the
-kernel lam e^{-lam (t - tau)}, whose exponential cancels the read's
-e^{lam (t - tau)}; both are left out, so no factor overflows at large
-lam t.
+evaluates the next table, together with the layer's values at the grid
+nodes sigma = r / (ct).
 
 Surface integrals over caps are taken in the chord-radius variable
 s = |xi| (planar case: both arc branches summed), where the geometric
@@ -56,12 +55,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .analytic import one_turn_coefficient, one_turn_profile
+from .analytic import _one_turn_shape
 from .core import (DensityField, FlightParams, PolarGrid, RadialGrid, _angles,
-                   _ball_volume, _clustered_nodes, check_grid_time,
-                   conditional_weight_or_raise, poisson_weight, tail_mass)
+                   _ball_volume, _clustered_nodes, _unscaled, check_grid_time,
+                   poisson_weight, tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
-from .errors import DomainError
+from .errors import DomainError, NumericError
 from .specfun import gauss_2f1
 
 __all__ = [
@@ -171,21 +170,24 @@ def _default_config(law: DissipationLaw) -> StepConfig:
 
 @dataclass(frozen=True, eq=False)
 class DensityLayer:
-    """The density of position jointly with (``kind`` "conditional":
-    given) exactly ``n`` direction changes at time ``t``.
+    """The density of position jointly with (``weight`` pi_n(lam t), its
+    mass) or given (``weight`` 1) exactly ``n`` direction changes at time
+    ``t``: ``weight`` (ct)^(-m) g_n(r / (ct)), with g_n the layer given n
+    turns of the flight with c = t = 1, free of lam, c and t.
 
-    ``values`` holds it at the nodes of ``grid`` clipped at 0, shape
-    (n_r,) or (n_r, n_theta); ``at_nodes`` unclipped, shape (n_r,
-    n_theta of the grid, or 1 for isotropic tables).  ``tab`` holds
-    h_n = f_n(sigma c t, t) / E_n(sigma) at the nodes ``sigma``, shape
-    (n_sigma, n_theta), with n_theta = 1 (``thetas`` None) for
-    rotation-invariant data; the m=3 seed, consumed through its closed
-    form, has none.  ``cfg`` is the resolution the layer was built at
-    and ``source`` the joint layer its step consumed (None for the
-    seed): values away from the grid nodes re-apply that step.
-    ``geometry`` is the n-independent part of a regular step (one that
-    consumed a layer n >= 2) at the table nodes and at the grid nodes,
-    for ``cfg`` and ``grid``; the next step at those reuses it.
+    ``g_values`` holds g_n at the nodes of ``grid`` clipped at 0, shape
+    (n_r,) or (n_r, n_theta); ``g_at_nodes`` unclipped, shape (n_r,
+    n_theta of the grid, or 1 for isotropic tables); ``values`` and
+    ``at_nodes`` are the layer there (`NumericError` where they leave
+    the float range).  ``tab`` holds h_n = g_n / E_n at the nodes
+    ``sigma``, shape (n_sigma, n_theta), with n_theta = 1 (``thetas``
+    None) for rotation-invariant data; the m=3 seed, consumed through its
+    closed form, has none.  ``cfg`` is the resolution the layer was built
+    at and ``source`` the layer its step consumed (None for the seed):
+    values away from the grid nodes re-apply that step.  ``geometry`` is
+    the n-independent part of a regular step (one that consumed a layer
+    n >= 2) at the table nodes and at the grid nodes, for ``cfg`` and
+    ``grid``; the next step at those reuses it.
     """
 
     n: int
@@ -193,26 +195,34 @@ class DensityLayer:
     law: DissipationLaw
     t: float
     grid: RadialGrid | PolarGrid
-    values: np.ndarray
-    at_nodes: np.ndarray
+    g_values: np.ndarray
+    g_at_nodes: np.ndarray
     sigma: np.ndarray
     thetas: np.ndarray | None
     tab: np.ndarray | None
     cfg: StepConfig
+    weight: float
     source: "DensityLayer | None" = field(default=None, repr=False)
-    kind: str = "joint"
     geometry: tuple | None = field(default=None, repr=False)
+    values: np.ndarray = field(init=False, repr=False)
+    at_nodes: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DomainError("layer index n must be >= 1")
-        if self.kind not in ("joint", "conditional"):
-            raise DomainError(f"unknown layer kind {self.kind!r}")
-        values = np.asarray(self.values, dtype=float)
+        if np.any(np.asarray(self.g_values) < 0):
+            raise DomainError("layer values must be nonnegative")
+        with np.errstate(over="ignore"):
+            values, at_nodes = self._view(self.g_values), self._view(self.g_at_nodes)
+        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(at_nodes))):
+            raise NumericError(f"layer {self.n} leaves the float range at t={self.t!r}")
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
-        if np.any(values < 0):
-            raise DomainError("layer values must be nonnegative")
+        object.__setattr__(self, "at_nodes", at_nodes)
+
+    def _view(self, g) -> np.ndarray:
+        """Scaled values ``g`` at radius r: weight (ct)^(-m) g."""
+        return _unscaled(g, self.weight, self.params.m, self.params.radius(self.t))
 
     def check_source(self, params: FlightParams, law=None) -> None:
         """Raise `DomainError` unless ``params`` and ``law`` (its type and
@@ -227,8 +237,7 @@ class DensityLayer:
         """Where points at ``pos`` (from `_position`) fall in the table:
         the flat index into ``tab`` of the first node of the 4-point
         stencil in u (angle node 0), and the stencil's four weights, each
-        carrying the read factor (tau/t)^(n-m) E_n(sigma); the step
-        cancels the exact read's e^{lam (t - tau)} against its kernel."""
+        carrying the read factor tau^(n-m) E_n(sigma)."""
         q, edge, u = pos
         m, n = self.params.m, self.n
         n_s, n_th = self.tab.shape
@@ -298,19 +307,15 @@ class DensityLayer:
         stored = self._stored(r, th)
         if stored is not None:
             return stored
+        sig = r / self.params.radius(self.t)
         if self.source is None:
-            return self._scale * _seed_values(self.params, self.law, r, th, self.t)
+            return self._view(_seed_values(self.params.m, self.law, sig, th))
         out = np.empty(r.shape)
         for a in np.unique(th):
             mask = th == a
-            out[mask] = _step_values(self.source, r[mask], np.array([a]),
+            out[mask] = _step_values(self.source, sig[mask], np.array([a]),
                                      self.cfg)[:, 0]
-        return self._scale * out
-
-    @property
-    def _scale(self) -> float:  # takes the joint closed forms to this kind
-        w = 1.0 if self.kind == "joint" else poisson_weight(self.n, self.params, self.t)
-        return 1.0 / w
+        return self._view(out)
 
     def _stored(self, r: np.ndarray, th: np.ndarray):
         """``at_nodes`` at the points (r, th) when each is a grid node,
@@ -329,58 +334,54 @@ class DensityLayer:
 
     def moment(self, kern=None) -> float:
         """Integral of the layer against ``kern(r, theta)``, a vectorized
-        real weight; the mass when ``kern`` is None.  A kernel that
+        real weight; the mass when ``kern`` is None.  It is integrated
+        over sigma = r/(ct) and multiplied by the weight.  A kernel that
         returns exactly 1 (a transform at zero frequency) gives the mass
         to the last bit."""
-        p, n = self.params, self.n
-        R = p.radius(self.t)
+        m, n, ct = self.params.m, self.n, self.params.radius(self.t)
         ths = np.zeros(1) if self.thetas is None else self.thetas
         kern = kern or (lambda r, th: np.ones_like(r * th))
-        if n == 1 and p.m == 2:
-            # r = R sin(u) cancels the boundary inverse square root,
+        if n == 1 and m == 2:
+            # sigma = sin(u) cancels the boundary inverse square root,
             # leaving the smooth regular factor
             z, w = _gl_cached(128)
             u = 0.5 * np.pi * z
-            r = R * np.sin(u)
-            wr = 0.5 * np.pi * w * R * np.sin(u)
+            sig = np.sin(u)
+            ws = 0.5 * np.pi * w * sig
             acc = 0.0
             for th in ths:
-                th_r = np.full_like(r, th)
-                g = _one_turn_reg_planar(p, self.law, r, th_r, self.t)
-                acc += float(np.sum(wr * g * kern(r, th_r)))
-            return self._scale * 2.0 * math.pi * acc / len(ths)
+                th_s = np.full_like(sig, th)
+                g = _one_turn_reg_planar(self.law, sig, th_s)
+                acc += float(np.sum(ws * g * kern(ct * sig, th_s)))
+            return self.weight * 2.0 * math.pi * acc / len(ths)
         if n == 1:
-            # the exact mass (primitive of r log((R+r)/(R-r))) carries the
-            # kernel's value at the log-singular edge r = R; quadrature
-            # takes only the departure from it, which vanishes there
-            B = p.lam * math.exp(-p.lam * self.t) / (4.0 * math.pi
-                                                     * p.c**2 * self.t)
-            r, wr = _sin2_panels(np.zeros(1), np.full(1, R), 160)
-            r, wr = r[0], wr[0]
-            f = one_turn_profile(p, r, self.t)
-            k = kern(np.append(r, R), np.zeros(len(r) + 1))
+            # the exact mass (primitive of sigma log((1+sigma)/(1-sigma)))
+            # carries the kernel's value at the log-singular edge sigma = 1;
+            # quadrature takes only the departure from it, which vanishes
+            # there
+            sig, ws = _sin2_panels(np.zeros(1), np.ones(1), 160)
+            sig, ws = sig[0], ws[0]
+            k = kern(ct * np.append(sig, 1.0), np.zeros(len(sig) + 1))
             dk = k[:-1] - k[-1]
-            return self._scale * float(k[-1] * 4.0 * math.pi * B * R * R
-                                       + 4.0 * math.pi * np.sum(wr * f * dk * r * r))
+            return self.weight * float(k[-1] + 4.0 * math.pi * np.sum(
+                ws * _one_turn_shape(3, sig) * dk * sig * sig))
         # composite Simpson in u over h_n * kern (averaged over the table
-        # angles) * E_n * the volume element, with r = R sigma_max sin(u)
-        n_s, cap = len(self.sigma), float(self.sigma[-1])
+        # angles) * E_n * the volume element, with sigma = sigma_max sin(u)
+        sig, n_s, cap = self.sigma, len(self.sigma), float(self.sigma[-1])
         u = 0.5 * np.pi * np.arange(n_s) / (n_s - 1)
-        r = self.sigma * R
-        prof = (self.tab * kern(r[:, None], ths[None, :])).mean(axis=1)
+        prof = (self.tab * kern(ct * sig[:, None], ths[None, :])).mean(axis=1)
         w = np.where(np.arange(n_s) % 2, 4.0, 2.0)
         w[[0, -1]] = 1.0
-        dv = (2.0 * np.pi * r if p.m == 2 else 4.0 * np.pi * r * r) \
-            * R * cap * np.cos(u)
-        body = u[1] / 3.0 * np.sum(w * prof * _edge(p.m, n, 1.0 - self.sigma**2)
-                                   * dv)
+        dv = (2.0 * np.pi * sig if m == 2 else 4.0 * np.pi * sig * sig) \
+            * cap * np.cos(u)
+        body = u[1] / 3.0 * np.sum(w * prof * _edge(m, n, 1.0 - sig**2) * dv)
         # past the last node h_n is held at its last value; the sliver
         # integral of E_n is exact
-        if p.m == 2:
-            sliver = np.pi * R * R * (1.0 - cap * cap) ** (0.5 * n) / (0.5 * n)
+        if m == 2:
+            sliver = np.pi * (1.0 - cap * cap) ** (0.5 * n) / (0.5 * n)
         else:
-            sliver = _ball_volume(R, 3) - _ball_volume(r[-1], 3)
-        return float(body + prof[-1] * sliver)
+            sliver = _ball_volume(1.0, 3) - _ball_volume(cap, 3)
+        return self.weight * float(body + prof[-1] * sliver)
 
     mass = moment  # the moment against 1
 
@@ -389,68 +390,64 @@ class DensityLayer:
 # one-turn seeds
 # --------------------------------------------------------------------------
 
-def _one_turn_reg_planar(params: FlightParams, law: DissipationLaw,
-                         r, theta, t):
-    """Regular factor f1(x, t) * sqrt((ct)^2 - |x|^2) of the planar
-    one-turn density, any dissipation law.
+def _one_turn_reg_planar(law: DissipationLaw, sig, theta):
+    """Regular factor g_1(sigma, theta) sqrt(1 - sigma^2) of the planar
+    one-turn layer given one turn, any dissipation law, in units
+    c = t = 1.
 
-    A one-turn path is a first leg of length c*tau and a last leg of
-    length c*(t - tau) meeting at one of the two intersection points of
+    A one-turn path is a first leg of length tau and a last leg of
+    length 1 - tau meeting at one of the two intersection points of
     the circles with those radii around 0 and x; collapsing the two
     circle deltas leaves the inverse of twice the triangle area as the
-    Jacobian.  Substituting c*(2 tau - t) = |x| sin(s) absorbs both
+    Jacobian.  Substituting 2 tau - 1 = sigma sin(s) absorbs both
     endpoint singularities of the time integral together with the
     boundary factor, leaving a smooth integral of the product of the
     two direction densities over s in (-pi/2, pi/2).
     """
-    r = np.asarray(r, dtype=float)
-    theta = np.asarray(theta, dtype=float)
-    ct = params.radius(t)
     z, w = _gl_cached(_SEED_QUAD)
     ang = -0.5 * np.pi + np.pi * z
     ws = np.pi * w
     sin_s = np.sin(ang)
-    rr = r[..., None]
-    a = 0.5 * (ct + rr * sin_s)          # first-leg length
-    rho = 0.5 * (ct - rr * sin_s)        # last-leg length
-    dpar = 0.5 * (rr + ct * sin_s)       # turn point along the axis of x
-    # a^2 - dpar^2 = ((ct)^2 - r^2) cos^2(s) / 4 exactly
-    h = 0.5 * np.sqrt(np.maximum(ct * ct - rr * rr, 0.0)) * np.abs(np.cos(ang))
+    ss = sig[..., None]
+    a = 0.5 * (1.0 + ss * sin_s)         # first-leg length
+    rho = 0.5 * (1.0 - ss * sin_s)       # last-leg length
+    dpar = 0.5 * (ss + sin_s)            # turn point along the axis of x
+    # a^2 - dpar^2 = (1 - sigma^2) cos^2(s) / 4 exactly
+    h = 0.5 * np.sqrt(np.maximum(1.0 - ss * ss, 0.0)) * np.abs(np.cos(ang))
     cth = np.cos(theta)[..., None]
     sth = np.sin(theta)[..., None]
     acc = 0.0
     for sgn in (1.0, -1.0):
         u1x = (cth * dpar - sth * sgn * h) / np.maximum(a, _TINY)
-        u2x = (cth * (rr - dpar) + sth * sgn * h) / np.maximum(rho, _TINY)
+        u2x = (cth * (ss - dpar) + sth * sgn * h) / np.maximum(rho, _TINY)
         acc = acc + (law.density_from_axis_cos(u1x)
                      * law.density_from_axis_cos(u2x))
-    integral = np.sum(ws * acc, axis=-1)
-    return params.lam * np.exp(-params.lam * t) / params.c * integral
+    return np.sum(ws * acc, axis=-1)
 
 
-def _seed_profile_generic(params: FlightParams, r: np.ndarray,
-                          t: float) -> np.ndarray:
-    """One-turn density of the isotropic law through the generic
-    hypergeometric series (kept independent of the elementary fast
-    paths in :mod:`randflight.analytic`)."""
-    m = params.m
-    ct = params.radius(t)
-    coeff = one_turn_coefficient(params, t)
-    out = np.empty(len(r))
-    for i, ri in enumerate(r):
+def _seed_profile_generic(m: int, sig: np.ndarray) -> np.ndarray:
+    """The one-turn layer of the isotropic law given one turn, in units
+    c = t = 1, through the generic hypergeometric series (kept
+    independent of the elementary forms in :mod:`randflight.analytic`)."""
+    coeff = 2.0 ** (m - 3) * math.gamma(m / 2) / math.pi ** (m / 2.0)
+    out = np.empty(len(sig))
+    for i, si in enumerate(sig):
         out[i] = coeff * gauss_2f1(0.5 * (m - 1), 2.0 - 0.5 * m, 0.5 * m,
-                                   (ri / ct) ** 2, 1e-14, 200_000)
+                                   si**2, 1e-14, 200_000)
     return out
 
 
-def _seed_values(params: FlightParams, law: DissipationLaw, r: np.ndarray,
-                 th: np.ndarray, t: float) -> np.ndarray:
-    """The one-turn layer at radii ``r`` and angles ``th`` (the shape of
-    ``r``) at time t: the closed form (m=3) or quadrature (planar)."""
-    if params.m == 3:
-        return one_turn_profile(params, r, t)
-    g = _one_turn_reg_planar(params, law, r, th, t)
-    return g / np.sqrt(np.maximum(params.radius(t) ** 2 - r * r, _TINY))
+def _seed_values(m: int, law: DissipationLaw, sig: np.ndarray,
+                 th: np.ndarray) -> np.ndarray:
+    """The one-turn layer given one turn at scaled radii ``sig`` and
+    angles ``th`` (the shape of ``sig``), in units c = t = 1: the closed
+    form (m=3) or quadrature (planar)."""
+    if m == 3:
+        if np.any(sig >= 1.0):
+            raise DomainError("the one-turn layer needs all radii < ct")
+        return _one_turn_shape(3, sig)
+    g = _one_turn_reg_planar(law, sig, th)
+    return g / np.sqrt(np.maximum(1.0 - sig * sig, _TINY))
 
 
 # --------------------------------------------------------------------------
@@ -473,10 +470,9 @@ def _panels(bounds: list, order: int):
             np.concatenate([wt for _, wt in parts], axis=-1))
 
 
-def _time_panels(r: np.ndarray, T: float, c: float, order: int,
-                 grade: tuple | None):
-    """Per-target-radius time quadrature, split at the cap/full-sphere
-    transition.
+def _time_panels(sig: np.ndarray, order: int, grade: tuple | None):
+    """Per-target-radius time quadrature over (0, 1), split at the
+    cap/full-sphere transition.
 
     With ``grade`` (seed consumption) the stretch after the transition
     is subdivided geometrically toward it, where the integrand has a
@@ -484,14 +480,14 @@ def _time_panels(r: np.ndarray, T: float, c: float, order: int,
     left end, where the early-time weight of the one-turn layer varies
     on the scale of tau itself.
     """
-    tm = 0.5 * T - 0.5 * r / c
-    tp = 0.5 * T + 0.5 * r / c
+    tm = 0.5 - 0.5 * sig
+    tp = 0.5 + 0.5 * sig
     if not grade:
-        return _panels([(tm, tp), (tp, T)], order)
+        return _panels([(tm, tp), (tp, 1.0)], order)
     mid = 0.5 * (tm + tp)
     toward_tp = [(b, a) for a, b in _graded(tp, mid, grade)]
     return _panels(_graded(tm, mid, grade) + toward_tp
-                   + _graded(tp, T, grade), order)
+                   + _graded(tp, 1.0, grade), order)
 
 
 def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -504,24 +500,23 @@ def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
 _TARGET_BLOCK = 8  # targets per pass of the step: bounds its scratch arrays
 
 
-def _position(params: FlightParams, t: float, cap: float, s: np.ndarray,
-              tau: np.ndarray, support_gap=None) -> tuple:
+def _position(m: int, cap: float, s: np.ndarray, tau: np.ndarray,
+              support_gap=None) -> tuple:
     """Where points (radius s, time tau) fall in a layer table whose last
-    node is sigma = ``cap``, free of the layer index: tau/t, the planar
+    node is sigma = ``cap``, free of the layer index: tau, the planar
     edge argument 1 - sigma^2 (None in dimension 3, which has no edge
-    factor) and u = arcsin(sigma / cap).  `DensityLayer.radial` takes it
-    to the layer's stencil.
+    factor) and u = arcsin(sigma / cap), with sigma = s / tau.
+    `DensityLayer.radial` takes it to the layer's stencil.
 
     Callers probing close to the support sphere pass ``support_gap``
-    = c*tau - s computed in a cancellation-free form.
+    = tau - s computed in a cancellation-free form.
     """
-    av = params.c * tau
     edge = None
-    if params.m == 2:
-        gap = av - s if support_gap is None else support_gap
-        edge = gap * (av + s) / np.maximum(av * av, _TINY)
-    sig = np.clip(s / np.maximum(av, _TINY) / cap, 0.0, 1.0)
-    return tau / t, edge, np.arcsin(sig)
+    if m == 2:
+        gap = tau - s if support_gap is None else support_gap
+        edge = gap * (tau + s) / np.maximum(tau * tau, _TINY)
+    sig = np.clip(s / np.maximum(tau, _TINY) / cap, 0.0, 1.0)
+    return tau, edge, np.arcsin(sig)
 
 
 @dataclass(frozen=True, eq=False)
@@ -546,92 +541,90 @@ class _Arcs:
     theta: np.ndarray | None = None
 
 
-def _blocks(layer: DensityLayer, r_targets: np.ndarray):
+def _blocks(sig_targets: np.ndarray):
     """Yield (indices, radii) of the targets a block at a time, skipping
     the targets at the origin, then (indices, None) of those."""
-    origin = r_targets < _R_TINY_REL * layer.params.c * layer.t
-    for b in range(0, len(r_targets), _TARGET_BLOCK):
+    origin = sig_targets < _R_TINY_REL
+    for b in range(0, len(sig_targets), _TARGET_BLOCK):
         idx = b + np.flatnonzero(~origin[b:b + _TARGET_BLOCK])
         if len(idx):
-            yield idx, r_targets[idx]
+            yield idx, sig_targets[idx]
     if np.any(origin):
         yield np.flatnonzero(origin), None
 
 
-def _window(layer: DensityLayer, r: np.ndarray, cfg: StepConfig):
-    """Time nodes ``tau`` of the step at target radii ``r`` (graded
-    after the one-turn layer), the last-leg radius rho and the first-leg
-    reach c*tau, the chord-radius bounds of each cap, and the kernel lam
-    e^{-lam (T - tau)} times the time weight, less the exponential that
-    cancels the read's e^{lam (T - tau)}.  Every factor stays finite, so
-    the zero weight of an empty cap also zeroes its reads."""
-    c, T = layer.params.c, layer.t
-    tau, wt = _time_panels(r, T, c, cfg.time_order,
+def _window(layer: DensityLayer, sig: np.ndarray, cfg: StepConfig):
+    """Time nodes ``tau`` of the step at target radii ``sig`` (graded
+    after the one-turn layer), the last-leg radius rho = 1 - tau, the
+    chord-radius bounds of each cap, and the time weights, zero where
+    the cap is empty, so that they also zero its reads.  The kernel's
+    tau^n travels with the reads, and its n+1 is applied per step."""
+    tau, wt = _time_panels(sig, cfg.time_order,
                            cfg.seed_grade if layer.n == 1 else None)
-    rho = c * (T - tau)
-    av = c * tau
-    s_lo = np.abs(r[:, None] - rho)
-    s_hi = np.minimum(r[:, None] + rho, av)
-    return tau, rho, av, s_lo, s_hi, np.where(s_hi > s_lo, layer.params.lam * wt, 0.0)
+    rho = 1.0 - tau
+    s_lo = np.abs(sig[:, None] - rho)
+    s_hi = np.minimum(sig[:, None] + rho, tau)
+    return tau, rho, s_lo, s_hi, np.where(s_hi > s_lo, wt, 0.0)
 
 
 def _origin_window(layer: DensityLayer, cfg: StepConfig):
-    """Time nodes and kernel weights of the step at the origin.  There
-    the cap window has width r/c -> 0; only the full-sphere stretch
+    """Time nodes and weights of the step at the origin.  There the cap
+    window has width sigma -> 0; only the full-sphere stretch
     contributes, as a plain spherical average.  Consuming the m=3 seed
-    it starts at the seed's log singularity (rho = c tau at tau = T/2),
+    it starts at the seed's log singularity (rho = tau at tau = 1/2),
     so that stretch is graded toward it."""
-    T = layer.t
-    mid, end = np.full(1, 0.5 * T), np.full(1, T)
+    mid, end = np.full(1, 0.5), np.full(1, 1.0)
     bounds = _graded(mid, end, cfg.seed_grade) \
         if layer.n == 1 and layer.params.m == 3 else [(mid, end)]
     tau, wt = _panels(bounds, cfg.time_order)
-    return tau[0], layer.params.lam * wt[0]
+    return tau[0], wt[0]
 
 
-def _arcs(layer: DensityLayer, r: np.ndarray | None, th_targets: np.ndarray,
+def _arcs(layer: DensityLayer, sig: np.ndarray | None, th_targets: np.ndarray,
           cfg: StepConfig) -> _Arcs:
-    """The surface integrals of the step at target radii ``r`` (None:
+    """The surface integrals of the step at target radii ``sig`` (None:
     the origin).  Planar ones run in the chord-radius variable s over
     both arc branches; the angle-to-radius Jacobian is
     2 s / sqrt(((r+rho)^2 - s^2)(s^2 - (r-rho)^2)), whose endpoint
     singularities the sin^2 panel map integrates exactly.  In dimension
     3 the cap integral reduces to (1 / (2 rho r)) int s f(s) ds."""
-    params, T, cap = layer.params, layer.t, layer.sigma[-1]
-    c = params.c
-    if r is None:
+    m, cap = layer.params.m, layer.sigma[-1]
+    if sig is None:
         tau, kw = _origin_window(layer, cfg)
-        rho = c * (T - tau)
+        rho = 1.0 - tau
         col = (None, slice(None), None)  # (one target, time, angle)
-        if params.m == 3:
-            return _Arcs(_position(params, T, cap, rho[col], tau[col]),
-                         kw[col][None])
+        if m == 3:
+            return _Arcs(_position(m, cap, rho[col], tau[col]), kw[col][None])
         phi = _angles(64)
         w = kw[:, None] * layer.law.density_from_axis_cos(-np.cos(phi)) \
             * (2.0 * np.pi / len(phi))
-        return _Arcs(_position(params, T, cap, rho[col], tau[col],
-                               (c * (2.0 * tau - T))[col]), w[None, None],
+        return _Arcs(_position(m, cap, rho[col], tau[col],
+                               (2.0 * tau - 1.0)[col]), w[None, None],
                      theta=phi)
-    tau, rho, av, s_lo, s_hi, kw = _window(layer, r, cfg)
-    rr = r[:, None]
-    if params.m == 3:
+    tau, rho, s_lo, s_hi, kw = _window(layer, sig, cfg)
+    rr = sig[:, None]
+    if m == 3:
         ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
         w = (kw / np.maximum(2.0 * rho * rr, _TINY))[..., None] * ws * ss
-        return _Arcs(_position(params, T, cap, ss, tau[..., None]), w[None])
+        return _Arcs(_position(m, cap, ss, tau[..., None]), w[None])
     ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
                                           with_gaps=True)
     # endpoint distances in cancellation-free form: to the inner
     # support sphere (exact when s_hi is the sphere itself) and to
     # the two roots of the arc Jacobian
-    gap = np.maximum(av - s_hi, 0.0)[..., None] + hi_gap
+    gap = np.maximum(tau - s_hi, 0.0)[..., None] + hi_gap
     gap_outer = np.maximum((rr + rho) - s_hi, 0.0)[..., None] + hi_gap
-    ker = 2.0 * ss / np.sqrt(np.maximum(
+    # the product of the four root distances is (2 r d2)^2, with d2 the
+    # turn point's distance from the axis of x; s^2 - d1^2 would cancel
+    # at the arc ends
+    two_r_d2 = np.sqrt(np.maximum(
         gap_outer * ((rr + rho)[..., None] + ss)
         * lo_gap * (s_lo[..., None] + ss), _TINY))
+    ker = 2.0 * ss / two_r_d2
     d1 = (rr[..., None] ** 2 + ss**2 - (rho**2)[..., None]) \
         / np.maximum(2.0 * rr[..., None], _TINY)
-    d2 = np.sqrt(np.maximum(ss**2 - d1**2, 0.0))
-    pos = _position(params, T, cap, ss, tau[..., None], gap)
+    d2 = np.divide(two_r_d2, 2.0 * rr[..., None], out=two_r_d2)
+    pos = _position(m, cap, ss, tau[..., None], gap)
     wk = kw[..., None] * ws * ker
     chi_args = (rr[..., None] - d1, d2, np.maximum(rho[..., None], _TINY),
                 np.arctan2(d2, d1))
@@ -651,12 +644,12 @@ def _chi(law: DissipationLaw, chi_args: tuple, th: float):
             for sgn in (1.0, -1.0))
 
 
-def _geometry(layer: DensityLayer, r_targets: np.ndarray,
+def _geometry(layer: DensityLayer, sig_targets: np.ndarray,
               th_targets: np.ndarray, cfg: StepConfig):
     """Yield (target indices, `_Arcs`) of the step from ``layer``, a block
     of targets at a time."""
-    for idx, r in _blocks(layer, r_targets):
-        yield idx, _arcs(layer, r, th_targets, cfg)
+    for idx, sig in _blocks(sig_targets):
+        yield idx, _arcs(layer, sig, th_targets, cfg)
 
 
 def _apply(layer: DensityLayer, arcs: _Arcs,
@@ -677,11 +670,11 @@ def _apply(layer: DensityLayer, arcs: _Arcs,
     return out
 
 
-def _step_values(layer: DensityLayer, r_targets: np.ndarray,
+def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
                  th_targets: np.ndarray, cfg: StepConfig,
                  geometry: tuple | None = None) -> np.ndarray:
-    """The layer after ``layer`` at radii ``r_targets`` and angles
-    ``th_targets``, at the layer's time T, shape (len(r_targets),
+    """The scaled layer g_{n+1} after ``layer`` at scaled radii
+    ``sig_targets`` and angles ``th_targets``, shape (len(sig_targets),
     len(th_targets)): one application of the recurrence, a block of
     targets at a time.  ``geometry`` is the step's kept `_geometry` at
     these targets; without it the step builds it block by block and
@@ -692,32 +685,26 @@ def _step_values(layer: DensityLayer, r_targets: np.ndarray,
     the inner cap integral has the exact primitive
     (a+s) log(a+s) + (a-s) log(a-s).
     """
-    params, T = layer.params, layer.t
-    lam, c = params.lam, params.c
-    r_targets = np.asarray(r_targets, dtype=float)
-    out = np.zeros((len(r_targets), len(th_targets)))
-    if layer.n > 1 or params.m == 2:
+    sig_targets = np.asarray(sig_targets, dtype=float)
+    out = np.zeros((len(sig_targets), len(th_targets)))
+    if layer.n > 1 or layer.params.m == 2:
         for idx, arcs in geometry if geometry is not None else \
-                _geometry(layer, r_targets, th_targets, cfg):
+                _geometry(layer, sig_targets, th_targets, cfg):
             out[idx] += _apply(layer, arcs, th_targets)
-        return out
-    for idx, r in _blocks(layer, r_targets):  # the m=3 seed's closed form
-        if r is None:
-            # the seed takes the kernel's exponential, as B does below
-            tau, kw = _origin_window(layer, cfg)
-            rho = c * (T - tau)
-            F = one_turn_profile(params, np.minimum(rho, c * tau * (1.0 - 1e-12)),
-                                 tau) * np.exp(-lam * (T - tau))
-            out[idx] += np.sum(kw * F)
-            continue
-        tau, rho, av, s_lo, s_hi, kw = _window(layer, r, cfg)
-        # the seed's e^{-lam tau} times the kernel's exponential
-        B = lam * np.exp(-lam * tau) * np.exp(-lam * (T - tau)) \
-            / (4.0 * math.pi * c**2 * tau)
-        inner = B * (_log_primitive(s_hi, av) - _log_primitive(s_lo, av))
-        out[idx] += np.sum(kw * inner / np.maximum(2.0 * rho * r[:, None], _TINY),
-                           axis=-1)[:, None]
-    return out
+    else:
+        for idx, sig in _blocks(sig_targets):  # the m=3 seed's closed form
+            if sig is None:
+                tau, kw = _origin_window(layer, cfg)
+                rho = np.minimum(1.0 - tau, tau * (1.0 - 1e-12))
+                out[idx] += np.sum(kw * _one_turn_shape(3, rho / tau) / tau**2)
+                continue
+            tau, rho, s_lo, s_hi, kw = _window(layer, sig, cfg)
+            # s tau^-2 g_1(s / tau) = B log((tau + s) / (tau - s))
+            B = 1.0 / (4.0 * math.pi * tau)
+            inner = B * (_log_primitive(s_hi, tau) - _log_primitive(s_lo, tau))
+            out[idx] += np.sum(kw * inner / np.maximum(2.0 * rho * sig[:, None],
+                                                       _TINY), axis=-1)[:, None]
+    return (layer.n + 1) * out  # the kernel's n+1
 
 
 def _clipped(at_nodes: np.ndarray, grid: RadialGrid | PolarGrid) -> np.ndarray:
@@ -745,22 +732,23 @@ def _kept_geometry(layer: DensityLayer, cfg: StepConfig,
 def _step_layer(layer: DensityLayer, cfg: StepConfig,
                 grid: RadialGrid | PolarGrid) -> DensityLayer:
     """Full recurrence step: consume the table of layer n and make the
-    table of layer n+1 at time t, together with its values at the grid
-    nodes.  A regular step (n >= 2) keeps its geometry on the new layer."""
+    joint layer n+1: its table, and its values at the grid nodes
+    sigma = r/(ct).  A regular step (n >= 2) keeps its geometry on the
+    new layer."""
     p = layer.params
     sigma = _clustered_nodes(_SIGMA_CAP, cfg.n_sigma)
-    targets = ((sigma * p.radius(layer.t),
-                np.zeros(1) if layer.thetas is None else layer.thetas),
-               (grid.nodes, _node_angles(layer, grid)))
+    targets = ((sigma, np.zeros(1) if layer.thetas is None else layer.thetas),
+               (grid.nodes / p.radius(layer.t), _node_angles(layer, grid)))
     geometry = _kept_geometry(layer, cfg, grid)
     if geometry is None and layer.n >= 2:
         geometry = tuple(tuple(_geometry(layer, r, th, cfg)) for r, th in targets)
-    raw, at_nodes = (_step_values(layer, r, th, cfg, geo) for (r, th), geo
-                     in zip(targets, geometry or (None, None)))
+    raw, g_at_nodes = (_step_values(layer, r, th, cfg, geo) for (r, th), geo
+                       in zip(targets, geometry or (None, None)))
     n = layer.n + 1
     tab = raw / _edge(p.m, n, 1.0 - sigma**2)[:, None]
-    return DensityLayer(n, p, layer.law, layer.t, grid, _clipped(at_nodes, grid),
-                        at_nodes, sigma, layer.thetas, tab, cfg, source=layer,
+    return DensityLayer(n, p, layer.law, layer.t, grid, _clipped(g_at_nodes, grid),
+                        g_at_nodes, sigma, layer.thetas, tab, cfg,
+                        poisson_weight(n, p, layer.t), source=layer,
                         geometry=geometry)
 
 
@@ -786,7 +774,9 @@ def seed_layer(params: FlightParams, law: DissipationLaw, t: float,
     through the generic hypergeometric series; ``at_nodes`` holds the
     closed form (m=3) or the two-point reduction of the sphere-sphere
     convolution (planar, any law; see `_one_turn_reg_planar`), which also
-    gives the table that :func:`next_layer` consumes.
+    gives the table that :func:`next_layer` consumes.  Raises
+    `NumericError` where the layer's values leave the float range (m=3
+    at t below about 3e-155 for lam = c = 1).
     """
     if params.m not in (2, 3):
         raise DomainError(
@@ -796,35 +786,33 @@ def seed_layer(params: FlightParams, law: DissipationLaw, t: float,
     _check_grid(params, law, t, grid)
     if params.m == 3 and not isinstance(law, UniformLaw):
         raise DomainError("dimension 3 supports the uniform law only")
-    sigma, R = _clustered_nodes(1.0, cfg.n_sigma), params.radius(t)
+    sigma, sig = _clustered_nodes(1.0, cfg.n_sigma), grid.nodes / params.radius(t)
     angular = isinstance(law, CircularGaussianLaw)
     thetas = _angles(cfg.n_theta) if angular else None
     tab = None
     if params.m == 2:
-        # h_1 = f_1 sqrt(1 - sigma^2): the regular factor over ct
-        tab = _one_turn_reg_planar(params, law, *np.meshgrid(
-            sigma * R, thetas if angular else np.zeros(1), indexing="ij"), t) / R
-    at_nodes = _seed_values(params, law, *np.meshgrid(
-        grid.nodes, grid.thetas if angular else np.zeros(1), indexing="ij"), t)
+        # h_1 = g_1 sqrt(1 - sigma^2): the regular factor
+        tab = _one_turn_reg_planar(law, *np.meshgrid(
+            sigma, thetas if angular else np.zeros(1), indexing="ij"))
+    g_at_nodes = _seed_values(params.m, law, *np.meshgrid(
+        sig, grid.thetas if angular else np.zeros(1), indexing="ij"))
     if isinstance(law, UniformLaw) and isinstance(grid, RadialGrid):
-        values = np.maximum(_seed_profile_generic(params, grid.nodes, t), 0.0)
+        g_values = np.maximum(_seed_profile_generic(params.m, sig), 0.0)
     else:
-        values = _clipped(at_nodes, grid)
-    return DensityLayer(1, params, law, t, grid, values, at_nodes, sigma,
-                        thetas, tab, cfg)
+        g_values = _clipped(g_at_nodes, grid)
+    return DensityLayer(1, params, law, t, grid, g_values, g_at_nodes, sigma,
+                        thetas, tab, cfg, poisson_weight(1, params, t))
 
 
 def next_layer(params: FlightParams, law: DissipationLaw,
                layer: DensityLayer,
                grid: RadialGrid | PolarGrid | None = None,
                config: StepConfig | None = None) -> DensityLayer:
-    """Apply the recurrence once: joint layer n -> joint layer n+1, at the
-    resolution the layer was built at unless ``config`` is given.
-    ``params`` and ``law`` must be those the layer was built with.  A
-    step at the layer's own resolution onto its own grid reuses the
-    step geometry the layer keeps (layers 3 and up)."""
-    if layer.kind != "joint":
-        raise DomainError("the recurrence consumes joint layers")
+    """Apply the recurrence once: layer n, joint or conditional -> joint
+    layer n+1, at the resolution the layer was built at unless
+    ``config`` is given.  ``params`` and ``law`` must be those the layer
+    was built with.  A step at the layer's own resolution onto its own
+    grid reuses the step geometry the layer keeps (layers 3 and up)."""
     layer.check_source(params, law)
     out_grid = grid if grid is not None else layer.grid
     _check_grid(params, law, layer.t, out_grid)
@@ -833,15 +821,16 @@ def next_layer(params: FlightParams, law: DissipationLaw,
 
 def conditional_layer(layer: DensityLayer,
                       params: FlightParams) -> DensityLayer:
-    """Joint layer divided by its Poisson weight: the position density
-    given exactly n turns, in every node and table field.  ``params`` must
-    be those the layer was built with."""
-    if layer.kind != "joint":
-        raise DomainError("layer is already conditional")
+    """The position density given exactly n turns: the layer with weight
+    1, its mass.  A conditional layer comes back equal.  ``params`` must
+    be those the layer was built with.  Raises `NumericError` where the
+    joint layer's weight underflows: its turn count then has no
+    probability in floating point to condition on."""
     layer.check_source(params)
-    w = conditional_weight_or_raise(layer.n, params, layer.grid.t)
-    return replace(layer, values=layer.values / w, at_nodes=layer.at_nodes / w,
-                   tab=None if layer.tab is None else layer.tab / w, kind="conditional")
+    if layer.weight < 1e-290:
+        raise NumericError(f"poisson weight underflow: n={layer.n}, "
+                           f"lam*t={params.lam * layer.t}")
+    return replace(layer, weight=1.0)
 
 
 def transition_density(params: FlightParams, law: DissipationLaw, t: float,
@@ -903,6 +892,7 @@ def residual_check(field_obj: DensityField,
     layers, grid = tuple(field_obj.layers), field_obj.layers[0].grid
     if any(layer.grid is not grid for layer in layers):
         raise DomainError("residual_check needs every layer on one grid")
+    p, t = field_obj.params, field_obj.t
     lhs = sum(layer.at_nodes for layer in layers)
     rhs = layers[0].at_nodes
     for layer, nxt in zip(layers, layers[1:] + (None,)):
@@ -911,6 +901,7 @@ def residual_check(field_obj: DensityField,
             rhs = rhs + nxt.at_nodes
             continue
         kept = _kept_geometry(layer, cfg, grid)
-        rhs = rhs + _step_values(layer, grid.nodes, _node_angles(layer, grid),
-                                 cfg, None if kept is None else kept[1])
+        g = _step_values(layer, grid.nodes / p.radius(t), _node_angles(layer, grid),
+                         cfg, None if kept is None else kept[1])
+        rhs = rhs + _unscaled(g, poisson_weight(layer.n + 1, p, t), p.m, p.radius(t))
     return float(np.max(np.abs(lhs - rhs)))

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError
 
 __all__ = [
     "FlightParams",
@@ -156,6 +156,17 @@ def check_grid_time(grid: RadialGrid | PolarGrid, t: float) -> None:
         raise DomainError(f"grid built for t={grid.t!r} used at t={t!r}")
 
 
+def _unscaled(g, weight, m: int, ct):
+    """weight (ct)^(-m) g: a density g of the flight with c = t = 1 (a
+    function of sigma = r/(ct)), carrying mass ``weight``, as a density
+    of the flight that reaches radius ``ct``.  It divides by ct m times
+    and never forms (ct)^m, which leaves the float range first."""
+    out = weight * np.asarray(g, dtype=float)
+    for _ in range(m):
+        out = out / ct
+    return out
+
+
 def _ball_volume(r, m: int):
     """Volume of the ball of radius ``r`` in dimension m in {2, 3}."""
     if m == 2:
@@ -257,12 +268,3 @@ def tail_mass(K: int, params: FlightParams, t: float) -> float:
     while terms[-1] > 1e-17 * terms[0]:
         terms.append(terms[-1] * lt / (K + 1 + len(terms)))
     return math.fsum(terms)
-
-
-def conditional_weight_or_raise(n: int, params: FlightParams, t: float) -> float:
-    """Poisson weight guarded against underflow when used as a divisor."""
-    w = poisson_weight(n, params, t)
-    if w < 1e-290:
-        raise NumericError(
-            f"poisson weight underflow: n={n}, lam*t={params.lam * t}")
-    return w

@@ -44,7 +44,8 @@ def test_one_turn_m3_log_vs_hypergeometric():
     p = FlightParams(3, 1.0, 1.0)
     grid = np.linspace(0.0, 1.0 - 1e-3, 50)
     log_form = one_turn_profile(p, grid, 1.0)
-    series_form = conv._seed_profile_generic(p, grid, 1.0)
+    # the series gives the layer given one turn at c = t = 1
+    series_form = math.exp(-1.0) * conv._seed_profile_generic(3, grid)
     assert np.all(np.abs(series_form - log_form) <= 1e-10 * log_form)
 
 

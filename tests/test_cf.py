@@ -8,10 +8,10 @@ from scipy import integrate
 
 from randflight import (CircularGaussianLaw, DomainError, FlightParams,
                         NumericError, PolarGrid, RadialGrid, StepConfig,
-                        UniformLaw, laplace_identity_error, layer_fourier,
-                        next_conv_power, poisson_weight, psi_ladder,
-                        seed_layer, next_layer, sphere_cf, tail_mass,
-                        transition_density, volterra_cf)
+                        UniformLaw, conditional_layer, laplace_identity_error,
+                        layer_fourier, next_conv_power, poisson_weight,
+                        psi_ladder, seed_layer, next_layer, sphere_cf,
+                        tail_mass, transition_density, volterra_cf)
 from randflight.cf import sphere_cf_values
 
 P2 = FlightParams(2, 1.0, 1.0)
@@ -248,13 +248,14 @@ def test_laplace_tail_control():
     (P2, CircularGaussianLaw(P2, 1.0), True),
 ], ids=["m2-radial", "m3-radial", "cg-polar"])
 def test_layer_fourier_at_zero_is_mass(params, law, polar):
-    # mass and transform are one radial moment: bitwise equal at alpha = 0
+    # mass and transform are one radial moment: bitwise equal at alpha = 0,
+    # for joint and conditional layers alike
     grid = PolarGrid.build(params, 1.0, 24, 16) if polar \
         else RadialGrid.build(params, 1.0, 49)
     layers = [seed_layer(params, law, 1.0, grid, CFG)]
     while len(layers) < 3:
         layers.append(next_layer(params, law, layers[-1]))
-    for layer in layers:
+    for layer in layers + [conditional_layer(lay, params) for lay in layers]:
         got = layer_fourier(layer, params, np.zeros(params.m))
         assert got == layer.mass()
     assert layer_fourier(layers[0], params, np.zeros(params.m)) == \

@@ -6,10 +6,11 @@ import pytest
 from scipy import integrate, special
 
 from randflight import (CircularGaussianLaw, DensityField, DomainError,
-                        FlightParams, PolarGrid, RadialGrid, StepConfig,
-                        UniformLaw, ac_profile, conditional_layer, next_layer,
-                        one_turn_profile, poisson_weight, residual_check,
-                        seed_layer, tail_mass, transition_density)
+                        FlightParams, NumericError, PolarGrid, RadialGrid,
+                        StepConfig, UniformLaw, ac_profile, conditional_layer,
+                        next_layer, one_turn_profile, poisson_weight,
+                        residual_check, seed_layer, tail_mass,
+                        transition_density)
 from randflight import convolution as conv
 
 P2 = FlightParams(2, 1.0, 1.0)
@@ -191,8 +192,13 @@ def test_conditional_layer_values_and_mass():
     layer2 = conditional_layer(next_layer(P2, UniformLaw(P2), seed), P2)
     assert layer2.mass() == pytest.approx(1.0, abs=1e-3)
     np.testing.assert_array_equal(layer2.top_values(grid.nodes), layer2.values)
-    with pytest.raises(DomainError):
-        conditional_layer(cond, P2)
+    # a conditional layer is its own conditional layer
+    again = conditional_layer(cond, P2)
+    assert again.weight == cond.weight == 1.0
+    for a, b in ((again.values, cond.values), (again.at_nodes, cond.at_nodes),
+                 (again.tab, cond.tab)):
+        assert np.array_equal(a, b)
+    assert again.mass() == cond.mass()
 
 
 P_FAST = FlightParams(2, 1.0, 3.0)
@@ -420,22 +426,32 @@ def test_graded_seed_step_runs_once_per_field(monkeypatch):
 
 
 @pytest.mark.parametrize("lam_t", [0.05, 1.0, 10.0])
-@pytest.mark.parametrize("m", [2, 3])
-def test_conditional_layers_are_self_similar(m, lam_t):
-    # given n turns, X(t)/(ct) has a law free of lam, c and t: conditional
-    # layers times (ct)^m, on grids scaled with ct, are those of the unit
-    # flight at every lam t
-    cfg = StepConfig(n_sigma=17, time_order=8, arc_order=8,
+@pytest.mark.parametrize("m,k", [(2, None), (3, None), (2, 1.5)],
+                         ids=["2", "3", "cg1.5"])
+def test_conditional_layers_are_self_similar(m, k, lam_t):
+    # given n turns, X(t)/(ct) has a law free of lam, c and t: the tables
+    # are those of the unit flight bit for bit, and conditional layers
+    # times (ct)^m, on grids scaled with ct, match it at every lam t.  The
+    # circular Gaussian's arc reads once cancelled at ct != 1 and missed
+    # by 1.3e-8
+    cfg = StepConfig(n_sigma=17, n_theta=8, time_order=8, arc_order=8,
                      seed_grade=(1e-2, 1e-1, 1.0))
 
     def scaled(lam, c, t):
         params = FlightParams(m, c, lam)
-        field = transition_density(params, UniformLaw(params), t, 4,
-                                   RadialGrid.build(params, t, 12), cfg)
-        return [conditional_layer(layer, params).values * params.radius(t) ** m
+        if k is None:
+            law, grid = UniformLaw(params), RadialGrid.build(params, t, 12)
+        else:
+            law = CircularGaussianLaw(params, k)
+            grid = PolarGrid.build(params, t, 12, 8)
+        field = transition_density(params, law, t, 4, grid, cfg)
+        return [(layer.tab,
+                 conditional_layer(layer, params).values * params.radius(t) ** m)
                 for layer in field.layers]
 
-    for a, b in zip(scaled(2.5, 0.4, lam_t / 2.5), scaled(1.0, 1.0, 1.0)):
+    for (tab, a), (tab1, b) in zip(scaled(2.5, 0.4, lam_t / 2.5),
+                                   scaled(1.0, 1.0, 1.0)):
+        assert tab is tab1 is None or np.array_equal(tab, tab1)
         assert np.all(np.abs(a - b) <= 1e-12 * b)
 
 
@@ -641,22 +657,57 @@ def test_large_lam_t_gives_a_finite_field(m, lam_t):
                 mass1 / poisson_weight(n, unit, 1.0), rel=1e-9)
 
 
+@pytest.mark.parametrize("t", [1e-80, 1e-150])
+@pytest.mark.parametrize("m", [2, 3])
+def test_small_t_gives_self_similar_masses(m, t):
+    # stepped in physical units, the step's lengths fell below its 1e-300
+    # guards: the m=2 layer 2 read mass / pi_2 - 1 = -1.0 at t = 1e-80
+    # while total_mass() still read 1, and the m=3 layer 2 read 0 at 1e-150
+    cfg = StepConfig(n_sigma=9, time_order=4, arc_order=4)
+    params = FlightParams(m, 1.0, 1.0)
+
+    def field_at(t):
+        return transition_density(params, UniformLaw(params), t, 3,
+                                  RadialGrid.build(params, t, 8), cfg)
+
+    field, ref = field_at(t), field_at(1.0)
+    for n, (mass, mass1) in enumerate(zip(field.layer_masses,
+                                          ref.layer_masses), 1):
+        w = poisson_weight(n, params, t)
+        if w >= np.finfo(float).tiny:  # a normal float
+            assert mass / w == pytest.approx(
+                mass1 / poisson_weight(n, params, 1.0), rel=1e-12), n
+    assert field.total_mass() == pytest.approx(1.0, abs=1e-12)
+
+
+def test_density_beyond_the_float_range_raises():
+    # the m=3 one-turn layer near r = 0 is about t / (ct)^3: it overflows
+    # from t ~ 1e-155, where the field once read NaN and, at t = 1e-200,
+    # raised a bare ZeroDivisionError
+    params = FlightParams(3, 1.0, 1.0)
+    for t in (1e-160, 1e-200):
+        with pytest.raises(NumericError, match=f"t={t!r}"):
+            transition_density(params, UniformLaw(params), t, 3,
+                               RadialGrid.build(params, t, 8))
+
+
 def test_polar_at_nodes_take_every_angle_at_once():
     cfg = StepConfig(ladder_slots=8, n_sigma=9, n_theta=8, time_order=6,
                      arc_order=6, seed_grade=(1e-1, 1.0))
     grid = PolarGrid.build(P2, 1.0, 6, 8)
     field = transition_density(P2, CircularGaussianLaw(P2, 1.0), 1.0, 3,
                                grid, cfg)
+    # ct = 1: the scaled radii are the grid nodes
     for layer in field.layers:
         if layer.source is None:
-            per_angle = [conv._seed_values(P2, layer.law, grid.nodes,
-                                           np.full(grid.n_r, th), 1.0)
+            per_angle = [conv._seed_values(2, layer.law, grid.nodes,
+                                           np.full(grid.n_r, th))
                          for th in grid.thetas]
         else:
             per_angle = [conv._step_values(layer.source, grid.nodes,
                                            np.array([th]), layer.cfg)[:, 0]
                          for th in grid.thetas]
-        assert np.array_equal(layer.at_nodes, np.stack(per_angle, axis=1))
+        assert np.array_equal(layer.g_at_nodes, np.stack(per_angle, axis=1))
 
 
 # --------------------------------------------------------------------------

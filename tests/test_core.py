@@ -80,14 +80,23 @@ def test_tail_mass_decreasing(params):
 
 
 def test_conditional_weight_underflow_guard():
-    from randflight.core import conditional_weight_or_raise
+    # a joint layer carries its Poisson weight; conditional_layer sets it
+    # to 1, and raises where the weight underflows
+    from randflight import StepConfig, conditional_layer, seed_layer
     from randflight.errors import NumericError
 
+    cfg = StepConfig(n_sigma=9, time_order=4, arc_order=4)
+    grid = RadialGrid.build(FlightParams(2, 1.0, 1.0), 1.0, 8)
+
+    def seed(params):
+        return seed_layer(params, UniformLaw(params), 1.0, grid, cfg)
+
     params = FlightParams(2, 1.0, 1.0)
-    assert conditional_weight_or_raise(1, params, 1.0) == \
-        pytest.approx(math.exp(-1), rel=1e-14)
+    assert seed(params).weight == pytest.approx(math.exp(-1), rel=1e-14)
+    assert conditional_layer(seed(params), params).weight == 1.0
+    fast = FlightParams(2, 1.0, 1000.0)
     with pytest.raises(NumericError):
-        conditional_weight_or_raise(1, params, 1000.0)
+        conditional_layer(seed(fast), fast)
 
 
 def test_radial_grid_shape(params):

@@ -4,9 +4,10 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from randflight import (DomainError, EstimationError, FlightParams,
-                        RadialGrid, PolarGrid, UniformLaw, estimate_density,
-                        one_turn_profile, poisson_weight, simulate_batch)
+from randflight import (CircularGaussianLaw, DomainError, EstimationError,
+                        FlightParams, RadialGrid, PolarGrid, UniformLaw,
+                        estimate_density, one_turn_profile, poisson_weight,
+                        simulate_batch)
 
 
 @pytest.fixture
@@ -27,6 +28,22 @@ def test_support_bound(p2):
     assert np.max(np.abs(r[:zero] - 1.0)) < 1e-12
     # positive events => strictly inside (probability-one event)
     assert np.all(r[zero:] < 1.0)
+
+
+@pytest.mark.parametrize("m,law_of", [
+    (2, UniformLaw), (3, UniformLaw),
+    (2, lambda p: CircularGaussianLaw(p, 1.5))], ids=["m2", "m3", "cg1.5"])
+def test_positions_obey_the_scaling_law(m, law_of):
+    # the flight at (lam, c, t) is the flight with c = t = 1 at lam t,
+    # stretched by ct: the same seed draws the same groups and directions
+    lam, c, t = 2.3, 0.7, 1.6
+    params, unit = FlightParams(m, c, lam), FlightParams(m, 1.0, lam * t)
+    pos, sizes = simulate_batch(params, law_of(params), t, 20_000,
+                                np.random.default_rng(5))
+    pos1, sizes1 = simulate_batch(unit, law_of(unit), 1.0, 20_000,
+                                  np.random.default_rng(5))
+    assert np.array_equal(sizes, sizes1)
+    assert np.array_equal(pos, pos1 * (c * t))
 
 
 def test_zero_event_fraction_matches_poisson(p2):
