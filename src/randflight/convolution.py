@@ -233,14 +233,15 @@ class DensityLayer:
             raise DomainError(f"arguments differ from the layer's own "
                               f"{self.params} and {type(self.law).__name__}")
 
-    def radial(self, pos: tuple) -> tuple:
-        """Where points at ``pos`` (from `_position`) fall in the table:
-        the flat index into ``tab`` of the first node of the 4-point
-        stencil in u (angle node 0), and the stencil's four weights, each
-        carrying the read factor tau^(n-m) E_n(sigma)."""
+    def radial(self, pos: tuple) -> np.ndarray:
+        """The radial part of a read at points ``pos`` (from `_position`),
+        found once for every read angle: the 4-point stencil in u, its
+        weights carrying the read factor tau^(n-m) E_n(sigma), applied to
+        whole table rows.  Shape points + (1,), or points + (n_theta + 1,)
+        for an angular table, whose rows repeat angle node 0 at the end."""
         q, edge, u = pos
         m, n = self.params.m, self.n
-        n_s, n_th = self.tab.shape
+        n_s = len(self.tab)
         scale = q ** (n - m)
         if edge is not None:
             scale = scale * _edge(m, n, edge)
@@ -267,32 +268,33 @@ class DensityLayer:
         w3 /= 6.0
         for wk in (w0, w1, w2, w3):
             wk *= scale
-        return i0.astype(int) * n_th, (w0, w1, w2, w3)
+        i0 = i0.astype(int)
+        tab = self.tab
+        if tab.shape[1] > 1:  # angle node 0 again after the last one
+            tab = np.concatenate([tab, tab[:, :1]], axis=1)
+        rows = np.take(tab, i0, axis=0)
+        rows *= w0[..., None]
+        for k, wk in ((1, w1), (2, w2), (3, w3)):
+            f = np.take(tab[k:], i0, axis=0)
+            f *= wk[..., None]
+            rows += f
+        return rows
 
-    def read(self, rad: tuple, theta) -> np.ndarray:
-        """Layer values at the points ``rad`` (from `radial`) and angles
-        ``theta``, linear between angle nodes; isotropic tables ignore
-        ``theta``."""
-        base, sig_w = rad
-        flat = self.tab.ravel()
-        n_th = self.tab.shape[1]
-        if n_th == 1:
-            out = sig_w[0] * flat[base]
-            for k in (1, 2, 3):
-                f = flat[k:][base]
-                f *= sig_w[k]
-                out += f
-            return out
+    def read(self, rows: np.ndarray, theta) -> np.ndarray:
+        """Layer values at the points of ``rows`` (from `radial`) and
+        angles ``theta``: linear between two of their angle columns.
+        Isotropic tables ignore ``theta``."""
+        if rows.shape[-1] == 1:
+            return rows[..., 0]
+        n_th = rows.shape[-1] - 1
         tf = (np.asarray(theta, dtype=float) + np.pi) / (2.0 * np.pi / n_th)
         fl = np.floor(tf)
-        k0 = fl.astype(int) % n_th
-        k1 = (k0 + 1) % n_th
-        fh = tf - fl
-        out = 0.0
-        for k, w in enumerate(sig_w):
-            row = base + k * n_th
-            out = out + w * ((1.0 - fh) * flat[row + k0] + fh * flat[row + k1])
-        return out
+        tf -= fl
+        col = fl.astype(int) % n_th
+        flat = rows.ravel()
+        col = np.arange(0, rows.size, n_th + 1).reshape(rows.shape[:-1]) + col
+        v0 = flat[col]
+        return v0 + tf * (flat[col + 1] - v0)
 
     def top_values(self, r, theta=None):
         """Exact layer values at time t: ``at_nodes`` when every point is
@@ -310,11 +312,20 @@ class DensityLayer:
         sig = r / self.params.radius(self.t)
         if self.source is None:
             return self._view(_seed_values(self.params.m, self.law, sig, th))
+        # one step per set of radii that its angles share: a product query
+        # steps once, and the step builds its geometry once for all angles
+        angles, which = np.unique(th, return_inverse=True)
+        which = which.reshape(th.shape)
+        groups = {}
+        for j in range(len(angles)):
+            radii = np.unique(sig[which == j])
+            groups.setdefault(radii.tobytes(), (radii, []))[1].append(j)
         out = np.empty(r.shape)
-        for a in np.unique(th):
-            mask = th == a
-            out[mask] = _step_values(self.source, sig[mask], np.array([a]),
-                                     self.cfg)[:, 0]
+        for radii, js in groups.values():
+            vals = _step_values(self.source, radii, angles[js], self.cfg)
+            for col, j in enumerate(js):
+                mask = which == j
+                out[mask] = vals[np.searchsorted(radii, sig[mask]), col]
         return self._view(out)
 
     def _stored(self, r: np.ndarray, th: np.ndarray):
@@ -531,8 +542,8 @@ class _Arcs:
     every angle).  At the origin it is the kernel times chi at the turn
     angles ``theta``, where the reads take place.  Elsewhere an angular
     table needs chi and the read angle per target angle: ``w`` is the
-    kernel alone, and ``chi_args`` = (r - d1, d2, rho, omega) gives both
-    on each arc branch.
+    kernel alone, and ``chi_args`` = ((r - d1) / rho, d2 / rho, omega)
+    gives both on each arc branch.
     """
 
     pos: tuple
@@ -626,8 +637,10 @@ def _arcs(layer: DensityLayer, sig: np.ndarray | None, th_targets: np.ndarray,
     d2 = np.divide(two_r_d2, 2.0 * rr[..., None], out=two_r_d2)
     pos = _position(m, cap, ss, tau[..., None], gap)
     wk = kw[..., None] * ws * ker
-    chi_args = (rr[..., None] - d1, d2, np.maximum(rho[..., None], _TINY),
-                np.arctan2(d2, d1))
+    omega = np.arctan2(d2, d1)
+    rho3 = np.maximum(rho[..., None], _TINY)  # chi's arguments over rho, once
+    a = np.divide(np.subtract(rr[..., None], d1, out=d1), rho3, out=d1)
+    chi_args = (a, np.divide(d2, rho3, out=d2), omega)
     if layer.thetas is not None:
         return _Arcs(pos, wk, chi_args)
     # an isotropic table reads both arc branches alike
@@ -638,9 +651,9 @@ def _arcs(layer: DensityLayer, sig: np.ndarray | None, th_targets: np.ndarray,
 def _chi(law: DissipationLaw, chi_args: tuple, th: float):
     """The last-leg direction density on the arc branches +1 and -1 at
     target angle ``th``."""
-    a, d2, rho3, _ = chi_args
+    a, d2, _ = chi_args
     cth, sth = math.cos(th), math.sin(th)
-    return (law.density_from_axis_cos((cth * a + sth * sgn * d2) / rho3)
+    return (law.density_from_axis_cos(cth * a + sth * sgn * d2)
             for sgn in (1.0, -1.0))
 
 
@@ -662,11 +675,11 @@ def _apply(layer: DensityLayer, arcs: _Arcs,
         val = layer.read(rad, arcs.theta)
         return np.stack([np.sum(w * val, axis=(1, 2)) for w in arcs.w], axis=1)
     out = np.zeros((len(arcs.w), len(th_targets)))
-    omega = arcs.chi_args[3]
+    omega = arcs.chi_args[2]
     for li, th in enumerate(th_targets):
         for sgn, ch in zip((1.0, -1.0), _chi(layer.law, arcs.chi_args, th)):
-            out[:, li] += np.sum(arcs.w * ch * layer.read(rad, th + sgn * omega),
-                                 axis=(1, 2))
+            ch *= layer.read(rad, th + sgn * omega)
+            out[:, li] += np.einsum("tpa,tpa->t", arcs.w, ch)
     return out
 
 

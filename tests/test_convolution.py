@@ -711,6 +711,117 @@ def test_polar_at_nodes_take_every_angle_at_once():
 
 
 # --------------------------------------------------------------------------
+# the angular read
+# --------------------------------------------------------------------------
+
+def test_off_node_angular_query_builds_one_geometry_per_layer(monkeypatch):
+    # skewed-shallow's K=3 field, 23 radii between the grid nodes x 16
+    # angles: one step, and one geometry, per stepped layer
+    cfg = StepConfig(n_sigma=81, n_theta=16, time_order=8, arc_order=10,
+                     seed_grade=(1e-2, 1e-1, 1.0))
+    grid = PolarGrid.build(P2, 1.0, 24, 16)
+    field = transition_density(P2, CircularGaussianLaw(P2, 1.0), 1.0, 3,
+                               grid, cfg)
+    r = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
+    builds = []
+    build = conv._geometry
+
+    def counted(layer, *args):
+        builds.append(layer.n)
+        return build(layer, *args)
+
+    monkeypatch.setattr(conv, "_geometry", counted)
+    got = ac_profile(field, r[:, None], grid.thetas[None, :])
+    assert sorted(builds) == [1, 2]
+    monkeypatch.undo()
+    # against one step per angle, layer by layer (ct = 1)
+    rr, th = np.broadcast_arrays(r[:, None], grid.thetas[None, :])
+    total = field.layers[0].top_values(rr, th)
+    for layer in field.layers[1:]:
+        per_angle = np.stack([conv._step_values(layer.source, r, np.array([a]),
+                                                cfg)[:, 0]
+                              for a in grid.thetas], axis=1)
+        want = layer._view(per_angle)
+        one = layer.top_values(rr, th)
+        assert np.max(np.abs(one - want)) <= 1e-14 * np.max(np.abs(want))
+        total = total + one
+    assert np.array_equal(got, total)
+
+
+@pytest.mark.parametrize("lam,c,t", [(1.0, 1.0, 1.0), (2.3, 0.7, 1.6),
+                                     (0.2, 1.0, 0.5)])
+@pytest.mark.parametrize("k", [0.5, 2.0, -1.5, 5.0])
+def test_circular_gaussian_layers_are_even_in_theta(k, lam, c, t):
+    # the law is symmetric about the x1 axis, so is every layer; the grid
+    # and table angles -pi + 2 pi j / n reflect to column (-j) mod n
+    params = FlightParams(2, c, lam)
+    field = transition_density(params, CircularGaussianLaw(params, k), t, 4,
+                               PolarGrid.build(params, t, 16, 16))
+    for layer in field.layers:
+        for a in (layer.at_nodes, layer.tab):
+            n = a.shape[1]
+            mirror = a[:, -np.arange(n) % n]
+            assert np.max(np.abs(a - mirror)) <= 1e-13 * np.max(np.abs(a)), \
+                layer.n
+
+
+def _reference_step(layer, sig, th):
+    """Oracle: the step from ``layer`` at scaled radii ``sig`` and angles
+    ``th`` over the quadrature points and weights of `_geometry`, reading
+    the table point by point: Lagrange through the 4 u-nodes around the
+    point, each node value linear in theta between the 2 angle nodes
+    around the read angle."""
+    tab, n = layer.tab, layer.n
+    n_s, n_th = tab.shape
+    h = 2.0 * np.pi / n_th
+
+    def read(pos, phi):
+        q, edge, u = pos
+        x = u * (n_s - 1) / (0.5 * np.pi)
+        i0 = np.clip(np.floor(x) - 1, 0, n_s - 4).astype(int)
+        y = (np.asarray(phi) + np.pi) / h
+        j0 = np.floor(y).astype(int)
+        f = y - j0
+        val = 0.0
+        for k in range(4):
+            lag = np.prod([(x - i0 - j) / (k - j) for j in range(4) if j != k],
+                          axis=0)
+            node = (1.0 - f) * tab[i0 + k, j0 % n_th] \
+                + f * tab[i0 + k, (j0 + 1) % n_th]
+            val = val + lag * node
+        return q ** (n - 2) * conv._edge(2, n, edge) * val
+
+    out = np.zeros((len(sig), len(th)))
+    for idx, arcs in conv._geometry(layer, sig, th, layer.cfg):
+        if arcs.chi_args is None:  # the origin: reads at the turn angles
+            val = read(arcs.pos, arcs.theta)
+            out[idx] += np.array([np.sum(w * val) for w in arcs.w])[:, None]
+            continue
+        omega = arcs.chi_args[2]
+        for li, a in enumerate(th):
+            for sgn, ch in zip((1.0, -1.0), conv._chi(layer.law, arcs.chi_args, a)):
+                out[idx, li] += np.sum(arcs.w * ch * read(arcs.pos, a + sgn * omega),
+                                       axis=(1, 2))
+    return (n + 1) * out
+
+
+@pytest.mark.parametrize("n", [1, 2], ids=["graded", "regular"])
+def test_angular_read_matches_the_pointwise_reference(n):
+    cfg = StepConfig(n_sigma=17, n_theta=16, time_order=8, arc_order=8,
+                     seed_grade=(1e-2, 1e-1, 1.0))
+    grid = PolarGrid.build(P2, 1.0, 6, 16)
+    field = transition_density(P2, CircularGaussianLaw(P2, 1.5), 1.0, 2,
+                               grid, cfg)
+    layer = field.layers[n - 1]
+    sig = np.array([0.0, 0.05, 0.3, 0.62, 0.97])
+    # the grid angles, and angles between them, beyond pi included
+    th = np.concatenate([grid.thetas, [0.3, -2.0, 2.9, 7.1]])
+    want = _reference_step(layer, sig, th)
+    got = conv._step_values(layer, sig, th, cfg)
+    assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+# --------------------------------------------------------------------------
 # moment oracles
 # --------------------------------------------------------------------------
 
