@@ -233,12 +233,14 @@ class DensityLayer:
             raise DomainError(f"arguments differ from the layer's own "
                               f"{self.params} and {type(self.law).__name__}")
 
-    def radial(self, pos: tuple) -> np.ndarray:
+    def radial(self, pos: tuple) -> tuple:
         """The radial part of a read at points ``pos`` (from `_position`),
         found once for every read angle: the 4-point stencil in u, its
         weights carrying the read factor tau^(n-m) E_n(sigma), applied to
-        whole table rows.  Shape points + (1,), or points + (n_theta + 1,)
-        for an angular table, whose rows repeat angle node 0 at the end."""
+        whole table rows.  Returns the rows, shape points + (1,), or
+        points + (n_theta + 1,) for an angular table, whose rows repeat
+        angle node 0 at the end; and for an angular table the flat index
+        of each point's row (None for an isotropic one)."""
         q, edge, u = pos
         m, n = self.params.m, self.n
         n_s = len(self.tab)
@@ -269,30 +271,32 @@ class DensityLayer:
         for wk in (w0, w1, w2, w3):
             wk *= scale
         i0 = i0.astype(int)
-        tab = self.tab
+        tab, base = self.tab, None
         if tab.shape[1] > 1:  # angle node 0 again after the last one
             tab = np.concatenate([tab, tab[:, :1]], axis=1)
+            base = np.arange(0, i0.size * tab.shape[1],
+                             tab.shape[1]).reshape(i0.shape)
         rows = np.take(tab, i0, axis=0)
         rows *= w0[..., None]
         for k, wk in ((1, w1), (2, w2), (3, w3)):
             f = np.take(tab[k:], i0, axis=0)
             f *= wk[..., None]
             rows += f
-        return rows
+        return rows, base
 
-    def read(self, rows: np.ndarray, theta) -> np.ndarray:
-        """Layer values at the points of ``rows`` (from `radial`) and
+    def read(self, rad: tuple, theta) -> np.ndarray:
+        """Layer values at the points of ``rad`` (from `radial`) and
         angles ``theta``: linear between two of their angle columns.
         Isotropic tables ignore ``theta``."""
-        if rows.shape[-1] == 1:
+        rows, base = rad
+        if base is None:
             return rows[..., 0]
         n_th = rows.shape[-1] - 1
         tf = (np.asarray(theta, dtype=float) + np.pi) / (2.0 * np.pi / n_th)
         fl = np.floor(tf)
         tf -= fl
-        col = fl.astype(int) % n_th
+        col = base + fl.astype(int) % n_th
         flat = rows.ravel()
-        col = np.arange(0, rows.size, n_th + 1).reshape(rows.shape[:-1]) + col
         v0 = flat[col]
         return v0 + tf * (flat[col + 1] - v0)
 
@@ -312,20 +316,11 @@ class DensityLayer:
         sig = r / self.params.radius(self.t)
         if self.source is None:
             return self._view(_seed_values(self.params.m, self.law, sig, th))
-        # one step per set of radii that its angles share: a product query
-        # steps once, and the step builds its geometry once for all angles
-        angles, which = np.unique(th, return_inverse=True)
-        which = which.reshape(th.shape)
-        groups = {}
-        for j in range(len(angles)):
-            radii = np.unique(sig[which == j])
-            groups.setdefault(radii.tobytes(), (radii, []))[1].append(j)
         out = np.empty(r.shape)
-        for radii, js in groups.values():
-            vals = _step_values(self.source, radii, angles[js], self.cfg)
-            for col, j in enumerate(js):
-                mask = which == j
-                out[mask] = vals[np.searchsorted(radii, sig[mask]), col]
+        for a in np.unique(th):
+            mask = th == a
+            out[mask] = _step_values(self.source, sig[mask], np.array([a]),
+                                     self.cfg)[:, 0]
         return self._view(out)
 
     def _stored(self, r: np.ndarray, th: np.ndarray):

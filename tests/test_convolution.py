@@ -714,40 +714,6 @@ def test_polar_at_nodes_take_every_angle_at_once():
 # the angular read
 # --------------------------------------------------------------------------
 
-def test_off_node_angular_query_builds_one_geometry_per_layer(monkeypatch):
-    # skewed-shallow's K=3 field, 23 radii between the grid nodes x 16
-    # angles: one step, and one geometry, per stepped layer
-    cfg = StepConfig(n_sigma=81, n_theta=16, time_order=8, arc_order=10,
-                     seed_grade=(1e-2, 1e-1, 1.0))
-    grid = PolarGrid.build(P2, 1.0, 24, 16)
-    field = transition_density(P2, CircularGaussianLaw(P2, 1.0), 1.0, 3,
-                               grid, cfg)
-    r = 0.5 * (grid.nodes[:-1] + grid.nodes[1:])
-    builds = []
-    build = conv._geometry
-
-    def counted(layer, *args):
-        builds.append(layer.n)
-        return build(layer, *args)
-
-    monkeypatch.setattr(conv, "_geometry", counted)
-    got = ac_profile(field, r[:, None], grid.thetas[None, :])
-    assert sorted(builds) == [1, 2]
-    monkeypatch.undo()
-    # against one step per angle, layer by layer (ct = 1)
-    rr, th = np.broadcast_arrays(r[:, None], grid.thetas[None, :])
-    total = field.layers[0].top_values(rr, th)
-    for layer in field.layers[1:]:
-        per_angle = np.stack([conv._step_values(layer.source, r, np.array([a]),
-                                                cfg)[:, 0]
-                              for a in grid.thetas], axis=1)
-        want = layer._view(per_angle)
-        one = layer.top_values(rr, th)
-        assert np.max(np.abs(one - want)) <= 1e-14 * np.max(np.abs(want))
-        total = total + one
-    assert np.array_equal(got, total)
-
-
 @pytest.mark.parametrize("lam,c,t", [(1.0, 1.0, 1.0), (2.3, 0.7, 1.6),
                                      (0.2, 1.0, 0.5)])
 @pytest.mark.parametrize("k", [0.5, 2.0, -1.5, 5.0])
