@@ -237,10 +237,10 @@ class DensityLayer:
         """The radial part of a read at points ``pos`` (from `_position`),
         found once for every read angle: the 4-point stencil in u, its
         weights carrying the read factor tau^(n-m) E_n(sigma), applied to
-        whole table rows.  Returns the rows, shape points + (1,), or
-        points + (n_theta + 1,) for an angular table, whose rows repeat
-        angle node 0 at the end; and for an angular table the flat index
-        of each point's row (None for an isotropic one)."""
+        whole table rows.  Returns the rows, shape points for an isotropic
+        table (its values) or points + (n_theta + 1,) for an angular one,
+        whose rows repeat angle node 0 at the end; and for an angular
+        table the flat index of each point's row (None otherwise)."""
         q, edge, u = pos
         m, n = self.params.m, self.n
         n_s = len(self.tab)
@@ -271,16 +271,17 @@ class DensityLayer:
         for wk in (w0, w1, w2, w3):
             wk *= scale
         i0 = i0.astype(int)
-        tab, base = self.tab, None
-        if tab.shape[1] > 1:  # angle node 0 again after the last one
-            tab = np.concatenate([tab, tab[:, :1]], axis=1)
+        tab, base, ax = self.tab[:, 0], None, ...
+        if self.tab.shape[1] > 1:  # angle node 0 again after the last one
+            tab = np.concatenate([self.tab, self.tab[:, :1]], axis=1)
             base = np.arange(0, i0.size * tab.shape[1],
                              tab.shape[1]).reshape(i0.shape)
+            ax = (..., None)
         rows = np.take(tab, i0, axis=0)
-        rows *= w0[..., None]
+        rows *= w0[ax]
         for k, wk in ((1, w1), (2, w2), (3, w3)):
             f = np.take(tab[k:], i0, axis=0)
-            f *= wk[..., None]
+            f *= wk[ax]
             rows += f
         return rows, base
 
@@ -290,7 +291,7 @@ class DensityLayer:
         Isotropic tables ignore ``theta``."""
         rows, base = rad
         if base is None:
-            return rows[..., 0]
+            return rows
         n_th = rows.shape[-1] - 1
         tf = (np.asarray(theta, dtype=float) + np.pi) / (2.0 * np.pi / n_th)
         fl = np.floor(tf)
