@@ -114,15 +114,34 @@ def _env_threads() -> int | None:
     return int(v) if v else None
 
 
-def _floats(values) -> tuple:
-    return tuple(float(v) for v in values)
+def _is_number(v, kinds=(int, float)) -> bool:
+    return isinstance(v, kinds) and not isinstance(v, bool)  # bool is an int
+
+
+# what a config file may give each `RunConfig` field, and how to say it
+_FILE_TYPES = {
+    **dict.fromkeys(("m", "K", "nr", "ntheta", "n_samples", "seed"),
+                    (lambda v: _is_number(v, int), "an integer")),
+    **dict.fromkeys(("lam", "c", "t"), (_is_number, "a number")),
+    "out": (lambda v: isinstance(v, str), "a string"),
+    "fmt": (lambda v: v in ("csv", "json"), '"csv" or "json"'),
+    "threads": (lambda v: v is None or _is_number(v, int), "an integer or null"),
+    "conditioning": (lambda v: v == "all" or _is_number(v, int),
+                     '"all" or an integer'),
+    "law": (lambda v: isinstance(v, dict) and set(v) <= {"kind", "k"}
+            and isinstance(v.get("kind"), str) and _is_number(v.get("k", 0)),
+            'an object with a string "kind" and a number "k"'),
+    "alphas": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+               "a list of numbers"),
+}
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
     """Resolve a run: defaults, then $RANDFLIGHT_THREADS, then the --config
     file, then the flags; each later source overrides the earlier ones.
     The file takes `RunConfig` fields and ``schema``, so a sidecar's
-    ``config`` replays its run; any other key raises `DomainError`."""
+    ``config`` replays its run; any other key, or a value of the wrong
+    type, raises `DomainError`."""
     names = {f.name for f in fields(RunConfig)} - {"command"}
     base: dict = {}
     if getattr(args, "config", None):
@@ -135,6 +154,10 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise DomainError(f"config is not for command {args.command!r}")
         if set(base) - names:
             raise DomainError(f"unknown config keys {sorted(set(base) - names)}")
+        for key, v in base.items():
+            ok, kind = _FILE_TYPES[key]
+            if not ok(v):
+                raise DomainError(f"config {key!r} must be {kind}, got {v!r}")
     cfg = RunConfig(command=args.command, threads=_env_threads())
     flags = {k: v for k, v in vars(args).items()
              if k in names and k not in ("law", "alphas")}
@@ -142,8 +165,6 @@ def load_config(args: argparse.Namespace) -> RunConfig:
         for key, v in source.items():
             if v is not None:
                 setattr(cfg, key, v)
-    cfg.nr, cfg.ntheta = int(cfg.nr), int(cfg.ntheta)
-    cfg.alphas = _floats(cfg.alphas)
     k = getattr(args, "k", None)
     if getattr(args, "law", None) is not None:
         cfg.law = {"kind": args.law}
@@ -155,7 +176,8 @@ def load_config(args: argparse.Namespace) -> RunConfig:
                               f"the law is {cfg.law.get('kind')!r}")
         cfg.law["k"] = k
     if getattr(args, "alphas", None):
-        cfg.alphas = _floats(args.alphas.split(","))
+        cfg.alphas = args.alphas.split(",")
+    cfg.alphas = tuple(float(a) for a in cfg.alphas)
 
     _validate_config(cfg)
     return cfg
@@ -167,12 +189,11 @@ def _validate_config(cfg: RunConfig) -> None:
     for name in ("lam", "c", "t"):
         if not getattr(cfg, name) > 0:
             raise DomainError(f"{name} must be positive")
-    if cfg.K < 1 or cfg.nr < 2 or cfg.n_samples < 1:
-        raise DomainError("K, nr and n must be positive")
+    if cfg.K < 1 or cfg.nr < 2 or cfg.n_samples < 1 or \
+            cfg.threads is not None and cfg.threads < 1:
+        raise DomainError("K, nr, n and threads must be positive")
     if cfg.ntheta < 8 or cfg.ntheta % 2:  # PolarGrid's rule
         raise DomainError(f"ntheta must be even and >= 8, got {cfg.ntheta}")
-    if cfg.fmt not in ("csv", "json"):
-        raise DomainError(f"unknown format {cfg.fmt}")
     if isinstance(cfg.conditioning, str) and cfg.conditioning != "all":
         cfg.conditioning = int(cfg.conditioning)
 

@@ -186,8 +186,8 @@ class DensityLayer:
     at and ``source`` the layer its step consumed (None for the seed):
     values away from the grid nodes re-apply that step.  ``geometry`` is
     the n-independent part of a regular step (one that consumed a layer
-    n >= 2) at the table nodes and at the grid nodes, for ``cfg`` and
-    ``grid``; the next step at those reuses it.
+    n >= 2) at the table nodes and at the grid nodes, for ``cfg``; the
+    next step at ``cfg`` reuses it, as every stepped table ends at one node.
     """
 
     n: int
@@ -531,15 +531,15 @@ class _Arcs:
     """The part of a step at a block of targets that does not depend on
     the consumed layer's index: the table position ``pos`` (from
     `_position`) of every quadrature point, shape (targets, time, arc),
-    and its weight ``w``.
+    and its weight ``w``, of that shape too.
 
-    For isotropic tables ``w`` is the kernel times chi summed over both
-    arc branches, one slice per target angle (a single slice serves
-    every angle).  At the origin it is the kernel times chi at the turn
-    angles ``theta``, where the reads take place.  Elsewhere an angular
-    table needs chi and the read angle per target angle: ``w`` is the
-    kernel alone, and ``chi_args`` = ((r - d1) / rho, d2 / rho, omega)
-    gives both on each arc branch.
+    Where the reads do not depend on the target angle, ``w`` carries chi:
+    for an isotropic table (chi is one constant) summed over both arc
+    branches, and at the origin taken at the turn angles ``theta``, where
+    the reads take place.  Elsewhere an angular table needs chi and the
+    read angle per target angle: ``w`` is the kernel alone, and
+    ``chi_args`` = ((r - d1) / rho, d2 / rho, omega) gives both on each
+    arc branch.
     """
 
     pos: tuple
@@ -587,7 +587,7 @@ def _origin_window(layer: DensityLayer, cfg: StepConfig):
     return tau[0], wt[0]
 
 
-def _arcs(layer: DensityLayer, sig: np.ndarray | None, th_targets: np.ndarray,
+def _arcs(layer: DensityLayer, sig: np.ndarray | None,
           cfg: StepConfig) -> _Arcs:
     """The surface integrals of the step at target radii ``sig`` (None:
     the origin).  Planar ones run in the chord-radius variable s over
@@ -601,19 +601,18 @@ def _arcs(layer: DensityLayer, sig: np.ndarray | None, th_targets: np.ndarray,
         rho = 1.0 - tau
         col = (None, slice(None), None)  # (one target, time, angle)
         if m == 3:
-            return _Arcs(_position(m, cap, rho[col], tau[col]), kw[col][None])
+            return _Arcs(_position(m, cap, rho[col], tau[col]), kw[col])
         phi = _angles(64)
         w = kw[:, None] * layer.law.density_from_axis_cos(-np.cos(phi)) \
             * (2.0 * np.pi / len(phi))
         return _Arcs(_position(m, cap, rho[col], tau[col],
-                               (2.0 * tau - 1.0)[col]), w[None, None],
-                     theta=phi)
+                               (2.0 * tau - 1.0)[col]), w[None], theta=phi)
     tau, rho, s_lo, s_hi, kw = _window(layer, sig, cfg)
     rr = sig[:, None]
     if m == 3:
         ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
         w = (kw / np.maximum(2.0 * rho * rr, _TINY))[..., None] * ws * ss
-        return _Arcs(_position(m, cap, ss, tau[..., None]), w[None])
+        return _Arcs(_position(m, cap, ss, tau[..., None]), w)
     ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
                                           with_gaps=True)
     # endpoint distances in cancellation-free form: to the inner
@@ -628,37 +627,24 @@ def _arcs(layer: DensityLayer, sig: np.ndarray | None, th_targets: np.ndarray,
         gap_outer * ((rr + rho)[..., None] + ss)
         * lo_gap * (s_lo[..., None] + ss), _TINY))
     ker = 2.0 * ss / two_r_d2
+    pos = _position(m, cap, ss, tau[..., None], gap)
+    wk = kw[..., None] * ws * ker
+    if layer.thetas is None:  # isotropic: chi is one constant on both branches
+        return _Arcs(pos, wk * (2.0 * layer.law.density_from_axis_cos(1.0)))
     d1 = (rr[..., None] ** 2 + ss**2 - (rho**2)[..., None]) \
         / np.maximum(2.0 * rr[..., None], _TINY)
     d2 = np.divide(two_r_d2, 2.0 * rr[..., None], out=two_r_d2)
-    pos = _position(m, cap, ss, tau[..., None], gap)
-    wk = kw[..., None] * ws * ker
     omega = np.arctan2(d2, d1)
     rho3 = np.maximum(rho[..., None], _TINY)  # chi's arguments over rho, once
     a = np.divide(np.subtract(rr[..., None], d1, out=d1), rho3, out=d1)
-    chi_args = (a, np.divide(d2, rho3, out=d2), omega)
-    if layer.thetas is not None:
-        return _Arcs(pos, wk, chi_args)
-    # an isotropic table reads both arc branches alike
-    return _Arcs(pos, np.stack([wk * sum(_chi(layer.law, chi_args, th))
-                                for th in th_targets]))
+    return _Arcs(pos, wk, (a, np.divide(d2, rho3, out=d2), omega))
 
 
-def _chi(law: DissipationLaw, chi_args: tuple, th: float):
-    """The last-leg direction density on the arc branches +1 and -1 at
-    target angle ``th``."""
-    a, d2, _ = chi_args
-    cth, sth = math.cos(th), math.sin(th)
-    return (law.density_from_axis_cos(cth * a + sth * sgn * d2)
-            for sgn in (1.0, -1.0))
-
-
-def _geometry(layer: DensityLayer, sig_targets: np.ndarray,
-              th_targets: np.ndarray, cfg: StepConfig):
+def _geometry(layer: DensityLayer, sig_targets: np.ndarray, cfg: StepConfig):
     """Yield (target indices, `_Arcs`) of the step from ``layer``, a block
     of targets at a time."""
     for idx, sig in _blocks(sig_targets):
-        yield idx, _arcs(layer, sig, th_targets, cfg)
+        yield idx, _arcs(layer, sig, cfg)
 
 
 def _apply(layer: DensityLayer, arcs: _Arcs,
@@ -668,12 +654,13 @@ def _apply(layer: DensityLayer, arcs: _Arcs,
     angle gets the same."""
     rad = layer.radial(arcs.pos)
     if arcs.chi_args is None:
-        val = layer.read(rad, arcs.theta)
-        return np.stack([np.sum(w * val, axis=(1, 2)) for w in arcs.w], axis=1)
+        return np.sum(arcs.w * layer.read(rad, arcs.theta), axis=(1, 2))[:, None]
     out = np.zeros((len(arcs.w), len(th_targets)))
-    omega = arcs.chi_args[2]
+    a, d2, omega = arcs.chi_args
     for li, th in enumerate(th_targets):
-        for sgn, ch in zip((1.0, -1.0), _chi(layer.law, arcs.chi_args, th)):
+        cth, sth = math.cos(th), math.sin(th)
+        for sgn in (1.0, -1.0):  # the arc branches: chi times the read
+            ch = layer.law.density_from_axis_cos(cth * a + sth * sgn * d2)
             ch *= layer.read(rad, th + sgn * omega)
             out[:, li] += np.einsum("tpa,tpa->t", arcs.w, ch)
     return out
@@ -688,7 +675,9 @@ def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
     targets at a time.  ``geometry`` is the step's kept `_geometry` at
     these targets; without it the step builds it block by block and
     keeps none.  A read's position does not depend on the angle, so it
-    is found once for every target angle and arc branch.
+    is found once for every target angle and arc branch; where the
+    reads do not depend on the angle either, one column serves every
+    angle.
 
     The m=3 one-turn layer is consumed through its closed form, where
     the inner cap integral has the exact primitive
@@ -698,7 +687,7 @@ def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
     out = np.zeros((len(sig_targets), len(th_targets)))
     if layer.n > 1 or layer.params.m == 2:
         for idx, arcs in geometry if geometry is not None else \
-                _geometry(layer, sig_targets, th_targets, cfg):
+                _geometry(layer, sig_targets, cfg):
             out[idx] += _apply(layer, arcs, th_targets)
     else:
         for idx, sig in _blocks(sig_targets):  # the m=3 seed's closed form
@@ -722,35 +711,24 @@ def _clipped(at_nodes: np.ndarray, grid: RadialGrid | PolarGrid) -> np.ndarray:
                       np.broadcast_to(at_nodes, (grid.n_r, grid.n_theta)), 0.0)
 
 
-def _node_angles(layer: DensityLayer, grid: RadialGrid | PolarGrid) -> np.ndarray:
-    """The angles a step from ``layer`` takes at the grid nodes: every
+def _node_angles(layer: DensityLayer) -> np.ndarray:
+    """The angles a step from ``layer`` takes at its grid's nodes: every
     grid angle for an angular table, one for an isotropic one."""
-    return np.zeros(1) if layer.thetas is None else grid.thetas
+    return np.zeros(1) if layer.thetas is None else layer.grid.thetas
 
 
-def _kept_geometry(layer: DensityLayer, cfg: StepConfig,
-                   grid: RadialGrid | PolarGrid) -> tuple | None:
-    """``layer.geometry`` if a step from ``layer`` at ``cfg`` onto
-    ``grid`` may reuse it, else None.  Every table it reads is a stepped
-    one, with the last node sigma = _SIGMA_CAP the geometry was built at."""
-    if layer.geometry is not None and cfg == layer.cfg and grid is layer.grid:
-        return layer.geometry
-    return None
-
-
-def _step_layer(layer: DensityLayer, cfg: StepConfig,
-                grid: RadialGrid | PolarGrid) -> DensityLayer:
+def _step_layer(layer: DensityLayer, cfg: StepConfig) -> DensityLayer:
     """Full recurrence step: consume the table of layer n and make the
-    joint layer n+1: its table, and its values at the grid nodes
-    sigma = r/(ct).  A regular step (n >= 2) keeps its geometry on the
-    new layer."""
-    p = layer.params
+    joint layer n+1 on the same grid: its table, and its values at the
+    grid nodes sigma = r/(ct).  A regular step (n >= 2) keeps its
+    geometry on the new layer."""
+    p, grid = layer.params, layer.grid
     sigma = _clustered_nodes(_SIGMA_CAP, cfg.n_sigma)
     targets = ((sigma, np.zeros(1) if layer.thetas is None else layer.thetas),
-               (grid.nodes / p.radius(layer.t), _node_angles(layer, grid)))
-    geometry = _kept_geometry(layer, cfg, grid)
+               (grid.nodes / p.radius(layer.t), _node_angles(layer)))
+    geometry = layer.geometry if cfg == layer.cfg else None
     if geometry is None and layer.n >= 2:
-        geometry = tuple(tuple(_geometry(layer, r, th, cfg)) for r, th in targets)
+        geometry = tuple(tuple(_geometry(layer, r, cfg)) for r, _ in targets)
     raw, g_at_nodes = (_step_values(layer, r, th, cfg, geo) for (r, th), geo
                        in zip(targets, geometry or (None, None)))
     n = layer.n + 1
@@ -815,17 +793,17 @@ def seed_layer(params: FlightParams, law: DissipationLaw, t: float,
 
 def next_layer(params: FlightParams, law: DissipationLaw,
                layer: DensityLayer,
-               grid: RadialGrid | PolarGrid | None = None,
                config: StepConfig | None = None) -> DensityLayer:
     """Apply the recurrence once: layer n, joint or conditional -> joint
-    layer n+1, at the resolution the layer was built at unless
-    ``config`` is given.  ``params`` and ``law`` must be those the layer
-    was built with.  A step at the layer's own resolution onto its own
-    grid reuses the step geometry the layer keeps (layers 3 and up)."""
+    layer n+1 on the layer's grid, at the resolution the layer was built
+    at unless ``config`` is given.  ``params`` and ``law`` must be those
+    the layer was built with.  A step at the layer's own resolution
+    reuses the step geometry the layer keeps (layers 3 and up).  The new
+    layer's values at other radii come from `DensityLayer.top_values`
+    and `ac_profile`."""
     layer.check_source(params, law)
-    out_grid = grid if grid is not None else layer.grid
-    _check_grid(params, law, layer.t, out_grid)
-    return _step_layer(layer, config or layer.cfg, out_grid)
+    _check_grid(params, law, layer.t, layer.grid)
+    return _step_layer(layer, config or layer.cfg)
 
 
 def conditional_layer(layer: DensityLayer,
@@ -909,8 +887,8 @@ def residual_check(field_obj: DensityField,
         if nxt is not None and nxt.source is layer and nxt.cfg == cfg:
             rhs = rhs + nxt.at_nodes
             continue
-        kept = _kept_geometry(layer, cfg, grid)
-        g = _step_values(layer, grid.nodes / p.radius(t), _node_angles(layer, grid),
-                         cfg, None if kept is None else kept[1])
+        geo = layer.geometry[1] if layer.geometry and cfg == layer.cfg else None
+        g = _step_values(layer, grid.nodes / p.radius(t), _node_angles(layer),
+                         cfg, geo)
         rhs = rhs + _unscaled(g, poisson_weight(layer.n + 1, p, t), p.m, p.radius(t))
     return float(np.max(np.abs(lhs - rhs)))

@@ -84,9 +84,9 @@ def test_config_resolution_file_then_flags(tmp_path):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({
         "schema": 1, "m": 3, "law": {"kind": "uniform"}, "lam": 2.0,
-        "c": 0.5, "t": 1.5, "K": 4, "nr": 12.0, "ntheta": 10,
+        "c": 0.5, "t": 1.5, "K": 4, "nr": 12, "ntheta": 10,
         "n_samples": 30000, "seed": 11, "out": "file.csv", "fmt": "json",
-        "threads": 3, "conditioning": "2",
+        "threads": 3, "conditioning": 2,
         "alphas": [1, 2]}))
     args = _build_parser().parse_args(
         ["cf", "--config", str(cfgfile), "--nr", "20", "--seed", "4",
@@ -137,6 +137,9 @@ def test_invalid_config_exits_2(tmp_path):
     assert run_cli(["density", "--law", "circular_gaussian",
                     "--out", str(tmp_path / "x.csv")]) == 2
     assert run_cli(["simulate", "--seed", "-1", "--n", "20000",
+                    "--out", str(tmp_path / "x.csv")]) == 2
+    # threads 0 once ran on one thread, and its sidecar could not replay
+    assert run_cli(["simulate", "--threads", "0", "--n", "20000",
                     "--out", str(tmp_path / "x.csv")]) == 2
     bad = tmp_path / "bad.json"
     bad.write_text("{\"schema\": 99}")
@@ -256,6 +259,27 @@ def test_simulate_rejects_a_fractional_conditioning(tmp_path):
     cfgfile.write_text(json.dumps({"conditioning": 1.5, "n_samples": 20000}))
     out = tmp_path / "x.csv"
     assert run_cli(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command,body", [
+    ("density", {"K": 2.5}), ("density", {"m": 2.0}), ("cf", {"m": 2.0}),
+    ("simulate", {"n_samples": 20000.0}), ("density", {"lam": "1"}),
+    ("density", {"law": "uniform"}),
+    ("density", {"law": {"kind": "circular_gaussian", "k": "x"}}),
+    ("density", {"nr": 12.7}), ("density", {"K": True}),
+    ("simulate", {"threads": 0, "n_samples": 20000}),
+    ("cf", {"alphas": [1.0, "2"]})],
+    ids=["K-float", "m-float", "cf-m-float", "n-float", "lam-string",
+         "law-string", "k-string", "nr-float", "K-bool", "threads-zero",
+         "alphas-string"])
+def test_config_rejects_a_value_of_the_wrong_type(tmp_path, command, body):
+    # these crashed with a traceback and exit 1, which means a failed
+    # validate check, or ran coerced: nr 12.7 as 12 and K true as 1
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps(body))
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]) == 2
     assert not out.exists()
 
 

@@ -340,7 +340,9 @@ def test_residual_needs_one_grid():
     # own grid
     law = UniformLaw(P2)
     seed = seed_layer(P2, law, 1.0, RadialGrid.build(P2, 1.0, 10), TINY_CFG)
-    other = next_layer(P2, law, seed, grid=RadialGrid.build(P2, 1.0, 12))
+    other = next_layer(P2, law, seed_layer(P2, law, 1.0,
+                                           RadialGrid.build(P2, 1.0, 12),
+                                           TINY_CFG))
     field = DensityField(P2, 1.0, (seed, other), (seed.mass(), other.mass()),
                          tail_mass(2, P2, 1.0), law=law)
     with pytest.raises(DomainError, match="one grid"):
@@ -558,10 +560,10 @@ def _count_geometry_builds(monkeypatch):
     builds = []
     build = conv._geometry
 
-    def counted(layer, r, th, cfg):
+    def counted(layer, r, cfg):
         if layer.n >= 2:
             builds.append(np.array_equal(r, layer.grid.nodes))
-        return build(layer, r, th, cfg)
+        return build(layer, r, cfg)
 
     monkeypatch.setattr(conv, "_geometry", counted)
     return builds
@@ -596,11 +598,6 @@ def test_new_grid_or_config_builds_new_geometry(monkeypatch):
     builds = _count_geometry_builds(monkeypatch)
     assert next_layer(P2, law, last).geometry is last.geometry
     assert builds == []
-    # an equal grid is another object: the geometry is kept per grid
-    other = next_layer(P2, law, last, grid=RadialGrid.build(P2, 1.0, 10))
-    assert sorted(builds) == [False, True]
-    assert next_layer(P2, law, other).geometry is other.geometry
-    builds.clear()
     finer = dataclasses.replace(_GEOMETRY_CFG, time_order=8)
     next_layer(P2, law, last, config=finer)
     assert sorted(builds) == [False, True]
@@ -758,17 +755,38 @@ def _reference_step(layer, sig, th):
         return q ** (n - 2) * conv._edge(2, n, edge) * val
 
     out = np.zeros((len(sig), len(th)))
-    for idx, arcs in conv._geometry(layer, sig, th, layer.cfg):
+    for idx, arcs in conv._geometry(layer, sig, layer.cfg):
         if arcs.chi_args is None:  # the origin: reads at the turn angles
-            val = read(arcs.pos, arcs.theta)
-            out[idx] += np.array([np.sum(w * val) for w in arcs.w])[:, None]
+            out[idx] += np.sum(arcs.w * read(arcs.pos, arcs.theta),
+                               axis=(1, 2))[:, None]
             continue
-        omega = arcs.chi_args[2]
+        a_rho, d2_rho, omega = arcs.chi_args
         for li, a in enumerate(th):
-            for sgn, ch in zip((1.0, -1.0), conv._chi(layer.law, arcs.chi_args, a)):
+            for sgn in (1.0, -1.0):
+                ch = layer.law.density_from_axis_cos(
+                    np.cos(a) * a_rho + np.sin(a) * sgn * d2_rho)
                 out[idx, li] += np.sum(arcs.w * ch * read(arcs.pos, a + sgn * omega),
                                        axis=(1, 2))
     return (n + 1) * out
+
+
+def test_isotropic_step_takes_one_column_for_every_angle():
+    # an isotropic table's reads do not depend on the target angle: its
+    # geometry carries chi in the weights, one array per block, and the
+    # step's one column serves every requested angle
+    grid = RadialGrid.build(P2, 1.0, 10)
+    layer = transition_density(P2, UniformLaw(P2), 1.0, 2, grid,
+                               _GEOMETRY_CFG).layers[1]
+    sig = np.array([0.0, 0.05, 0.3, 0.62, 0.97])
+    for _, arcs in conv._geometry(layer, sig, layer.cfg):
+        assert arcs.chi_args is None
+        assert arcs.w.ndim == 3
+    one = conv._step_values(layer, sig, np.zeros(1), layer.cfg)
+    three = conv._step_values(layer, sig, np.array([0.0, 1.3, -2.9]),
+                              layer.cfg)
+    assert three.shape == (len(sig), 3)
+    for col in three.T:
+        assert np.array_equal(col, one[:, 0])
 
 
 @pytest.mark.parametrize("n", [1, 2], ids=["graded", "regular"])
