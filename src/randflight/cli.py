@@ -21,7 +21,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -51,7 +51,7 @@ class RunConfig:
     ntheta: int = 16
     n_samples: int = 1_000_000
     seed: int = 0
-    conditioning: str = "all"
+    conditioning: str | int = "all"
     out: str = "out.csv"
     fmt: str = "csv"
     threads: int | None = None
@@ -88,7 +88,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("simulate", help="Monte Carlo density histogram")
     common(sp)
     sp.add_argument("--n", dest="n_samples", type=int)
-    sp.add_argument("--conditioning", help="'all' or an event count")
+    sp.add_argument("--conditioning", type=_conditioning,
+                    help="'all' or an event count")
 
     sp = sub.add_parser("layers", help="turn-count layers 1..K")
     common(sp)
@@ -101,7 +102,8 @@ def _build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("cf", help="characteristic-function cross-check")
     common(sp)
     sp.add_argument("--K", type=int)
-    sp.add_argument("--alphas", help="comma-separated inversion magnitudes")
+    sp.add_argument("--alphas", type=_alphas,
+                    help="comma-separated inversion magnitudes")
 
     sp = sub.add_parser("validate", help="cross-check Monte Carlo and the "
                         "recurrence against the Poisson weights")
@@ -109,93 +111,83 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _env_threads() -> int | None:
-    v = os.environ.get("RANDFLIGHT_THREADS")
-    return int(v) if v else None
+def _conditioning(s: str) -> str | int:
+    return s if s == "all" else int(s)
+
+
+def _alphas(s: str) -> list[float]:
+    return [float(a) for a in s.split(",")]
 
 
 def _is_number(v, kinds=(int, float)) -> bool:
     return isinstance(v, kinds) and not isinstance(v, bool)  # bool is an int
 
 
-# what a config file may give each `RunConfig` field, and how to say it
-_FILE_TYPES = {
-    **dict.fromkeys(("m", "K", "nr", "ntheta", "n_samples", "seed"),
-                    (lambda v: _is_number(v, int), "an integer")),
-    **dict.fromkeys(("lam", "c", "t"), (_is_number, "a number")),
+def _integer(lo: int):
+    return lambda v: _is_number(v, int) and v >= lo, f"an integer >= {lo}"
+
+
+# the one rule for each `RunConfig` field but ``command``, whatever its source
+_RULES = {
+    "m": _integer(2), "K": _integer(1), "nr": _integer(2),
+    "n_samples": _integer(1), "seed": _integer(0),
+    "ntheta": (lambda v: _is_number(v, int) and v >= 8 and v % 2 == 0,
+               "an even integer >= 8"),  # PolarGrid's rule, for every law
+    **dict.fromkeys(("lam", "c", "t"),
+                    (lambda v: _is_number(v) and 0 < v < math.inf,
+                     "a finite number > 0")),
     "out": (lambda v: isinstance(v, str), "a string"),
     "fmt": (lambda v: v in ("csv", "json"), '"csv" or "json"'),
-    "threads": (lambda v: v is None or _is_number(v, int), "an integer or null"),
-    "conditioning": (lambda v: v == "all" or _is_number(v, int),
-                     '"all" or an integer'),
-    "law": (lambda v: isinstance(v, dict) and set(v) <= {"kind", "k"}
-            and isinstance(v.get("kind"), str) and _is_number(v.get("k", 0)),
-            'an object with a string "kind" and a number "k"'),
-    "alphas": (lambda v: isinstance(v, list) and all(map(_is_number, v)),
+    "threads": (lambda v: v is None or _is_number(v, int) and v >= 1,
+                "null or an integer >= 1"),
+    "conditioning": (lambda v: v == "all" or _is_number(v, int) and v >= 0,
+                     '"all" or an integer >= 0'),
+    "law": (lambda v: isinstance(v, dict), "an object (see law_from_config)"),
+    "alphas": (lambda v: isinstance(v, (list, tuple)) and all(map(_is_number, v)),
                "a list of numbers"),
 }
 
 
 def load_config(args: argparse.Namespace) -> RunConfig:
-    """Resolve a run: defaults, then $RANDFLIGHT_THREADS, then the --config
-    file, then the flags; each later source overrides the earlier ones.
-    The file takes `RunConfig` fields and ``schema``, so a sidecar's
-    ``config`` replays its run; any other key, or a value of the wrong
-    type, raises `DomainError`."""
-    names = {f.name for f in fields(RunConfig)} - {"command"}
-    base: dict = {}
-    if getattr(args, "config", None):
-        with open(args.config) as fh:
-            base = json.load(fh)
-        schema = base.pop("schema", SCHEMA_VERSION)
+    """Resolve a run from the defaults, $RANDFLIGHT_THREADS, the --config
+    file and the flags, each overriding the ones before; a null is "not
+    given" in every source, and --law/--k fold into the law object.  The
+    file is a JSON object of `RunConfig` fields and ``schema``, as a
+    sidecar's ``config`` is.  The merged values are checked once against
+    `_RULES`, the law by `law_from_config`; any other key, or a value that
+    breaks its rule, raises `DomainError`."""
+    file: dict = {}
+    if args.config:
+        try:
+            with open(args.config) as fh:
+                file = json.load(fh)
+        except (OSError, ValueError) as exc:
+            raise DomainError(f"cannot read config: {exc}") from None
+        if not isinstance(file, dict):
+            raise DomainError("config must be a JSON object, "
+                              f"got a {type(file).__name__}")
+        schema = file.pop("schema", SCHEMA_VERSION)
         if schema != SCHEMA_VERSION:
             raise DomainError(f"unsupported config schema {schema}")
-        if base.pop("command", args.command) != args.command:
+        if file.pop("command", args.command) != args.command:
             raise DomainError(f"config is not for command {args.command!r}")
-        if set(base) - names:
-            raise DomainError(f"unknown config keys {sorted(set(base) - names)}")
-        for key, v in base.items():
-            ok, kind = _FILE_TYPES[key]
-            if not ok(v):
-                raise DomainError(f"config {key!r} must be {kind}, got {v!r}")
-    cfg = RunConfig(command=args.command, threads=_env_threads())
-    flags = {k: v for k, v in vars(args).items()
-             if k in names and k not in ("law", "alphas")}
-    for source in (base, flags):
-        for key, v in source.items():
-            if v is not None:
-                setattr(cfg, key, v)
-    k = getattr(args, "k", None)
-    if getattr(args, "law", None) is not None:
-        cfg.law = {"kind": args.law}
-        if args.law == "circular_gaussian" and k is None:
-            raise DomainError("--law circular_gaussian requires --k")
-    if k is not None:
-        if cfg.law.get("kind") != "circular_gaussian":
-            raise DomainError("--k is the circular_gaussian concentration; "
-                              f"the law is {cfg.law.get('kind')!r}")
-        cfg.law["k"] = k
-    if getattr(args, "alphas", None):
-        cfg.alphas = args.alphas.split(",")
-    cfg.alphas = tuple(float(a) for a in cfg.alphas)
-
-    _validate_config(cfg)
+        if set(file) - set(_RULES):
+            raise DomainError(f"unknown config keys {sorted(set(file) - set(_RULES))}")
+    flags = {k: v for k, v in vars(args).items() if k in _RULES}
+    flags["law"] = args.law and {"kind": args.law}
+    env = os.environ.get("RANDFLIGHT_THREADS") or None  # a non-integer fails the rule
+    merged = {**vars(RunConfig(args.command)),
+              "threads": int(env) if env and env.isdecimal() else env}
+    for source in (file, flags):
+        merged.update((k, v) for k, v in source.items() if v is not None)
+    for key, (ok, rule) in _RULES.items():
+        if not ok(merged[key]):
+            raise DomainError(f"{key} must be {rule}, got {merged[key]!r}")
+    if args.k is not None:
+        merged["law"] = {**merged["law"], "k": args.k}
+    cfg = RunConfig(**{**merged, "alphas": tuple(map(float, merged["alphas"]))})
+    law_from_config(cfg.law, cfg.params())
     return cfg
-
-
-def _validate_config(cfg: RunConfig) -> None:
-    if cfg.m < 2:
-        raise DomainError("m must be >= 2")
-    for name in ("lam", "c", "t"):
-        if not getattr(cfg, name) > 0:
-            raise DomainError(f"{name} must be positive")
-    if cfg.K < 1 or cfg.nr < 2 or cfg.n_samples < 1 or \
-            cfg.threads is not None and cfg.threads < 1:
-        raise DomainError("K, nr, n and threads must be positive")
-    if cfg.ntheta < 8 or cfg.ntheta % 2:  # PolarGrid's rule
-        raise DomainError(f"ntheta must be even and >= 8, got {cfg.ntheta}")
-    if isinstance(cfg.conditioning, str) and cfg.conditioning != "all":
-        cfg.conditioning = int(cfg.conditioning)
 
 
 def _write_rows(path: str, fmt: str, header: list[str], rows: list) -> None:
@@ -389,11 +381,7 @@ _COMMANDS = {
 
 def run(cfg: RunConfig) -> int:
     started = time.time()
-    try:
-        extra = _COMMANDS[cfg.command](cfg)
-    except (NumericError, EstimationError) as exc:
-        print(f"randflight: numerical failure: {exc}", file=sys.stderr)
-        return 3
+    extra = _COMMANDS[cfg.command](cfg)
     if cfg.command == "validate":
         return 0 if extra["failures"] == 0 else 1
     _sidecar(cfg.out, cfg, started, extra)
@@ -401,19 +389,15 @@ def run(cfg: RunConfig) -> int:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    args = _build_parser().parse_args(argv)
     try:
-        cfg = load_config(args)
-    except (DomainError, ValueError, OSError) as exc:
-        print(f"randflight: invalid configuration: {exc}", file=sys.stderr)
-        return 2
-    try:
-        code = run(cfg)
+        return run(load_config(args))
+    except (NumericError, EstimationError) as exc:
+        print(f"randflight: numerical failure: {exc}", file=sys.stderr)
+        return 3
     except DomainError as exc:
         print(f"randflight: invalid configuration: {exc}", file=sys.stderr)
         return 2
-    return code
 
 
 if __name__ == "__main__":

@@ -96,19 +96,18 @@ class RadialGrid(_Grid):
     epsilon: float
 
     @classmethod
-    def build(cls, params: FlightParams, t: float, n_r: int = 64,
-              eps_rel: float = DEFAULT_EPS_REL) -> "RadialGrid":
+    def build(cls, params: FlightParams, t: float, n_r: int = 64) -> "RadialGrid":
         """Clustered grid (denser toward the boundary) on [0, ct - eps]."""
         r_cap = params.radius(t)
-        eps = eps_rel * r_cap
+        eps = DEFAULT_EPS_REL * r_cap
         return cls(t, _clustered_nodes(r_cap - eps, n_r), eps)
 
     @classmethod
-    def build_uniform(cls, params: FlightParams, t: float, n_r: int = 64,
-                      eps_rel: float = DEFAULT_EPS_REL) -> "RadialGrid":
+    def build_uniform(cls, params: FlightParams, t: float,
+                      n_r: int = 64) -> "RadialGrid":
         """Equal-step grid, used for Monte Carlo binning."""
         r_cap = params.radius(t)
-        eps = eps_rel * r_cap
+        eps = DEFAULT_EPS_REL * r_cap
         return cls(t, np.linspace(0.0, r_cap - eps, n_r), eps)
 
 
@@ -139,9 +138,9 @@ class PolarGrid(_Grid):
 
     @classmethod
     def build(cls, params: FlightParams, t: float, n_r: int = 48,
-              n_theta: int = 16, eps_rel: float = DEFAULT_EPS_REL) -> "PolarGrid":
+              n_theta: int = 16) -> "PolarGrid":
         r_cap = params.radius(t)
-        eps = eps_rel * r_cap
+        eps = DEFAULT_EPS_REL * r_cap
         return cls(t, _clustered_nodes(r_cap - eps, n_r), _angles(n_theta),
                    eps)
 

@@ -11,6 +11,7 @@ integration sites and never here.
 from __future__ import annotations
 
 import math
+import numbers
 from abc import ABC, abstractmethod
 
 import numpy as np
@@ -103,12 +104,14 @@ class CircularGaussianLaw(DissipationLaw):
 
 
 def law_from_config(config: dict, params: FlightParams) -> DissipationLaw:
-    """Build a law from its run-config description."""
-    kind = config.get("kind")
-    if kind == "uniform":
+    """Build a law from its run-config object, which is exactly
+    ``{"kind": "uniform"}`` or ``{"kind": "circular_gaussian", "k": k}``
+    with k a real number; anything else raises `DomainError`."""
+    if config == {"kind": "uniform"}:
         return UniformLaw(params)
-    if kind == "circular_gaussian":
-        if "k" not in config:
-            raise DomainError("circular_gaussian law needs a concentration 'k'")
-        return CircularGaussianLaw(params, float(config["k"]))
-    raise DomainError(f"unknown dissipation law kind {kind!r}")
+    k = config.get("k") if isinstance(config, dict) else None
+    if config == {"kind": "circular_gaussian", "k": k} and \
+            isinstance(k, numbers.Real) and not isinstance(k, bool):
+        return CircularGaussianLaw(params, k)
+    raise DomainError('a law is {"kind": "uniform"} or {"kind": '
+                      f'"circular_gaussian", "k": <number>}}, got {config!r}')

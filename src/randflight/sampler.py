@@ -162,8 +162,10 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
         raise DomainError(f"seed must be a nonnegative integer, got {seed!r}")
     if not _is_count(block_size) or block_size < 1:
         raise DomainError(f"block_size must be a positive integer, got {block_size!r}")
-    if n_samples < 10_000:
-        raise DomainError("estimate_density needs at least 1e4 samples")
+    if not _is_count(n_samples) or n_samples < 10_000:
+        raise DomainError(f"n_samples must be an integer >= 1e4, got {n_samples!r}")
+    if threads is not None and not (_is_count(threads) and threads >= 1):
+        raise DomainError(f"threads must be None or an integer >= 1, got {threads!r}")
     if isinstance(grid, PolarGrid) and params.m != 2:
         raise DomainError("polar binning is planar only")
 

@@ -138,6 +138,8 @@ def test_invalid_config_exits_2(tmp_path):
                     "--out", str(tmp_path / "x.csv")]) == 2
     assert run_cli(["simulate", "--seed", "-1", "--n", "20000",
                     "--out", str(tmp_path / "x.csv")]) == 2
+    # validate once ended in numpy's ValueError and exit 1, a failed check
+    assert run_cli(["validate", "--seed", "-1"]) == 2
     # threads 0 once ran on one thread, and its sidecar could not replay
     assert run_cli(["simulate", "--threads", "0", "--n", "20000",
                     "--out", str(tmp_path / "x.csv")]) == 2
@@ -269,17 +271,42 @@ def test_simulate_rejects_a_fractional_conditioning(tmp_path):
     ("density", {"law": {"kind": "circular_gaussian", "k": "x"}}),
     ("density", {"nr": 12.7}), ("density", {"K": True}),
     ("simulate", {"threads": 0, "n_samples": 20000}),
-    ("cf", {"alphas": [1.0, "2"]})],
+    ("cf", {"alphas": [1.0, "2"]}), ("density", [1, 2]),
+    ("density", {"law": {"kind": "uniform", "k": 3.0}}),
+    ("density", {"seed": -1}), ("density", {"lam": math.inf})],
     ids=["K-float", "m-float", "cf-m-float", "n-float", "lam-string",
          "law-string", "k-string", "nr-float", "K-bool", "threads-zero",
-         "alphas-string"])
+         "alphas-string", "not-an-object", "k-uniform-law", "seed-negative",
+         "lam-inf"])
 def test_config_rejects_a_value_of_the_wrong_type(tmp_path, command, body):
     # these crashed with a traceback and exit 1, which means a failed
-    # validate check, or ran coerced: nr 12.7 as 12 and K true as 1
+    # validate check, or ran coerced: nr 12.7 as 12 and K true as 1; a
+    # uniform law's k and a seed of -1 ran and were written to the sidecar,
+    # and an infinite lam failed in the Poisson weights
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps(body))
     out = tmp_path / "x.csv"
     assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["simulate", "--conditioning", "1.5", "--n", "20000"],
+    ["cf", "--alphas", "1,x"]], ids=["conditioning-fraction", "alphas-word"])
+def test_flags_are_converted_where_they_are_parsed(tmp_path, capsys, args):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--out", str(out)])
+    assert exc.value.code == 2
+    assert not out.exists()
+    assert "Traceback" not in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
+def test_env_threads_must_be_a_positive_integer(tmp_path, monkeypatch, value):
+    monkeypatch.setenv("RANDFLIGHT_THREADS", value)
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--n", "20000", "--out", str(out)]) == 2
     assert not out.exists()
 
 

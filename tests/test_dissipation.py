@@ -163,3 +163,11 @@ def test_law_from_config(p2):
         law_from_config({"kind": "circular_gaussian"}, p2)
     with pytest.raises(DomainError):
         law_from_config({"kind": "wrapped"}, p2)
+    # the uniform law once ignored a k, a k of "1.5" or true ran as a
+    # number, and a key other than kind and k was ignored
+    for bad in ({"kind": "uniform", "k": 3.0},
+                {"kind": "circular_gaussian", "k": "1.5"},
+                {"kind": "circular_gaussian", "k": True},
+                {"kind": "circular_gaussian", "k": 1.5, "mu": 0.0}):
+        with pytest.raises(DomainError):
+            law_from_config(bad, p2)

@@ -295,6 +295,11 @@ _BAD_ARGUMENTS = [
     ("simulate", {"t": 0.0}, "t"),
     ("simulate", {"t": -1.0}, "t"),
     ("simulate", {"t": math.nan}, "t"),
+    ("estimate", {"threads": 0}, "threads"),
+    ("estimate", {"threads": -3}, "threads"),
+    ("estimate", {"threads": 2.5}, "threads"),
+    ("estimate", {"threads": True}, "threads"),
+    ("estimate", {"n_samples": 2e4}, "n_samples"),
 ]
 
 
@@ -303,13 +308,14 @@ _BAD_ARGUMENTS = [
                               for k, v in kw.items()])
 def test_sampler_rejects_bad_arguments(p2, route, bad, name):
     # 1.5 once ran as 1 and was reported as 1.5, True as 1; block_size 0
-    # raised ZeroDivisionError; t = 0 read as an empty conditioning set
+    # raised ZeroDivisionError; t = 0 read as an empty conditioning set;
+    # threads 0, -3 and 2.5 ran serially, n_samples 2e4 failed in range()
     law = UniformLaw(p2)
-    kwargs = {"t": 1.0, **bad}
-    t = kwargs.pop("t")
+    kwargs = {"t": 1.0, "n_samples": 20_000, **bad}
+    t, n = kwargs.pop("t"), kwargs.pop("n_samples")
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         if route == "estimate":
-            estimate_density(p2, law, t, 20_000,
+            estimate_density(p2, law, t, n,
                              RadialGrid.build_uniform(p2, 1.0, 16), **kwargs)
         else:
             simulate_batch(p2, law, t, 1_000, np.random.default_rng(0), **kwargs)
