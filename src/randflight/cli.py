@@ -3,9 +3,10 @@
 Subcommands: ``simulate`` (Monte Carlo histograms), ``layers`` (the
 turn-count layers), ``density`` (the assembled transition density),
 ``cf`` (spectral cross-check), ``validate`` (cross-route checks).  Every
-run writes the requested CSV artifact plus a JSON metadata sidecar with
-the resolved configuration, seed, package version, wall time and the
-mass accounting.  Outputs are byte-identical for identical
+run but ``validate`` writes the requested CSV artifact plus a JSON
+metadata sidecar with the resolved configuration of the fields its
+command reads, the seed where it draws one, package version, wall time
+and the mass accounting.  Outputs are byte-identical for identical
 (configuration, seed, worker count).
 
 Exit codes: 0 success, 1 a ``validate`` check failed, 2 configuration/usage
@@ -61,53 +62,60 @@ class RunConfig:
         return FlightParams(self.m, self.c, self.lam)
 
     def to_dict(self) -> dict:
-        return {**self.__dict__, "schema": SCHEMA_VERSION}
+        """The command, the fields it reads and the schema: a config file
+        that replays the run."""
+        return {"command": self.command,
+                **{k: getattr(self, k) for k in _FIELDS[self.command]},
+                "schema": SCHEMA_VERSION}
+
+
+# the fields each command reads, on top of the flight (m, lam, c, t) and
+# the law; a config file may hold no other, and a sidecar records these
+_FLIGHT = ("m", "law", "lam", "c", "t")
+_FIELDS = {
+    "simulate": (*_FLIGHT, "nr", "ntheta", "n_samples", "seed", "conditioning",
+                 "out", "fmt", "threads"),
+    "layers": (*_FLIGHT, "K", "nr", "ntheta", "out", "fmt"),
+    "density": (*_FLIGHT, "K", "nr", "ntheta", "out", "fmt"),
+    "cf": (*_FLIGHT, "K", "nr", "ntheta", "alphas", "out", "fmt"),
+    "validate": (*_FLIGHT, "K", "seed"),
+}
+
+_HELP = {
+    "simulate": "Monte Carlo density histogram",
+    "layers": "turn-count layers 1..K",
+    "density": "assembled transition density",
+    "cf": "characteristic-function cross-check",
+    "validate": "cross-check Monte Carlo and the recurrence against the "
+                "Poisson weights",
+}
 
 
 def _build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="randflight",
                                 description="random-flight density engine")
     sub = p.add_subparsers(dest="command", required=True)
-
-    def common(sp):
+    kwargs = {
+        "m": dict(type=int), "lam": dict(type=float), "c": dict(type=float),
+        "t": dict(type=float), "K": dict(type=int),
+        "nr": dict(type=int, help="radial grid nodes"),
+        "ntheta": dict(type=int, help="angular grid nodes"),
+        "n_samples": dict(type=int), "seed": dict(type=int),
+        "conditioning": dict(type=_conditioning, help="'all' or an event count"),
+        "alphas": dict(type=_alphas, help="comma-separated inversion magnitudes"),
+        "out": dict(help="output CSV path"), "fmt": dict(choices=["csv", "json"]),
+        "threads": dict(type=int, help="worker count (default $RANDFLIGHT_THREADS)"),
+    }
+    flag = {"lam": "--lambda", "n_samples": "--n", "fmt": "--format"}  # else --<field>
+    for command, fields in _FIELDS.items():
+        sp = sub.add_parser(command, help=_HELP[command])
         sp.add_argument("--config", help="JSON config file; flags override it")
-        sp.add_argument("--m", type=int)
         sp.add_argument("--law", choices=["uniform", "circular_gaussian"])
         sp.add_argument("--k", type=float, help="circular Gaussian concentration")
-        sp.add_argument("--lambda", dest="lam", type=float)
-        sp.add_argument("--c", type=float)
-        sp.add_argument("--t", type=float)
-        sp.add_argument("--nr", type=int, help="radial grid nodes")
-        sp.add_argument("--ntheta", type=int, help="angular grid nodes")
-        sp.add_argument("--seed", type=int)
-        sp.add_argument("--out", help="output CSV path")
-        sp.add_argument("--format", dest="fmt", choices=["csv", "json"])
-        sp.add_argument("--threads", type=int,
-                        help="worker count (default $RANDFLIGHT_THREADS)")
-
-    sp = sub.add_parser("simulate", help="Monte Carlo density histogram")
-    common(sp)
-    sp.add_argument("--n", dest="n_samples", type=int)
-    sp.add_argument("--conditioning", type=_conditioning,
-                    help="'all' or an event count")
-
-    sp = sub.add_parser("layers", help="turn-count layers 1..K")
-    common(sp)
-    sp.add_argument("--K", type=int)
-
-    sp = sub.add_parser("density", help="assembled transition density")
-    common(sp)
-    sp.add_argument("--K", type=int)
-
-    sp = sub.add_parser("cf", help="characteristic-function cross-check")
-    common(sp)
-    sp.add_argument("--K", type=int)
-    sp.add_argument("--alphas", type=_alphas,
-                    help="comma-separated inversion magnitudes")
-
-    sp = sub.add_parser("validate", help="cross-check Monte Carlo and the "
-                        "recurrence against the Poisson weights")
-    common(sp)
+        for name in fields:
+            if name in kwargs:
+                sp.add_argument(flag.get(name, "--" + name), dest=name,
+                                **kwargs[name])
     return p
 
 
@@ -152,10 +160,13 @@ def load_config(args: argparse.Namespace) -> RunConfig:
     """Resolve a run from the defaults, $RANDFLIGHT_THREADS, the --config
     file and the flags, each overriding the ones before; a null is "not
     given" in every source, and --law/--k fold into the law object.  The
-    file is a JSON object of `RunConfig` fields and ``schema``, as a
+    file is a JSON object of the command's `_FIELDS` and ``schema``, as a
     sidecar's ``config`` is.  The merged values are checked once against
-    `_RULES`, the law by `law_from_config`; any other key, or a value that
-    breaks its rule, raises `DomainError`."""
+    `_RULES`, the law by `law_from_config`, and ``out`` must name a file
+    in an existing directory; any other key, a value that breaks its
+    rule, or an ``out`` that cannot be written so raises `DomainError`,
+    before any work is done."""
+    fields = _FIELDS[args.command]
     file: dict = {}
     if args.config:
         try:
@@ -171,22 +182,28 @@ def load_config(args: argparse.Namespace) -> RunConfig:
             raise DomainError(f"unsupported config schema {schema}")
         if file.pop("command", args.command) != args.command:
             raise DomainError(f"config is not for command {args.command!r}")
-        if set(file) - set(_RULES):
-            raise DomainError(f"unknown config keys {sorted(set(file) - set(_RULES))}")
-    flags = {k: v for k, v in vars(args).items() if k in _RULES}
+        if set(file) - set(fields):
+            raise DomainError(f"config keys {sorted(set(file) - set(fields))} "
+                              f"are not read by {args.command!r}")
+    flags = {k: v for k, v in vars(args).items() if k in fields}
     flags["law"] = args.law and {"kind": args.law}
-    env = os.environ.get("RANDFLIGHT_THREADS") or None  # a non-integer fails the rule
-    merged = {**vars(RunConfig(args.command)),
-              "threads": int(env) if env and env.isdecimal() else env}
+    merged = vars(RunConfig(args.command))
+    if "threads" in fields:
+        env = os.environ.get("RANDFLIGHT_THREADS") or None  # a non-integer fails the rule
+        merged["threads"] = int(env) if env and env.isdecimal() else env
     for source in (file, flags):
         merged.update((k, v) for k, v in source.items() if v is not None)
-    for key, (ok, rule) in _RULES.items():
+    for key in fields:
+        ok, rule = _RULES[key]
         if not ok(merged[key]):
             raise DomainError(f"{key} must be {rule}, got {merged[key]!r}")
     if args.k is not None:
         merged["law"] = {**merged["law"], "k": args.k}
     cfg = RunConfig(**{**merged, "alphas": tuple(map(float, merged["alphas"]))})
     law_from_config(cfg.law, cfg.params())
+    if "out" in fields and (os.path.isdir(cfg.out) or
+                            not os.path.isdir(os.path.dirname(cfg.out) or ".")):
+        raise DomainError(f"out {cfg.out!r} is not a file in an existing directory")
     return cfg
 
 
@@ -219,7 +236,7 @@ def _sidecar(path: str, cfg: RunConfig, started: float, extra: dict) -> None:
     meta = {
         "config": cfg.to_dict(),
         "version": __version__,
-        "seed": cfg.seed,
+        **({"seed": cfg.seed} if "seed" in _FIELDS[cfg.command] else {}),
         "wall_time_s": time.time() - started,
     }
     meta.update(extra)

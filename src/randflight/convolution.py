@@ -233,14 +233,17 @@ class DensityLayer:
             raise DomainError(f"arguments differ from the layer's own "
                               f"{self.params} and {type(self.law).__name__}")
 
-    def radial(self, pos: tuple) -> tuple:
+    def radial(self, pos: tuple, scratch: dict) -> tuple:
         """The radial part of a read at points ``pos`` (from `_position`),
         found once for every read angle: the 4-point stencil in u, its
         weights carrying the read factor tau^(n-m) E_n(sigma), applied to
         whole table rows.  Returns the rows, shape points for an isotropic
-        table (its values) or points + (n_theta + 1,) for an angular one,
-        whose rows repeat angle node 0 at the end; and for an angular
-        table the flat index of each point's row (None otherwise)."""
+        table (its values) or points + (2 n_theta,) for an angular one,
+        whose rows run twice round the angle nodes, so that a column
+        index shifted by up to n_theta - 1 needs no wrap; and for an
+        angular table the flat index of each point's row (None
+        otherwise).  The rows live in ``scratch`` (see `_buffer`) until
+        its next use."""
         q, edge, u = pos
         m, n = self.params.m, self.n
         n_s = len(self.tab)
@@ -271,19 +274,26 @@ class DensityLayer:
         for wk in (w0, w1, w2, w3):
             wk *= scale
         i0 = i0.astype(int)
-        tab, base, ax = self.tab[:, 0], None, ...
-        if self.tab.shape[1] > 1:  # angle node 0 again after the last one
-            tab = np.concatenate([self.tab, self.tab[:, :1]], axis=1)
-            base = np.arange(0, i0.size * tab.shape[1],
-                             tab.shape[1]).reshape(i0.shape)
-            ax = (..., None)
-        rows = np.take(tab, i0, axis=0)
+        angular = self.tab.shape[1] > 1
+        tab = self.tab if angular else self.tab[:, 0]
+        ax = (..., None) if angular else ...
+        rows = _buffer(scratch, "rows", i0.shape + tab.shape[1:])
+        doubled = _buffer(scratch, "doubled", (2 * rows.size,))
+        f = doubled[:rows.size].reshape(rows.shape)  # unused until filled below
+        # i0 is clipped to the table above; "raise" would copy ``out``
+        np.take(tab, i0, axis=0, out=rows, mode="clip")
         rows *= w0[ax]
         for k, wk in ((1, w1), (2, w2), (3, w3)):
-            f = np.take(tab[k:], i0, axis=0)
+            np.take(tab[k:], i0, axis=0, out=f, mode="clip")
             f *= wk[ax]
             rows += f
-        return rows, base
+        if not angular:
+            return rows, None
+        n_th = tab.shape[1]
+        doubled = doubled.reshape(i0.shape + (2 * n_th,))
+        doubled[..., :n_th] = rows
+        doubled[..., n_th:] = rows
+        return doubled, np.arange(0, doubled.size, 2 * n_th).reshape(i0.shape)
 
     def read(self, rad: tuple, theta) -> np.ndarray:
         """Layer values at the points of ``rad`` (from `radial`) and
@@ -292,7 +302,7 @@ class DensityLayer:
         rows, base = rad
         if base is None:
             return rows
-        n_th = rows.shape[-1] - 1
+        n_th = rows.shape[-1] // 2
         tf = (np.asarray(theta, dtype=float) + np.pi) / (2.0 * np.pi / n_th)
         fl = np.floor(tf)
         tf -= fl
@@ -300,6 +310,45 @@ class DensityLayer:
         flat = rows.ravel()
         v0 = flat[col]
         return v0 + tf * (flat[col + 1] - v0)
+
+    def read_turned(self, rad: tuple, thetas: np.ndarray, omega: np.ndarray):
+        """Yield (sign, j, values) for each arc branch sign = +-1 and target
+        angle ``thetas[j]``: the layer at the points of ``rad`` (from
+        `radial`, angular table) and angles thetas[j] + sign ``omega``.
+
+        In table columns, a target's coordinate (theta + pi) / dtheta is an
+        integer m_j plus a residual e_j, so a point reads column
+        m_j + floor(e_j + s) at the fraction of e_j + s, s = sign omega /
+        dtheta.  Floor, fraction and column index are found once per branch
+        and distinct residual (one for angles on table nodes; residuals
+        within 1e-9 of a column, rounding noise, count as one), and each
+        angle takes two gathers there from the rows shifted by m_j columns.
+        """
+        rows, base = rad
+        n_th = rows.shape[-1] // 2
+        flat = rows.ravel()
+        x = (thetas + np.pi) / (2.0 * np.pi / n_th)
+        near = np.rint(x)
+        e = x - near
+        shift = near.astype(int) % n_th
+        _, first, group = np.unique(np.round(e, 9), return_index=True,
+                                    return_inverse=True)
+        s = omega / (2.0 * np.pi / n_th)
+        for sgn in (1.0, -1.0):
+            for g, j in enumerate(first):
+                frac = e[j] + s if sgn > 0 else e[j] - s
+                fl = np.floor(frac)
+                frac -= fl
+                col = fl.astype(int)
+                col %= n_th
+                col += base
+                for li in np.flatnonzero(group == g):
+                    v0 = flat[shift[li]:].take(col)
+                    v = flat[shift[li] + 1:].take(col)
+                    v -= v0
+                    v *= frac
+                    v += v0
+                    yield sgn, li, v
 
     def top_values(self, r, theta=None):
         """Exact layer values at time t: ``at_nodes`` when every point is
@@ -507,6 +556,16 @@ def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
 _TARGET_BLOCK = 8  # targets per pass of the step: bounds its scratch arrays
 
 
+def _buffer(scratch: dict, key: str, shape: tuple) -> np.ndarray:
+    """An uninitialised array of ``shape`` kept in ``scratch`` under ``key``
+    and reused, grown as needed, by the next block of a step: arrays of a
+    block's size, allocated afresh for each block, cost page faults."""
+    size = math.prod(shape)
+    if key not in scratch or scratch[key].size < size:
+        scratch[key] = np.empty(size)
+    return scratch[key][:size].reshape(shape)
+
+
 def _position(m: int, cap: float, s: np.ndarray, tau: np.ndarray,
               support_gap=None) -> tuple:
     """Where points (radius s, time tau) fall in a layer table whose last
@@ -647,28 +706,28 @@ def _geometry(layer: DensityLayer, sig_targets: np.ndarray, cfg: StepConfig):
         yield idx, _arcs(layer, sig, cfg)
 
 
-def _apply(layer: DensityLayer, arcs: _Arcs,
-           th_targets: np.ndarray) -> np.ndarray:
+def _apply(layer: DensityLayer, arcs: _Arcs, th_targets: np.ndarray,
+           scratch: dict) -> np.ndarray:
     """The reads of ``layer``'s table that ``arcs`` weighs, summed per
     target: shape (targets, target angles), or (targets, 1) when every
     angle gets the same."""
-    rad = layer.radial(arcs.pos)
+    rad = layer.radial(arcs.pos, scratch)
     if arcs.chi_args is None:
         return np.sum(arcs.w * layer.read(rad, arcs.theta), axis=(1, 2))[:, None]
     out = np.zeros((len(arcs.w), len(th_targets)))
     a, d2, omega = arcs.chi_args
-    for li, th in enumerate(th_targets):
-        cth, sth = math.cos(th), math.sin(th)
-        for sgn in (1.0, -1.0):  # the arc branches: chi times the read
-            ch = layer.law.density_from_axis_cos(cth * a + sth * sgn * d2)
-            ch *= layer.read(rad, th + sgn * omega)
-            out[:, li] += np.einsum("tpa,tpa->t", arcs.w, ch)
+    for sgn, li, v in layer.read_turned(rad, th_targets, omega):
+        th = th_targets[li]  # the arc branch sgn: chi times the read
+        v *= layer.law.density_from_axis_cos(
+            math.cos(th) * a + math.sin(th) * sgn * d2)
+        out[:, li] += np.einsum("tpa,tpa->t", arcs.w, v)
     return out
 
 
 def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
                  th_targets: np.ndarray, cfg: StepConfig,
-                 geometry: tuple | None = None) -> np.ndarray:
+                 geometry: tuple | None = None,
+                 scratch: dict | None = None) -> np.ndarray:
     """The scaled layer g_{n+1} after ``layer`` at scaled radii
     ``sig_targets`` and angles ``th_targets``, shape (len(sig_targets),
     len(th_targets)): one application of the recurrence, a block of
@@ -677,7 +736,8 @@ def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
     keeps none.  A read's position does not depend on the angle, so it
     is found once for every target angle and arc branch; where the
     reads do not depend on the angle either, one column serves every
-    angle.
+    angle.  ``scratch`` holds the block-sized arrays of the reads
+    (`_buffer`); calls that share one reuse them.
 
     The m=3 one-turn layer is consumed through its closed form, where
     the inner cap integral has the exact primitive
@@ -686,9 +746,10 @@ def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
     sig_targets = np.asarray(sig_targets, dtype=float)
     out = np.zeros((len(sig_targets), len(th_targets)))
     if layer.n > 1 or layer.params.m == 2:
+        scratch = {} if scratch is None else scratch
         for idx, arcs in geometry if geometry is not None else \
                 _geometry(layer, sig_targets, cfg):
-            out[idx] += _apply(layer, arcs, th_targets)
+            out[idx] += _apply(layer, arcs, th_targets, scratch)
     else:
         for idx, sig in _blocks(sig_targets):  # the m=3 seed's closed form
             if sig is None:
@@ -729,8 +790,9 @@ def _step_layer(layer: DensityLayer, cfg: StepConfig) -> DensityLayer:
     geometry = layer.geometry if cfg == layer.cfg else None
     if geometry is None and layer.n >= 2:
         geometry = tuple(tuple(_geometry(layer, r, cfg)) for r, _ in targets)
-    raw, g_at_nodes = (_step_values(layer, r, th, cfg, geo) for (r, th), geo
-                       in zip(targets, geometry or (None, None)))
+    scratch: dict = {}
+    raw, g_at_nodes = (_step_values(layer, r, th, cfg, geo, scratch)
+                       for (r, th), geo in zip(targets, geometry or (None, None)))
     n = layer.n + 1
     tab = raw / _edge(p.m, n, 1.0 - sigma**2)[:, None]
     return DensityLayer(n, p, layer.law, layer.t, grid, _clipped(g_at_nodes, grid),

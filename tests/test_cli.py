@@ -85,22 +85,26 @@ def test_config_resolution_file_then_flags(tmp_path):
     cfgfile.write_text(json.dumps({
         "schema": 1, "m": 3, "law": {"kind": "uniform"}, "lam": 2.0,
         "c": 0.5, "t": 1.5, "K": 4, "nr": 12, "ntheta": 10,
-        "n_samples": 30000, "seed": 11, "out": "file.csv", "fmt": "json",
-        "threads": 3, "conditioning": 2,
-        "alphas": [1, 2]}))
+        "out": "file.csv", "fmt": "json", "alphas": [1, 2]}))
     args = _build_parser().parse_args(
-        ["cf", "--config", str(cfgfile), "--nr", "20", "--seed", "4",
+        ["cf", "--config", str(cfgfile), "--nr", "20",
          "--alphas", "0.5,3", "--law", "circular_gaussian", "--k", "1.5",
-         "--m", "2", "--threads", "1"])
+         "--m", "2"])
     cfg = load_config(args)
     assert (cfg.m, cfg.lam, cfg.c, cfg.t, cfg.K) == (2, 2.0, 0.5, 1.5, 4)
     assert cfg.law == {"kind": "circular_gaussian", "k": 1.5}
     assert cfg.nr == 20 and cfg.ntheta == 10
     assert isinstance(cfg.ntheta, int)
-    assert (cfg.n_samples, cfg.seed, cfg.out, cfg.fmt) == \
-        (30000, 4, "file.csv", "json")
-    assert (cfg.threads, cfg.conditioning) == (1, 2)
+    assert (cfg.out, cfg.fmt) == ("file.csv", "json")
     assert cfg.alphas == (0.5, 3.0)
+    # the sampler's fields, through the one command that reads them
+    cfgfile.write_text(json.dumps({
+        "n_samples": 30000, "seed": 11, "threads": 3, "conditioning": 2}))
+    cfg = load_config(_build_parser().parse_args(
+        ["simulate", "--config", str(cfgfile), "--seed", "4",
+         "--threads", "1"]))
+    assert (cfg.n_samples, cfg.seed, cfg.threads, cfg.conditioning) == \
+        (30000, 4, 1, 2)
 
 
 def test_config_file_beats_defaults_and_env(tmp_path, monkeypatch, capsys):
@@ -108,17 +112,18 @@ def test_config_file_beats_defaults_and_env(tmp_path, monkeypatch, capsys):
     monkeypatch.setenv("RANDFLIGHT_THREADS", "2")
     cfgfile = tmp_path / "run.json"
     # K = 1 once left validate's mass cascade empty and crashed it
-    cfgfile.write_text(json.dumps({"seed": 5, "threads": 1, "K": 1}))
+    cfgfile.write_text(json.dumps({"seed": 5, "K": 1}))
     assert run_cli(["validate", "--config", str(cfgfile)]) == 0
     assert capsys.readouterr().out.splitlines()[-1] == "3/3 checks passed"
     parser = _build_parser()
-    cfg = load_config(parser.parse_args(["validate", "--config", str(cfgfile)]))
+    cfgfile.write_text(json.dumps({"seed": 5, "threads": 1}))
+    cfg = load_config(parser.parse_args(["simulate", "--config", str(cfgfile)]))
     assert (cfg.seed, cfg.threads) == (5, 1)
     cfg = load_config(parser.parse_args(
-        ["validate", "--config", str(cfgfile), "--threads", "3",
+        ["simulate", "--config", str(cfgfile), "--threads", "3",
          "--seed", "6"]))
     assert (cfg.seed, cfg.threads) == (6, 3)
-    cfg = load_config(parser.parse_args(["validate"]))
+    cfg = load_config(parser.parse_args(["simulate"]))
     assert (cfg.seed, cfg.threads) == (0, 2)
 
 
@@ -317,6 +322,58 @@ def test_k_overrides_a_config_file_circular_gaussian(tmp_path):
     cfg = load_config(_build_parser().parse_args(
         ["density", "--config", str(cfgfile), "--k", "2.0"]))
     assert cfg.law == {"kind": "circular_gaussian", "k": 2.0}
+
+
+@pytest.mark.parametrize("out", ["nodir/x.csv", "."],
+                         ids=["missing-directory", "a-directory"])
+def test_out_directory_must_exist(tmp_path, monkeypatch, out):
+    # these were once found only after the whole run, as a FileNotFoundError
+    # or IsADirectoryError traceback and exit 1, a failed validate check
+    monkeypatch.chdir(tmp_path)
+    assert run_cli(["density", "--K", "1", "--nr", "8", "--out", out]) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("command,body", [
+    ("density", {"n_samples": 5, "conditioning": 3, "alphas": [9]}),
+    ("cf", {"seed": 1}), ("layers", {"threads": 2}),
+    ("validate", {"out": "v.csv"}), ("validate", {"nr": 12}),
+    ("simulate", {"K": 3})],
+    ids=["density-sampler-fields", "cf-seed", "layers-threads",
+         "validate-out", "validate-nr", "simulate-K"])
+def test_config_rejects_fields_the_command_does_not_read(tmp_path, command,
+                                                         body):
+    # these ran and were written to the sidecar as if they had been used
+    cfgfile = tmp_path / "run.json"
+    cfgfile.write_text(json.dumps(body))
+    out = tmp_path / "x.csv"
+    assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]
+                   if command != "validate" else
+                   [command, "--config", str(cfgfile)]) == 2
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["density", "--seed", "3"], ["density", "--threads", "2"],
+    ["layers", "--n", "20000"], ["cf", "--conditioning", "1"],
+    ["validate", "--out", "v.csv"], ["simulate", "--K", "3"]],
+    ids=["density-seed", "density-threads", "layers-n", "cf-conditioning",
+         "validate-out", "simulate-K"])
+def test_commands_take_only_the_flags_they_read(tmp_path, args):
+    out = tmp_path / "x.csv"
+    with pytest.raises(SystemExit) as exc:
+        run_cli(args + ["--out", str(out)] if "--out" not in args else args)
+    assert exc.value.code == 2
+    assert not out.exists()
+
+
+def test_sidecar_records_the_fields_its_command_reads(tmp_path):
+    out = tmp_path / "d.csv"
+    assert run_cli(["density", "--K", "1", "--nr", "8", "--out", str(out)]) == 0
+    meta = json.loads((tmp_path / "d.csv.meta.json").read_text())
+    assert set(meta["config"]) == {"command", "schema", "m", "law", "lam",
+                                   "c", "t", "K", "nr", "ntheta", "out", "fmt"}
+    assert "seed" not in meta  # density draws nothing
 
 
 def test_python_dash_m_runs_the_cli(tmp_path):

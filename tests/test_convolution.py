@@ -414,10 +414,10 @@ def test_graded_seed_step_runs_once_per_field(monkeypatch):
     at_nodes = []
     step = conv._step_values
 
-    def counted(layer, r, th, cfg, geometry=None):
+    def counted(layer, r, th, cfg, *rest):
         if layer.n == 1:
             at_nodes.append(np.array_equal(r, grid.nodes))
-        return step(layer, r, th, cfg, geometry)
+        return step(layer, r, th, cfg, *rest)
 
     monkeypatch.setattr(conv, "_step_values", counted)
     field = transition_density(P2, UniformLaw(P2), 1.0, 4, grid, CFG)
@@ -789,17 +789,27 @@ def test_isotropic_step_takes_one_column_for_every_angle():
         assert np.array_equal(col, one[:, 0])
 
 
-@pytest.mark.parametrize("n", [1, 2], ids=["graded", "regular"])
-def test_angular_read_matches_the_pointwise_reference(n):
+@pytest.mark.parametrize("n,n_theta", [
+    (1, 16), (2, 16), (1, 8), (2, 8), (1, 24), (2, 24), (1, 32), (2, 32)],
+    ids=["graded", "regular", "graded-coarser-grid", "regular-coarser-grid",
+         "graded-non-divisor-grid", "regular-non-divisor-grid",
+         "graded-finer-grid", "regular-finer-grid"])
+def test_angular_read_matches_the_pointwise_reference(n, n_theta):
+    # the step reads every target angle as a whole-column shift of the
+    # table plus a residual shared by the angles of one group: grids of
+    # n_theta 8, 16, 24 and 32 against the table's 16 angles make one,
+    # one, three and three residual groups
     cfg = StepConfig(n_sigma=17, n_theta=16, time_order=8, arc_order=8,
                      seed_grade=(1e-2, 1e-1, 1.0))
-    grid = PolarGrid.build(P2, 1.0, 6, 16)
+    grid = PolarGrid.build(P2, 1.0, 6, n_theta)
     field = transition_density(P2, CircularGaussianLaw(P2, 1.5), 1.0, 2,
                                grid, cfg)
     layer = field.layers[n - 1]
     sig = np.array([0.0, 0.05, 0.3, 0.62, 0.97])
-    # the grid angles, and angles between them, beyond pi included
-    th = np.concatenate([grid.thetas, [0.3, -2.0, 2.9, 7.1]])
+    # the grid angles, and angles off them: between table nodes, exactly
+    # -pi and pi, and past 2 pi either way
+    th = np.concatenate([grid.thetas, [0.3, -2.0, 2.9, 7.1, np.pi, -np.pi,
+                                       2.0 * np.pi + 0.4, -7.9, 13.0]])
     want = _reference_step(layer, sig, th)
     got = conv._step_values(layer, sig, th, cfg)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
