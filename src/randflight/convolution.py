@@ -35,7 +35,8 @@ hold h_n on sigma nodes equispaced in u = arcsin(sigma / sigma_max);
 reads interpolate them with a 4-point Lagrange stencil in u, and masses
 and transforms integrate them in u by composite Simpson.  Each step
 evaluates the next table, together with the layer's values at the grid
-nodes sigma = r / (ct).
+nodes sigma = r / (ct).  Every layer is even in theta (`DissipationLaw`),
+so angular layers are evaluated only at distinct |theta| (`_fold`).
 
 Surface integrals over caps are taken in the chord-radius variable
 s = |xi| (planar case: both arc branches summed), where the geometric
@@ -51,7 +52,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import lru_cache, partial
 
 import numpy as np
 
@@ -148,6 +149,16 @@ def _theta(theta) -> np.ndarray:
     if not np.all(np.isfinite(theta)):
         raise DomainError("theta must be finite")
     return theta
+
+
+def _fold(th: np.ndarray) -> tuple:
+    """The distinct |th| wrapped into [0, pi], each an exact member's, and
+    each angle's index among them, in the shape of ``th``.  Folded angles
+    within 1e-9 count as one, as residuals do in `DensityLayer.read_turned`."""
+    folded = np.abs(th - 2.0 * np.pi * np.round(th / (2.0 * np.pi))).ravel()
+    _, first, back = np.unique(np.round(folded, 9), return_index=True,
+                               return_inverse=True)
+    return folded[first], back.reshape(th.shape)
 
 
 def _edge(m: int, n: int, one_minus_sig2):
@@ -367,8 +378,9 @@ class DensityLayer:
         if self.source is None:
             return self._view(_seed_values(self.params.m, self.law, sig, th))
         out = np.empty(r.shape)
-        for a in np.unique(th):
-            mask = th == a
+        angles, back = _fold(th)
+        for g, a in enumerate(angles):
+            mask = back == g
             out[mask] = _step_values(self.source, sig[mask], np.array([a]),
                                      self.cfg)[:, 0]
         return self._view(out)
@@ -404,11 +416,12 @@ class DensityLayer:
             u = 0.5 * np.pi * z
             sig = np.sin(u)
             ws = 0.5 * np.pi * w * sig
+            angles, back = _fold(ths)
+            g = _one_turn_reg_planar(self.law, sig[:, None], angles)
             acc = 0.0
-            for th in ths:
+            for th, j in zip(ths, back):
                 th_s = np.full_like(sig, th)
-                g = _one_turn_reg_planar(self.law, sig, th_s)
-                acc += float(np.sum(ws * g * kern(ct * sig, th_s)))
+                acc += float(np.sum(ws * g[:, j] * kern(ct * sig, th_s)))
             return self.weight * 2.0 * math.pi * acc / len(ths)
         if n == 1:
             # the exact mass (primitive of sigma log((1+sigma)/(1-sigma)))
@@ -744,6 +757,8 @@ def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
     (a+s) log(a+s) + (a-s) log(a-s).
     """
     sig_targets = np.asarray(sig_targets, dtype=float)
+    th_targets, back = (th_targets, slice(None)) if layer.thetas is None \
+        else _fold(th_targets)
     out = np.zeros((len(sig_targets), len(th_targets)))
     if layer.n > 1 or layer.params.m == 2:
         scratch = {} if scratch is None else scratch
@@ -763,7 +778,7 @@ def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
             inner = B * (_log_primitive(s_hi, tau) - _log_primitive(s_lo, tau))
             out[idx] += np.sum(kw * inner / np.maximum(2.0 * rho * sig[:, None],
                                                        _TINY), axis=-1)[:, None]
-    return (layer.n + 1) * out  # the kernel's n+1
+    return (layer.n + 1) * out[:, back]  # the kernel's n+1
 
 
 def _clipped(at_nodes: np.ndarray, grid: RadialGrid | PolarGrid) -> np.ndarray:
@@ -838,13 +853,16 @@ def seed_layer(params: FlightParams, law: DissipationLaw, t: float,
     sigma, sig = _clustered_nodes(1.0, cfg.n_sigma), grid.nodes / params.radius(t)
     angular = isinstance(law, CircularGaussianLaw)
     thetas = _angles(cfg.n_theta) if angular else None
-    tab = None
-    if params.m == 2:
-        # h_1 = g_1 sqrt(1 - sigma^2): the regular factor
-        tab = _one_turn_reg_planar(law, *np.meshgrid(
-            sigma, thetas if angular else np.zeros(1), indexing="ij"))
-    g_at_nodes = _seed_values(params.m, law, *np.meshgrid(
-        sig, grid.thetas if angular else np.zeros(1), indexing="ij"))
+
+    def folded(f, s, th):  # f at radii s and angles th, once per distinct |th|
+        angles, back = _fold(th if angular else np.zeros(1))
+        return f(s[:, None], angles)[:, back]
+
+    # h_1 = g_1 sqrt(1 - sigma^2): the regular factor
+    tab = folded(partial(_one_turn_reg_planar, law), sigma, thetas) \
+        if params.m == 2 else None
+    g_at_nodes = folded(partial(_seed_values, params.m, law), sig,
+                        grid.thetas if angular else None)
     if isinstance(law, UniformLaw) and isinstance(grid, RadialGrid):
         g_values = np.maximum(_seed_profile_generic(params.m, sig), 0.0)
     else:

@@ -28,7 +28,9 @@ __all__ = [
 
 
 class DissipationLaw(ABC):
-    """Common interface of the supported direction laws."""
+    """Common interface of the supported direction laws.  A density depends
+    on the direction u only through u1, so every layer is even in theta:
+    `randflight.convolution` evaluates angular layers at distinct |theta|."""
 
     def __init__(self, params: FlightParams):
         self.params = params

@@ -716,7 +716,10 @@ def test_polar_at_nodes_take_every_angle_at_once():
 @pytest.mark.parametrize("k", [0.5, 2.0, -1.5, 5.0])
 def test_circular_gaussian_layers_are_even_in_theta(k, lam, c, t):
     # the law is symmetric about the x1 axis, so is every layer; the grid
-    # and table angles -pi + 2 pi j / n reflect to column (-j) mod n
+    # and table angles -pi + 2 pi j / n reflect to column (-j) mod n.  The
+    # engine evaluates each mirrored pair once (`conv._fold`), so this
+    # holds by construction; the unfolded `_reference_step` of
+    # test_angular_read_matches_the_pointwise_reference can still fail
     params = FlightParams(2, c, lam)
     field = transition_density(params, CircularGaussianLaw(params, k), t, 4,
                                PolarGrid.build(params, t, 16, 16))
@@ -770,6 +773,62 @@ def _reference_step(layer, sig, th):
     return (n + 1) * out
 
 
+def test_angular_step_takes_each_distinct_abs_theta_once(monkeypatch):
+    # every layer is even in theta, so a step on 16 angles -pi + pi j / 8
+    # takes the 9 distinct |theta| in [0, pi], for the seed step and a
+    # regular one, at the table and at the grid nodes
+    grid = PolarGrid.build(P2, 1.0, 6, 16)
+    law = CircularGaussianLaw(P2, 1.5)
+    field = transition_density(P2, law, 1.0, 2, grid,
+                               dataclasses.replace(_GEOMETRY_CFG, n_theta=16))
+    calls, at_grid = [], []
+    step, apply = conv._step_values, conv._apply
+
+    def step_spy(layer, r, *rest):
+        at_grid.append(np.array_equal(r, grid.nodes))  # ct = 1
+        return step(layer, r, *rest)
+
+    def apply_spy(layer, arcs, th, scratch):
+        calls.append((layer.n, at_grid[-1], np.array(th)))
+        return apply(layer, arcs, th, scratch)
+
+    monkeypatch.setattr(conv, "_step_values", step_spy)
+    monkeypatch.setattr(conv, "_apply", apply_spy)
+    for layer in field.layers:
+        next_layer(P2, law, layer)
+    assert {(n, g) for n, g, _ in calls} == {(1, False), (1, True),
+                                             (2, False), (2, True)}
+    for _, _, th in calls:
+        assert len(th) == 9 and np.all((th >= 0.0) & (th <= np.pi))
+        assert np.allclose(np.sort(th), np.pi * np.arange(9) / 8, atol=1e-15)
+
+
+def test_off_node_values_step_each_distinct_abs_theta_once(monkeypatch):
+    # 23 off-node radii x 16 angles of a K = 3 field: layers 2 and 3 are
+    # stepped once per distinct |theta|, 2 x 9 step geometries
+    params = FlightParams(2, 1.0, 1.0)
+    grid = PolarGrid.build(params, 1.0, 24, 16)
+    field = transition_density(params, CircularGaussianLaw(params, 1.0), 1.0,
+                               3, grid)
+    r = 0.5 * (grid.nodes[1:] + grid.nodes[:-1])
+    builds = []
+    build = conv._geometry
+
+    def counted(layer, sig, cfg):
+        builds.append(layer.n)
+        return build(layer, sig, cfg)
+
+    monkeypatch.setattr(conv, "_geometry", counted)
+    rr, th = np.broadcast_arrays(r[:, None], grid.thetas[None, :])
+    got = [layer.top_values(rr, th) for layer in field.layers[1:]]
+    assert sorted(builds) == [1] * 9 + [2] * 9
+    # the values of one step per layer at every angle at once (ct = 1)
+    for layer, g in zip(field.layers[1:], got):
+        want = layer._view(conv._step_values(layer.source, r, grid.thetas,
+                                             layer.cfg))
+        assert np.max(np.abs(g - want)) <= 1e-14 * np.max(np.abs(want))
+
+
 def test_isotropic_step_takes_one_column_for_every_angle():
     # an isotropic table's reads do not depend on the target angle: its
     # geometry carries chi in the weights, one array per block, and the
@@ -807,12 +866,26 @@ def test_angular_read_matches_the_pointwise_reference(n, n_theta):
     layer = field.layers[n - 1]
     sig = np.array([0.0, 0.05, 0.3, 0.62, 0.97])
     # the grid angles, and angles off them: between table nodes, exactly
-    # -pi and pi, and past 2 pi either way
+    # -pi and pi, past 2 pi either way, and exact mirror pairs, which the
+    # step evaluates once
     th = np.concatenate([grid.thetas, [0.3, -2.0, 2.9, 7.1, np.pi, -np.pi,
-                                       2.0 * np.pi + 0.4, -7.9, 13.0]])
+                                       2.0 * np.pi + 0.4, -7.9, 13.0, -0.3,
+                                       -2.9, -13.0]])
     want = _reference_step(layer, sig, th)
     got = conv._step_values(layer, sig, th, cfg)
     assert np.max(np.abs(got - want)) <= 1e-14 * np.max(np.abs(want))
+    if n == 1:
+        # the seed, taken once per distinct |theta|, against the one-turn
+        # quadrature at every table and grid angle, negative ones included
+        nodes = grid.nodes
+        for a, sig_a, ths, edge in (
+                (layer.tab, layer.sigma, layer.thetas, 1.0),
+                (layer.g_at_nodes, nodes, grid.thetas,
+                 np.sqrt(1.0 - nodes[:, None] ** 2))):
+            ref = np.stack([conv._one_turn_reg_planar(
+                layer.law, sig_a, np.full(len(sig_a), a_th))
+                for a_th in ths], 1) / edge
+            assert np.max(np.abs(a - ref)) <= 1e-14 * np.max(np.abs(ref))
 
 
 # --------------------------------------------------------------------------
