@@ -27,7 +27,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import DensityLayer
-from .core import FlightParams, _angles
+from .core import FlightParams, _angles, _check_positive
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError, NumericError
 from .specfun import bessel_j0
@@ -55,11 +55,6 @@ def _check_alpha(params: FlightParams, alpha) -> tuple:
     if not np.all(np.isfinite(a)):
         raise DomainError(f"alpha must be finite, got {a}")
     return tuple(a)
-
-
-def _check_t_max(t_max: float) -> None:
-    if not (math.isfinite(t_max) and t_max > 0.0):
-        raise DomainError(f"t_max must be positive and finite, got {t_max}")
 
 
 def _sinc(x: np.ndarray) -> np.ndarray:
@@ -128,7 +123,7 @@ def psi_ladder(params: FlightParams, law: DissipationLaw, alpha,
     if steps < 64:
         raise DomainError("ladder needs at least 64 steps")
     alpha_t = _check_alpha(params, alpha)
-    _check_t_max(t_max)
+    _check_positive("t_max", t_max)
     times = np.linspace(0.0, t_max, steps + 1)
     return CFLadder(0, alpha_t, times,
                     sphere_cf_values(params, law, alpha, times))
@@ -168,26 +163,22 @@ def volterra_cf(params: FlightParams, law: DissipationLaw, alpha,
     (lam h >= 1; a[0] vanishes at lam h = 2 and the solve amplifies
     without bound near it).
     """
-    if steps < 64:
-        raise DomainError("volterra_cf needs at least 64 steps")
-    alpha_t = _check_alpha(params, alpha)
-    _check_t_max(t_max)
+    psi = psi_ladder(params, law, alpha, t_max, steps)
     lam = params.lam
     if lam * t_max >= steps:
         raise DomainError(
             f"volterra_cf needs more steps than lam*t_max = {lam * t_max:.6g} "
             f"(one per mean time between turns), got steps={steps}")
-    times = np.linspace(0.0, t_max, steps + 1)
-    lh = lam * float(times[1])
-    kern = sphere_cf_values(params, law, alpha, times)
-    kern *= np.exp(-lam * times)
+    lh = lam * float(psi.times[1])
+    kern = psi.values  # this call's own ladder: scaled in place
+    kern *= np.exp(-lam * psi.times)
     a = -lh * kern[:-1]
     a[0] = 1.0 - 0.5 * lh * kern[0]
     kern *= 1.0 + 0.5 * lh
     G = np.empty(steps + 1, dtype=complex)
     G[0] = 1.0
     _series_quotient(kern[1:], a, G[1:])
-    return CFLadder(-1, alpha_t, times, G)
+    return CFLadder(-1, psi.alpha, psi.times, G)
 
 
 def _mul_head(x_hat: np.ndarray, y: np.ndarray, size: int,
@@ -238,15 +229,6 @@ def _laplace_of_ladder(ladder: CFLadder, s: float) -> complex:
     return complex(np.trapezoid(decay * ladder.values, ladder.times))
 
 
-def _laplace_psi_numeric(params: FlightParams, law: DissipationLaw, alpha,
-                         s: float) -> complex:
-    t_hi = 30.0 / s  # e^{-s t} tail below 1e-13 of scale 1/s
-    n = max(4096, int(256 * t_hi))
-    times = np.linspace(0.0, t_hi, n + 1)
-    psi = sphere_cf_values(params, law, alpha, times)
-    return complex(np.trapezoid(np.exp(-s * times) * psi, times))
-
-
 def laplace_identity_error(params: FlightParams, law: DissipationLaw,
                            alpha, s_values, t_max: float | None = None,
                            steps: int | None = None,
@@ -261,8 +243,7 @@ def laplace_identity_error(params: FlightParams, law: DissipationLaw,
     truncation tail bound exceeds ``tail_tol`` relative to the value.
     """
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
-    if np.any(s_values <= 0):
-        raise DomainError("Laplace abscissas must be positive")
+    _check_positive("Laplace abscissas s_values", s_values)
     s_min = float(s_values.min())
     auto_t_max = t_max is None
     if auto_t_max:
@@ -282,7 +263,9 @@ def laplace_identity_error(params: FlightParams, law: DissipationLaw,
             raise NumericError(
                 f"t_max={t_max} too small for s={s}: tail bound {tail:.3e} "
                 f"exceeds {tail_tol:.1e} of |L[G]|={abs(lhs):.3e}")
-        lp = _laplace_psi_numeric(params, law, alpha, s + params.lam)
+        t_hi = 30.0 / (s + params.lam)  # e^{-(s + lam) t} tail below 1e-13
+        lp = _laplace_of_ladder(psi_ladder(params, law, alpha, t_hi, max(
+            4096, int(256 * t_hi))), s + params.lam)
         rhs = lp / (1.0 - params.lam * lp)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
         if isinstance(law, UniformLaw) and params.m == 2:

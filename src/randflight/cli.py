@@ -365,7 +365,8 @@ def _validation_checks(cfg: RunConfig) -> list[tuple[str, bool, str]]:
     params = cfg.params()
     law = law_from_config(cfg.law, params)
     n, rng = 200_000, np.random.default_rng(cfg.seed)
-    _, sizes = simulate_batch(params, law, cfg.t, n, rng)
+    # the sizes are drawn first; only the zero-turn group is positioned
+    _, sizes = simulate_batch(params, law, cfg.t, n, rng, conditioning=0)
     p0 = sizes[0] / n
     target = math.exp(-params.lam * cfg.t)
     se = math.sqrt(target * (1 - target) / n)

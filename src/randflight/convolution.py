@@ -532,31 +532,35 @@ def _graded(a: np.ndarray, b: np.ndarray, grade: tuple) -> list:
             for g0, g1 in zip(fr[:-1], fr[1:])]
 
 
-def _panels(bounds: list, order: int):
-    """sin^2-mapped Gauss panels over consecutive intervals, joined."""
-    parts = [_sin2_panels(a, b, order) for a, b in bounds]
-    return (np.concatenate([nd for nd, _ in parts], axis=-1),
-            np.concatenate([wt for _, wt in parts], axis=-1))
+def _time_rule(layer: DensityLayer, sig: np.ndarray | None, cfg: StepConfig):
+    """Time nodes and weights of the step from ``layer`` at target radii
+    ``sig``, shape (targets, nodes), or at the origin (``sig`` None),
+    shape (nodes,): sin^2-mapped Gauss panels over (0, 1), split at the
+    cap/full-sphere transition tau = (1 + sigma) / 2.  At the origin the
+    cap stretch has width 0 and only the full-sphere stretch counts.
 
-
-def _time_panels(sig: np.ndarray, order: int, grade: tuple | None):
-    """Per-target-radius time quadrature over (0, 1), split at the
-    cap/full-sphere transition.
-
-    With ``grade`` (seed consumption) the stretch after the transition
-    is subdivided geometrically toward it, where the integrand has a
-    logarithmic spike, and the cap stretch is subdivided toward its own
-    left end, where the early-time weight of the one-turn layer varies
-    on the scale of tau itself.
+    Consuming the one-turn layer, the stretches are subdivided by
+    ``cfg.seed_grade``: the full-sphere one geometrically toward the
+    transition, where the integrand has a logarithmic spike, and the cap
+    one toward both of its ends, as the early-time weight of the one-turn
+    layer varies on the scale of tau itself.  At the origin only the m=3
+    seed has that spike (rho = tau at tau = 1/2).
     """
-    tm = 0.5 - 0.5 * sig
-    tp = 0.5 + 0.5 * sig
-    if not grade:
-        return _panels([(tm, tp), (tp, 1.0)], order)
-    mid = 0.5 * (tm + tp)
-    toward_tp = [(b, a) for a, b in _graded(tp, mid, grade)]
-    return _panels(_graded(tm, mid, grade) + toward_tp
-                   + _graded(tp, 1.0, grade), order)
+    graded = layer.n == 1 and (sig is not None or layer.params.m == 3)
+    tp = np.full(1, 0.5) if sig is None else 0.5 + 0.5 * sig
+    if not graded:
+        bounds = [(tp, 1.0)] if sig is None else [(0.5 - 0.5 * sig, tp), (tp, 1.0)]
+    else:
+        bounds = _graded(tp, 1.0, cfg.seed_grade)
+        if sig is not None:  # the cap stretch (tm, tp), halved, goes first
+            tm = 0.5 - 0.5 * sig
+            mid = 0.5 * (tm + tp)
+            bounds = _graded(tm, mid, cfg.seed_grade) + [
+                (b, a) for a, b in _graded(tp, mid, cfg.seed_grade)] + bounds
+    parts = [_sin2_panels(a, b, cfg.time_order) for a, b in bounds]
+    tau = np.concatenate([nd for nd, _ in parts], axis=-1)
+    wt = np.concatenate([w for _, w in parts], axis=-1)
+    return (tau, wt) if sig is not None else (tau[0], wt[0])
 
 
 def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
@@ -633,30 +637,16 @@ def _blocks(sig_targets: np.ndarray):
 
 
 def _window(layer: DensityLayer, sig: np.ndarray, cfg: StepConfig):
-    """Time nodes ``tau`` of the step at target radii ``sig`` (graded
-    after the one-turn layer), the last-leg radius rho = 1 - tau, the
+    """Time nodes ``tau`` of the step at target radii ``sig``
+    (`_time_rule`), the last-leg radius rho = 1 - tau, the
     chord-radius bounds of each cap, and the time weights, zero where
     the cap is empty, so that they also zero its reads.  The kernel's
     tau^n travels with the reads, and its n+1 is applied per step."""
-    tau, wt = _time_panels(sig, cfg.time_order,
-                           cfg.seed_grade if layer.n == 1 else None)
+    tau, wt = _time_rule(layer, sig, cfg)
     rho = 1.0 - tau
     s_lo = np.abs(sig[:, None] - rho)
     s_hi = np.minimum(sig[:, None] + rho, tau)
     return tau, rho, s_lo, s_hi, np.where(s_hi > s_lo, wt, 0.0)
-
-
-def _origin_window(layer: DensityLayer, cfg: StepConfig):
-    """Time nodes and weights of the step at the origin.  There the cap
-    window has width sigma -> 0; only the full-sphere stretch
-    contributes, as a plain spherical average.  Consuming the m=3 seed
-    it starts at the seed's log singularity (rho = tau at tau = 1/2),
-    so that stretch is graded toward it."""
-    mid, end = np.full(1, 0.5), np.full(1, 1.0)
-    bounds = _graded(mid, end, cfg.seed_grade) \
-        if layer.n == 1 and layer.params.m == 3 else [(mid, end)]
-    tau, wt = _panels(bounds, cfg.time_order)
-    return tau[0], wt[0]
 
 
 def _arcs(layer: DensityLayer, sig: np.ndarray | None,
@@ -669,7 +659,7 @@ def _arcs(layer: DensityLayer, sig: np.ndarray | None,
     3 the cap integral reduces to (1 / (2 rho r)) int s f(s) ds."""
     m, cap = layer.params.m, layer.sigma[-1]
     if sig is None:
-        tau, kw = _origin_window(layer, cfg)
+        tau, kw = _time_rule(layer, None, cfg)
         rho = 1.0 - tau
         col = (None, slice(None), None)  # (one target, time, angle)
         if m == 3:
@@ -768,7 +758,7 @@ def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
     else:
         for idx, sig in _blocks(sig_targets):  # the m=3 seed's closed form
             if sig is None:
-                tau, kw = _origin_window(layer, cfg)
+                tau, kw = _time_rule(layer, None, cfg)
                 rho = np.minimum(1.0 - tau, tau * (1.0 - 1e-12))
                 out[idx] += np.sum(kw * _one_turn_shape(3, rho / tau) / tau**2)
                 continue

@@ -27,6 +27,14 @@ __all__ = [
 DEFAULT_EPS_REL = 1e-3
 
 
+def _check_positive(name: str, x) -> None:
+    """Raise `DomainError` unless ``x``, a number or an array of them, is
+    positive and finite; the message names ``name``."""
+    x_arr = np.asarray(x, dtype=float)
+    if not np.all((x_arr > 0.0) & (x_arr < math.inf)):
+        raise DomainError(f"{name} must be positive and finite, got {x!r}")
+
+
 @dataclass(frozen=True)
 class FlightParams:
     """Dimension, speed and switching rate of the flight.
@@ -42,10 +50,8 @@ class FlightParams:
     def __post_init__(self) -> None:
         if self.m < 2:
             raise DomainError(f"dimension m must be >= 2, got {self.m}")
-        if not self.c > 0:
-            raise DomainError(f"speed c must be positive, got {self.c}")
-        if not self.lam > 0:
-            raise DomainError(f"rate lam must be positive, got {self.lam}")
+        _check_positive("speed c", self.c)
+        _check_positive("rate lam", self.lam)
 
     def radius(self, t: float) -> float:
         """Support radius c*t of the law at time t."""
@@ -64,7 +70,8 @@ def _angles(n: int) -> np.ndarray:
 
 @dataclass(frozen=True)
 class _Grid:
-    """Radii in [0, c*t - epsilon]: 1-D, at least two, strictly increasing."""
+    """Finite radii in [0, c*t - epsilon]: 1-D, at least two, strictly
+    increasing; t and epsilon positive and finite."""
 
     def __post_init__(self) -> None:
         name = type(self).__name__
@@ -73,10 +80,10 @@ class _Grid:
         object.__setattr__(self, "nodes", nodes)
         if nodes.ndim != 1 or len(nodes) < 2:
             raise DomainError(f"{name} needs a 1-D array of at least two radii")
-        if np.any(np.diff(nodes) <= 0):
-            raise DomainError(f"{name} radii must be strictly increasing")
-        if not self.epsilon > 0:
-            raise DomainError("boundary standoff epsilon must be positive")
+        if not np.all(np.isfinite(nodes)) or np.any(np.diff(nodes) <= 0):
+            raise DomainError(f"{name} radii must be finite and strictly increasing")
+        _check_positive("t", self.t)
+        _check_positive("boundary standoff epsilon", self.epsilon)
 
     @property
     def n_r(self) -> int:
@@ -150,7 +157,9 @@ class PolarGrid(_Grid):
 
 
 def check_grid_time(grid: RadialGrid | PolarGrid, t: float) -> None:
-    """Raise `DomainError` unless ``grid`` was built for time ``t``."""
+    """Raise `DomainError` unless ``grid`` was built for time ``t``, a
+    positive finite time."""
+    _check_positive("t", t)
     if abs(grid.t - t) > 1e-12 * t:
         raise DomainError(f"grid built for t={grid.t!r} used at t={t!r}")
 
@@ -247,8 +256,7 @@ def poisson_weight(n: int, params: FlightParams, t: float) -> float:
     """
     if n < 0:
         raise DomainError(f"event count must be nonnegative, got {n}")
-    if not t > 0:
-        raise DomainError(f"time must be positive, got {t}")
+    _check_positive("time t", t)
     lt = params.lam * t
     if n == 0:
         return math.exp(-lt)

@@ -74,8 +74,8 @@ class CircularGaussianLaw(DissipationLaw):
     ``k = 0`` degenerates to the uniform law on the circle; positive k
     concentrates directions around the +x1 axis.  I0 is numpy's
     ``np.i0``, which overflows past |k| ~ 709.8, so |k| > 700 raises
-    ``NumericError``.  Sampling is exact: numpy's von Mises sampler (Best
-    & Fisher 1979), for any k.
+    ``NumericError`` and a k that is not finite `DomainError`.  Sampling
+    is exact: numpy's von Mises sampler (Best & Fisher 1979), for any k.
     """
 
     def __init__(self, params: FlightParams, k: float):
@@ -83,6 +83,8 @@ class CircularGaussianLaw(DissipationLaw):
             raise DomainError("circular Gaussian law is planar only (m=2)")
         super().__init__(params)
         self.k = float(k)
+        if not math.isfinite(self.k):
+            raise DomainError(f"concentration k must be finite, got {k!r}")
         if abs(self.k) > 700.0:
             raise NumericError(f"I0 overflow for |k|={abs(self.k)} > 700")
         self._norm = 1.0 / (2.0 * math.pi * float(np.i0(self.k)))

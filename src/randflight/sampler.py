@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FlightParams, PolarGrid, RadialGrid, _ball_volume,
-                   check_grid_time)
+                   _check_positive, check_grid_time)
 from .dissipation import DissipationLaw
 from .errors import DomainError, EstimationError
 
@@ -30,16 +30,10 @@ __all__ = [
 
 _BOUNDARY_REL_TOL = 1e-9
 _CHUNK = 1 << 16  # directions per run: bounds a block's temporaries
-_TAIL = 1e-300  # a hazard table ends where the pmf falls below this share
 
 
 def _is_count(x) -> bool:
     return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
-
-
-def _check_time(t: float) -> None:
-    if not (math.isfinite(t) and t > 0.0):
-        raise DomainError(f"t must be positive and finite, got {t!r}")
 
 
 def _check_conditioning(conditioning) -> str | int:
@@ -54,26 +48,21 @@ def _check_conditioning(conditioning) -> str | int:
 def _group_sizes(mean: float, n: int, rng: np.random.Generator) -> list[int]:
     """Turn-count group sizes of ``n`` flights: one exact multinomial draw
     over the Poisson(mean) classes by conditional binomials (Devroye, 1986,
-    ch. XI), group j taking each flight left with hazard pi_j / P(N >= j).
-    A hazard table ends where pi falls below ``_TAIL`` of its value at the
-    mode or its first class; flights left past it go to the next table.
-    Its tail sums run from above in log space from 40 e-folds further out
-    (past the mode log pi falls by ln2 min(k / mean, 1) or more at step k).
+    ch. XI), group j taking each flight left with hazard
+    h_j = pi_j / P(N >= j).  As pi_{j+1} / pi_j = mean / (j + 1), the
+    hazards obey h_j = h_{j+1} / (h_{j+1} + mean / (j + 1)); one backward
+    pass from h = 1 at J = mean + 40 sqrt(mean) + 60 gives them all, as
+    P(N >= J) is below 1e-160 for every mean.
     """
+    h = [1.0] * (math.ceil(mean + 40.0 * math.sqrt(mean) + 60.0) + 1)
+    for j in range(len(h) - 2, -1, -1):
+        h[j] = h[j + 1] / (h[j + 1] + mean / (j + 1))
     sizes: list[int] = []
-    drop = 40.0 - math.log(_TAIL)
-    while n or not sizes:
-        j0 = len(sizes)
-        i = max(j0, math.ceil(mean)) - j0
-        j = np.arange(j0 + 1, j0 + i + math.ceil(math.sqrt(3 * mean * drop) + 2 * drop))
-        lp = np.concatenate(([0.0], np.cumsum(np.log(mean / j))))  # log pi_j/pi_j0
-        ls = np.logaddexp.accumulate(lp[::-1])[::-1]  # log P(j <= N <= j[-1])/pi_j0
-        end = i + int(np.argmax(lp[i:] < lp[i] + math.log(_TAIL)))
-        for h in np.exp(lp[:end] - ls[:end]):
-            sizes.append(int(rng.binomial(n, h)))
-            n -= sizes[-1]
-            if not n:
-                break
+    for hj in h:
+        sizes.append(int(rng.binomial(n, hj)))
+        n -= sizes[-1]
+        if not n:
+            break
     return sizes
 
 
@@ -94,7 +83,7 @@ def simulate_batch(params: FlightParams, law: DissipationLaw, t: float,
     once and its directions in runs of about ``_CHUNK``, in the same
     order whatever the run length.
     """
-    _check_time(t)
+    _check_positive("t", t)
     if conditioning is not None:
         conditioning = _check_conditioning(conditioning)
     sizes = _group_sizes(params.lam * t, n_samples, rng)
@@ -155,7 +144,6 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
     `simulate_batch`); the turn-count group sizes of all are drawn.
     ``grid`` must be built for ``t``, as in the recurrence.
     """
-    _check_time(t)
     check_grid_time(grid, t)
     conditioning = _check_conditioning(conditioning)
     if not _is_count(seed):

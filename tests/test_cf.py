@@ -217,6 +217,14 @@ def test_volterra_scaling_law(lt, lam, c, a, phi, k):
     assert np.max(np.abs(got - ref)) <= 1e-12
 
 
+@pytest.mark.parametrize("s", [math.nan, math.inf], ids=["nan", "inf"])
+def test_laplace_rejects_non_finite_abscissas(s):
+    # a NaN abscissa once raised ValueError, an infinite one
+    # ZeroDivisionError
+    with pytest.raises(DomainError, match="abscissas"):
+        laplace_identity_error(P2, UniformLaw(P2), alpha_vec(2, 1.0), [1.0, s])
+
+
 def test_laplace_alpha_zero_is_one_over_s():
     # G == 1, so L[G](s) = 1/s; exercised through the identity checker
     err = laplace_identity_error(P2, UniformLaw(P2), np.zeros(2), [1.0])

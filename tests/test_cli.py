@@ -154,6 +154,16 @@ def test_invalid_config_exits_2(tmp_path):
                     "--out", str(tmp_path / "x.csv")]) == 2
 
 
+@pytest.mark.parametrize("k", ["nan", "inf"])
+def test_a_non_finite_k_exits_2(tmp_path, k):
+    # --k nan once ran and exited 3, "layer 1 leaves the float range", and
+    # --k inf exited 3 as an I0 overflow
+    out = tmp_path / "x.csv"
+    assert run_cli(["density", "--law", "circular_gaussian", "--k", k,
+                    "--out", str(out)]) == 2
+    assert not out.exists()
+
+
 def test_sidecar_config_replays_the_run(tmp_path):
     # the sidecar once wrote n_r/n_theta, which load_config ignored: a
     # --nr 12 run replayed from its own config wrote 64 rows
@@ -223,6 +233,22 @@ def test_validate_command(capsys):
         run_cli(["validate", "--suite", "all"])
 
 
+def test_validate_positions_only_the_zero_turn_flights(monkeypatch, capsys):
+    # validate counts zero-turn flights only; it once positioned all
+    # 200,000.  The sizes are drawn first, so the line stays as it was
+    calls, simulate = [], cli.simulate_batch
+
+    def recording(*args, **kwargs):
+        calls.append(kwargs.get("conditioning"))
+        return simulate(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "simulate_batch", recording)
+    assert run_cli(["validate", "--m", "2"]) == 0
+    assert calls == [0]
+    assert capsys.readouterr().out.splitlines()[0] == \
+        "zero-event-fraction  PASS  0.36923 vs 0.36788 (4se 0.00431)"
+
+
 def test_validate_fails_on_a_wrong_zero_turn_count(monkeypatch, capsys):
     # a sampler that puts every flight in the one-turn group
     def no_zero_turn(params, law, t, n_samples, rng, conditioning=None):
@@ -278,11 +304,13 @@ def test_simulate_rejects_a_fractional_conditioning(tmp_path):
     ("simulate", {"threads": 0, "n_samples": 20000}),
     ("cf", {"alphas": [1.0, "2"]}), ("density", [1, 2]),
     ("density", {"law": {"kind": "uniform", "k": 3.0}}),
-    ("density", {"seed": -1}), ("density", {"lam": math.inf})],
+    ("density", {"seed": -1}), ("density", {"lam": math.inf}),
+    ("density", {"law": {"kind": "circular_gaussian", "k": math.nan}}),
+    ("simulate", {"law": {"kind": "circular_gaussian", "k": math.nan}})],
     ids=["K-float", "m-float", "cf-m-float", "n-float", "lam-string",
          "law-string", "k-string", "nr-float", "K-bool", "threads-zero",
          "alphas-string", "not-an-object", "k-uniform-law", "seed-negative",
-         "lam-inf"])
+         "lam-inf", "k-nan", "simulate-k-nan"])
 def test_config_rejects_a_value_of_the_wrong_type(tmp_path, command, body):
     # these crashed with a traceback and exit 1, which means a failed
     # validate check, or ran coerced: nr 12.7 as 12 and K true as 1; a

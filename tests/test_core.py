@@ -7,6 +7,7 @@ from scipy import stats
 
 from randflight import (DensityField, DomainError, FlightParams, PolarGrid,
                         RadialGrid, UniformLaw, poisson_weight, tail_mass)
+from randflight.core import check_grid_time
 
 
 @pytest.fixture
@@ -21,6 +22,12 @@ def test_params_validation():
         FlightParams(2, 0.0, 1.0)
     with pytest.raises(DomainError):
         FlightParams(2, 1.0, -1.0)
+    # an infinite c once ran to NaN densities, and an infinite or NaN
+    # lam to a math domain error in the Poisson weights
+    for c, lam in ((math.inf, 1.0), (math.nan, 1.0), (1.0, math.inf),
+                   (1.0, math.nan)):
+        with pytest.raises(DomainError, match="speed c" if c != 1.0 else "rate lam"):
+            FlightParams(2, c, lam)
 
 
 def test_poisson_weight_values(params):
@@ -32,6 +39,12 @@ def test_poisson_weight_values(params):
         poisson_weight(-1, params, 1.0)
     with pytest.raises(DomainError):
         poisson_weight(0, params, 0.0)
+    # t = inf once raised ValueError from a math domain error
+    for t in (math.inf, math.nan):
+        with pytest.raises(DomainError, match=r"\bt\b"):
+            poisson_weight(2, params, t)
+        with pytest.raises(DomainError, match=r"\bt\b"):
+            tail_mass(3, params, t)
 
 
 def test_poisson_weights_sum_to_one(params):
@@ -125,7 +138,8 @@ def _polar(nodes, thetas=-np.pi + np.pi * np.arange(8) / 4):
 
 _RADII = np.array([0.1, 0.5, 0.9])
 _BAD_RADII = {"one": [0.5], "empty": [], "2d": [[0.1, 0.2], [0.3, 0.4]],
-              "unsorted": [0.1, 0.3, 0.2]}
+              "unsorted": [0.1, 0.3, 0.2], "nan": [0.1, math.nan, 0.3],
+              "inf": [0.1, 0.5, math.inf], "only-nan": [math.nan, math.nan]}
 _BAD_GRIDS = [
     pytest.param(make, np.array(nodes), "radii", id=f"{name}-{kind}")
     for name, nodes in _BAD_RADII.items()
@@ -150,6 +164,26 @@ def test_grids_reject_bad_nodes(grid, nodes, match):
     # failed later with IndexError or TypeError in seed_layer
     with pytest.raises(DomainError, match=match):
         grid(nodes)
+
+
+@pytest.mark.parametrize("t, epsilon, match", [
+    (math.nan, 1e-3, r"\bt\b"), (math.inf, 1e-3, r"\bt\b"), (0.0, 1e-3, r"\bt\b"),
+    (1.0, math.inf, "epsilon")], ids=["t-nan", "t-inf", "t-zero", "eps-inf"])
+@pytest.mark.parametrize("kind", ["radial", "polar"])
+def test_grids_reject_a_bad_time_or_standoff(kind, t, epsilon, match):
+    # these were once accepted
+    with pytest.raises(DomainError, match=match):
+        if kind == "radial":
+            RadialGrid(t, _RADII, epsilon)
+        else:
+            PolarGrid(t, _RADII, -np.pi + np.pi * np.arange(8) / 4, epsilon)
+
+
+@pytest.mark.parametrize("t", [math.nan, math.inf])
+def test_check_grid_time_needs_a_positive_finite_time(params, t):
+    # a NaN or infinite t once passed for every grid
+    with pytest.raises(DomainError, match=r"\bt\b"):
+        check_grid_time(RadialGrid.build(params, 1.0, 8), t)
 
 
 def test_polar_grid_accepts_rounded_angles():

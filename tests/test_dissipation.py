@@ -57,6 +57,13 @@ def test_circular_gaussian_needs_m2(p3):
         CircularGaussianLaw(p3, 1.0)
 
 
+@pytest.mark.parametrize("k", [math.nan, math.inf, -math.inf])
+def test_circular_gaussian_needs_a_finite_k(p2, k):
+    # a NaN k was once accepted, and every density it gave was NaN
+    with pytest.raises(DomainError, match="k must be finite"):
+        CircularGaussianLaw(p2, k)
+
+
 def test_chi_normalization_by_quadrature(p2, p3):
     # planar laws: periodic trapezoid
     th = np.linspace(-np.pi, np.pi, 2049)[:-1]

@@ -3,6 +3,7 @@ from statistics import NormalDist
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from randflight import (CircularGaussianLaw, DomainError, EstimationError,
                         FlightParams, RadialGrid, PolarGrid, UniformLaw,
@@ -95,25 +96,57 @@ def test_group_sizes_match_poisson_pmf(p2, lam_t):
     assert np.max(z) < _bonferroni(len(z))
 
 
-@pytest.mark.parametrize("lam_t", [1.0, 10.0])
-def test_group_sizes_exact_past_a_forced_short_table(p2, monkeypatch, lam_t):
-    # a hazard table that ends near the mean sends many flights on to the
-    # next table; the draw must stay the exact multinomial
-    from randflight import sampler
-    n = 1_000_000
-    full = _sizes_only(p2, lam_t, n, np.random.default_rng(18))
-    monkeypatch.setattr(sampler, "_TAIL", 0.5)
-    short = _sizes_only(p2, lam_t, n, np.random.default_rng(18))
-    # the first table ends at the first class past the mode whose pmf is
-    # below half the mode's; flights beyond it were resolved after it
-    mode = math.ceil(lam_t)
-    end = next(j for j in range(mode, 100)
-               if _poisson_pmf(lam_t, j) < 0.5 * _poisson_pmf(lam_t, mode))
-    assert len(short) > end + 2
-    z = _sizes_z(short, lam_t)
-    assert np.max(z) < _bonferroni(len(z))
-    # the hazards are exact either way, so the draws agree
-    assert np.array_equal(short, full)
+class _RecordingRng:
+    """Stands in for a Generator whose binomial draws are all 0, so that
+    every turn-count class is drawn, and records each class's hazard."""
+
+    def __init__(self):
+        self.hazards = []
+
+    def binomial(self, n, p):
+        self.hazards.append(p)
+        return 0
+
+
+@pytest.mark.parametrize("lam_t", [1e-3, 1.0, 10.0, 800.0])
+def test_group_size_hazards_match_scipy(p2, lam_t):
+    # class j takes each flight left with hazard pi_j / P(N >= j); the
+    # backward recurrence from h = 1 far in the tail gets every class
+    # with any probability left to within rounding
+    rng = _RecordingRng()
+    _sizes_only(p2, lam_t, 1_000, rng)
+    h = np.array(rng.hazards)
+    j = np.arange(len(h))
+    sf = stats.poisson.sf(j - 1, lam_t)
+    kept = sf > 1e-150
+    assert h[-1] == 1.0 and kept.sum() > 30
+    ref = stats.poisson.pmf(j[kept], lam_t) / sf[kept]
+    assert np.max(np.abs(h[kept] - ref)) <= 1e-11
+
+
+# seed 20, as drawn by the hazard tables summed in log space that the
+# recurrence replaced: {turn count: group size} over the nonempty groups
+_SEEDED_SIZES = {
+    (1.0, 1_000_000): {0: 367784, 1: 368245, 2: 183509, 3: 61660, 4: 15122,
+                       5: 3054, 6: 531, 7: 88, 8: 6, 9: 1},
+    (10.0, 100_000): {0: 3, 1: 36, 2: 239, 3: 756, 4: 1989, 5: 3774, 6: 6309,
+                      7: 9007, 8: 11178, 9: 12433, 10: 12584, 11: 11269,
+                      12: 9570, 13: 7216, 14: 5236, 15: 3519, 16: 2183,
+                      17: 1284, 18: 684, 19: 385, 20: 195, 21: 87, 22: 36,
+                      23: 15, 24: 10, 26: 2, 27: 1},
+    (800.0, 30): {751: 1, 761: 1, 766: 1, 767: 1, 777: 1, 780: 2, 781: 1,
+                  782: 1, 783: 1, 784: 1, 790: 1, 794: 1, 798: 2, 799: 1,
+                  802: 1, 803: 1, 805: 1, 808: 1, 812: 1, 818: 2, 824: 1,
+                  830: 1, 831: 2, 838: 1, 839: 1, 843: 1},
+}
+
+
+@pytest.mark.parametrize("lam_t, n", list(_SEEDED_SIZES))
+def test_group_sizes_keep_their_seeded_draws(p2, lam_t, n):
+    sizes = _sizes_only(p2, lam_t, n, np.random.default_rng(20))
+    expected = _SEEDED_SIZES[lam_t, n]
+    assert len(sizes) == max(expected) + 1
+    assert {j: int(s) for j, s in enumerate(sizes) if s} == expected
 
 
 @pytest.mark.parametrize("lam_t", [1e-3, 800.0])
