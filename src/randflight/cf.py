@@ -4,13 +4,12 @@ The flight's characteristic function obeys a renewal structure: the
 conditional transform given n turns is an (n+1)-fold time convolution
 power of the sphere transform ``psi``, and the unconditional transform
 solves a Volterra equation of the second kind with kernel
-lam * exp(-lam (t - tau)) * psi(alpha, t - tau).  This module evaluates
-psi, iterates the convolution powers on a uniform time ladder, solves
-the Volterra equation's product-trapezoid system, which is
-lower-triangular Toeplitz, as an FFT power-series quotient in
-O(N log N), checks the Laplace-domain identity, and Fourier-transforms
-spatial layers for the cross-pipeline comparison; a layer's transform
-and its mass are one radial moment taken against different kernels.
+lam * exp(-lam (t - tau)) * psi(alpha, t - tau).  Every spectral
+computation reads psi from one uniform time ladder: the convolution
+powers extend it, and the Volterra solve and the Laplace-domain check
+use its kernel ladder.  Spatial layers are Fourier-transformed for the
+cross-pipeline comparison; a layer's transform and its mass are one
+radial moment taken against different kernels.
 
 Values are complex throughout: for the isotropic law they are real up
 to rounding, but the circular Gaussian law is skewed along the first
@@ -112,10 +111,6 @@ class CFLadder:
     times: np.ndarray
     values: np.ndarray
 
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
 
 def psi_ladder(params: FlightParams, law: DissipationLaw, alpha,
                t_max: float, steps: int) -> CFLadder:
@@ -129,56 +124,57 @@ def psi_ladder(params: FlightParams, law: DissipationLaw, alpha,
                     sphere_cf_values(params, law, alpha, times))
 
 
-def next_conv_power(params: FlightParams, law: DissipationLaw,
-                    prev: CFLadder) -> CFLadder:
-    """Time-convolution step: the ladder of index n from index n-1.
-
-    Trapezoid product quadrature of int_0^t psi(t - tau) J_{n-1}(tau)
-    dtau on the shared uniform ladder; index n equals the (n+1)-fold
-    convolution power of psi.
-    """
-    psi = sphere_cf_values(params, law, np.asarray(prev.alpha), prev.times)
-    h = prev.step
-    full = np.convolve(psi, prev.values)[:len(prev.times)]
-    vals = h * (full - 0.5 * psi * prev.values[0] - 0.5 * psi[0] * prev.values)
+def next_conv_power(psi: CFLadder, prev: CFLadder) -> CFLadder:
+    """Time-convolution step: the ladder of index n from index n-1 and
+    the chain's `psi_ladder` ``psi``, by trapezoid product quadrature of
+    int_0^t psi(t - tau) J_{n-1}(tau) dtau; index n is the (n+1)-fold
+    convolution power of psi.  Raises `DomainError` unless ``psi`` is
+    index 0 on the times and alpha of ``prev``."""
+    if psi.n != 0 or psi.alpha != prev.alpha or not np.array_equal(
+            psi.times, prev.times):
+        raise DomainError("next_conv_power needs psi's ladder on prev's "
+                          "times and alpha")
+    p, h = psi.values, float(prev.times[1])
+    full = np.convolve(p, prev.values)[:len(prev.times)]
+    vals = h * (full - 0.5 * p * prev.values[0] - 0.5 * p[0] * prev.values)
     return CFLadder(prev.n + 1, prev.alpha, prev.times, vals)
 
 
 def volterra_cf(params: FlightParams, law: DissipationLaw, alpha,
                 t_max: float, steps: int = 1024) -> CFLadder:
-    """Unconditional characteristic function from the product-trapezoid
-    discretisation of the renewal equation
-
-        G(t) = e^{-lam t} psi(t)
-               + lam int_0^t e^{-lam (t-tau)} psi(t - tau) G(tau) dtau.
-
-    With kern = e^{-lam t} psi on the ladder and G[0] = 1, the trapezoid
-    system for G[1:] is lower-triangular Toeplitz: a * G[1:] = b as power
-    series modulo x^steps, with a[0] = 1 - lam h kern[0] / 2, a[k] =
-    -lam h kern[k] and b = (1 + lam h / 2) kern[1:].  It is solved as the
-    quotient b / a in O(N log N) (`_series_quotient`).  Raises
-    `DomainError` for fewer than 64 steps, a ``t_max`` that is not
-    positive and finite, an ``alpha`` that is not a finite m-vector, or
-    a ladder with fewer than one step per mean time 1/lam between turns
-    (lam h >= 1; a[0] vanishes at lam h = 2 and the solve amplifies
-    without bound near it).
-    """
+    """Unconditional characteristic function: the renewal solve
+    (`_renewal`) on the kernel ladder e^{-lam t} psi of `psi_ladder`.
+    Raises `DomainError` for fewer than 64 steps, a ``t_max`` that is
+    not positive and finite, an ``alpha`` that is not a finite m-vector,
+    or fewer than one step per mean time 1/lam between turns."""
     psi = psi_ladder(params, law, alpha, t_max, steps)
-    lam = params.lam
-    if lam * t_max >= steps:
-        raise DomainError(
-            f"volterra_cf needs more steps than lam*t_max = {lam * t_max:.6g} "
-            f"(one per mean time between turns), got steps={steps}")
-    lh = lam * float(psi.times[1])
     kern = psi.values  # this call's own ladder: scaled in place
-    kern *= np.exp(-lam * psi.times)
+    kern *= np.exp(-params.lam * psi.times)
+    return CFLadder(-1, psi.alpha, psi.times,
+                    _renewal(psi.times, kern, params.lam))
+
+
+def _renewal(times: np.ndarray, kern: np.ndarray, lam: float) -> np.ndarray:
+    """G on a uniform ladder, G = kern + lam int_0^t kern(t - tau) G(tau)
+    dtau with ``kern`` = e^{-lam t} psi there, by product trapezoid.
+    With G[0] = 1 the system for G[1:] is lower-triangular Toeplitz,
+    a * G[1:] = b modulo x^steps with a[0] = 1 - lam h kern[0] / 2,
+    a[k] = -lam h kern[k] and b = (1 + lam h / 2) kern[1:], solved as
+    b / a in O(N log N) (`_series_quotient`).  Raises `DomainError` for
+    lam h >= 1: a[0] vanishes at lam h = 2, and near it the solve
+    amplifies without bound."""
+    steps = len(times) - 1
+    lh = lam * float(times[1])
+    if lh >= 1.0:
+        raise DomainError(f"the renewal solve needs more steps than lam*t_max"
+                          f" = {lh * steps:.6g}, got steps={steps}")
     a = -lh * kern[:-1]
     a[0] = 1.0 - 0.5 * lh * kern[0]
-    kern *= 1.0 + 0.5 * lh
     G = np.empty(steps + 1, dtype=complex)
     G[0] = 1.0
-    _series_quotient(kern[1:], a, G[1:])
-    return CFLadder(-1, psi.alpha, psi.times, G)
+    np.multiply(kern[1:], 1.0 + 0.5 * lh, out=G[1:])  # b, divided in place
+    _series_quotient(G[1:], a, G[1:])
+    return G
 
 
 def _mul_head(x_hat: np.ndarray, y: np.ndarray, size: int,
@@ -212,7 +208,8 @@ def _series_quotient(b: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
     step is folded into the quotient (Karp and Markstein): q = b r on
     the first half, then the second half corrects q by r times the
     residual b - a q.  No FFT is longer than the next power of two at or
-    above len(out).
+    above len(out).  ``out`` may be ``b`` itself: each half of b is read
+    before that half of out is written.
     """
     n = len(out)
     h = (n + 1) // 2
@@ -224,48 +221,51 @@ def _series_quotient(b: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
     out[h:] = _mul_head(r_hat, resid, size, 0, n - h)
 
 
-def _laplace_of_ladder(ladder: CFLadder, s: float) -> complex:
-    decay = np.exp(-s * ladder.times)
-    return complex(np.trapezoid(decay * ladder.values, ladder.times))
+def _laplace(times: np.ndarray, fine: np.ndarray, half: np.ndarray,
+             s: float, tail_tol: float) -> complex:
+    """Transform at s of a ladder ``fine`` truncated at t_max: trapezoid
+    rules on it and on ``half``, its counterpart on every other node,
+    Richardson-extrapolated.  Raises `NumericError` if the tail bound
+    past t_max exceeds ``tail_tol`` relative to the value."""
+    w = np.exp(-s * times)
+    tail = abs(fine[-1]) * w[-1] / s
+    w[[0, -1]] *= 0.5  # trapezoid weights over h, on both ladders
+    val = complex(4.0 * (w @ fine) - 2.0 * (w[::2] @ half)) * times[1] / 3.0
+    if tail > tail_tol * max(abs(val), 1e-30):
+        raise NumericError(f"t_max={times[-1]} too small for s={s}: tail "
+                           f"bound {tail:.3e} exceeds {tail_tol:.1e} of "
+                           f"|L|={abs(val):.3e}")
+    return val
 
 
 def laplace_identity_error(params: FlightParams, law: DissipationLaw,
                            alpha, s_values, t_max: float | None = None,
                            steps: int | None = None,
                            tail_tol: float = 1e-6) -> float:
-    """Maximal relative mismatch of L[G](s) against
-    L[psi](s + lam) / (1 - lam L[psi](s + lam)).
-
-    The left side transforms the Volterra ladder numerically, truncated
-    at ``t_max``; the right side uses direct time quadrature for L[psi],
-    cross-checked against the closed form 1/sqrt(s^2 + (c |alpha|)^2)
-    of the planar isotropic transform when it applies.  Raises if the
-    truncation tail bound exceeds ``tail_tol`` relative to the value.
-    """
+    """Maximal relative mismatch of L[G](s) against L[psi](s + lam) /
+    (1 - lam L[psi](s + lam)), both from one psi ladder of an even
+    number of ``steps`` by one rule (`_laplace`): L[psi](s + lam) is the
+    transform at s of the kernel ladder e^{-lam t} psi, L[G](s) that of
+    the renewal solve on it, each with its half on every other node.
+    The planar isotropic side is also checked against the closed form
+    L[psi](s + lam) = 1/sqrt((s + lam)^2 + (c |alpha|)^2)."""
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     _check_positive("Laplace abscissas s_values", s_values)
-    s_min = float(s_values.min())
-    auto_t_max = t_max is None
-    if auto_t_max:
-        t_max = max(8.0, 28.0 / s_min)
+    if t_max is None:
+        t_max = max(8.0, 28.0 / float(s_values.min()))
     if steps is None:
-        steps = min(40_000, max(4096, int(512 * t_max)))
-    ladder = volterra_cf(params, law, alpha, t_max, steps)
-    # Richardson extrapolation removes the O(h^2) trapezoid bias
-    coarse = volterra_cf(params, law, alpha, t_max, steps // 2)
+        steps = 2 * min(20_000, max(2048, int(256 * t_max)))
+    if steps % 2:
+        raise DomainError(f"the Laplace check needs even steps, got {steps}")
+    psi = psi_ladder(params, law, alpha, t_max, steps)
+    times, kern = psi.times, psi.values
+    kern *= np.exp(-params.lam * times)  # L[kern](s) = L[psi](s + lam)
+    G = _renewal(times, kern, params.lam)
+    G_half = _renewal(times[::2], kern[::2], params.lam)
     worst = 0.0
     for s in s_values:
-        lhs_f = _laplace_of_ladder(ladder, s)
-        lhs_c = _laplace_of_ladder(coarse, s)
-        lhs = (4.0 * lhs_f - lhs_c) / 3.0
-        tail = abs(ladder.values[-1]) * math.exp(-s * t_max) / s
-        if tail > tail_tol * max(abs(lhs), 1e-30):
-            raise NumericError(
-                f"t_max={t_max} too small for s={s}: tail bound {tail:.3e} "
-                f"exceeds {tail_tol:.1e} of |L[G]|={abs(lhs):.3e}")
-        t_hi = 30.0 / (s + params.lam)  # e^{-(s + lam) t} tail below 1e-13
-        lp = _laplace_of_ladder(psi_ladder(params, law, alpha, t_hi, max(
-            4096, int(256 * t_hi))), s + params.lam)
+        lhs = _laplace(times, G, G_half, s, tail_tol)
+        lp = _laplace(times, kern, kern[::2], s, tail_tol)
         rhs = lp / (1.0 - params.lam * lp)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
         if isinstance(law, UniformLaw) and params.m == 2:

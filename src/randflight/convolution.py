@@ -58,8 +58,8 @@ import numpy as np
 
 from .analytic import _one_turn_shape
 from .core import (DensityField, FlightParams, PolarGrid, RadialGrid, _angles,
-                   _ball_volume, _clustered_nodes, _unscaled, check_grid_time,
-                   poisson_weight, tail_mass)
+                   _ball_volume, _clustered_nodes, _is_count, _unscaled,
+                   check_grid_time, poisson_weight, tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError, NumericError
 from .specfun import gauss_2f1
@@ -129,10 +129,22 @@ class StepConfig:
     seed_grade: tuple = (1e-3, 1e-2, 1e-1, 1.0)  # decade subpanels
 
     def __post_init__(self) -> None:
-        if self.n_sigma < 5 or self.n_sigma % 2 == 0:
-            raise DomainError("n_sigma must be odd and >= 5 (Simpson in u)")
-        if self.n_theta < 8 or self.n_theta % 2:
-            raise DomainError("n_theta must be even and >= 8")
+        # each field that would otherwise mis-integrate or fail in numpy
+        for name, low, parity, rule in (
+                ("n_sigma", 5, 1, "an odd integer >= 5 (Simpson in u)"),
+                ("n_theta", 8, 0, "an even integer >= 8"),
+                ("time_order", 1, None, "an integer >= 1"),
+                ("arc_order", 1, None, "an integer >= 1")):
+            x = getattr(self, name)
+            if not (_is_count(x) and x >= low
+                    and (parity is None or x % 2 == parity)):
+                raise DomainError(f"{name} must be {rule}, got {x!r}")
+        g = np.asarray(self.seed_grade, dtype=float)
+        if not (g.ndim == 1 and g.size and g[0] > 0.0 and g[-1] == 1.0
+                and np.all(np.diff(g) > 0.0)):
+            raise DomainError("seed_grade must be a non-empty, strictly "
+                              "increasing tuple in (0, 1] ending at 1.0, "
+                              f"got {self.seed_grade!r}")
 
 
 def _radii(r) -> np.ndarray:
@@ -895,8 +907,8 @@ def transition_density(params: FlightParams, law: DissipationLaw, t: float,
                        config: StepConfig | None = None) -> DensityField:
     """Assemble the transition density: singular layer, layers 1..K of
     the recurrence, and the Poisson tail of the truncation."""
-    if K < 1:
-        raise DomainError("need at least one layer (K >= 1)")
+    if not (_is_count(K) and K >= 1):
+        raise DomainError(f"K must be an integer >= 1, got {K!r}")
     layers = [seed_layer(params, law, t, grid, config)]
     for _ in range(K - 1):
         layers.append(next_layer(params, law, layers[-1], config=config))

@@ -27,6 +27,11 @@ __all__ = [
 DEFAULT_EPS_REL = 1e-3
 
 
+def _is_count(x) -> bool:
+    """Whether ``x`` is a nonnegative integer (not a bool)."""
+    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
+
+
 def _check_positive(name: str, x) -> None:
     """Raise `DomainError` unless ``x``, a number or an array of them, is
     positive and finite; the message names ``name``."""
@@ -258,6 +263,7 @@ def poisson_weight(n: int, params: FlightParams, t: float) -> float:
         raise DomainError(f"event count must be nonnegative, got {n}")
     _check_positive("time t", t)
     lt = params.lam * t
+    _check_positive("lam*t", lt)
     if n == 0:
         return math.exp(-lt)
     return math.exp(-_stirlerr(n) - _bd0(n, lt)) / math.sqrt(2.0 * math.pi * n)
@@ -269,6 +275,7 @@ def tail_mass(K: int, params: FlightParams, t: float) -> float:
     if K < 0:
         raise DomainError(f"truncation index must be nonnegative, got {K}")
     lt = params.lam * t
+    _check_positive("lam*t", lt)
     if K + 1 < lt:
         return 1.0 - sum(poisson_weight(n, params, t) for n in range(K + 1))
     terms = [poisson_weight(K + 1, params, t)]  # falling geometrically

@@ -18,7 +18,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .core import (FlightParams, PolarGrid, RadialGrid, _ball_volume,
-                   _check_positive, check_grid_time)
+                   _check_positive, _is_count, check_grid_time)
 from .dissipation import DissipationLaw
 from .errors import DomainError, EstimationError
 
@@ -30,10 +30,6 @@ __all__ = [
 
 _BOUNDARY_REL_TOL = 1e-9
 _CHUNK = 1 << 16  # directions per run: bounds a block's temporaries
-
-
-def _is_count(x) -> bool:
-    return isinstance(x, (int, np.integer)) and not isinstance(x, bool) and x >= 0
 
 
 def _check_conditioning(conditioning) -> str | int:
@@ -86,7 +82,9 @@ def simulate_batch(params: FlightParams, law: DissipationLaw, t: float,
     _check_positive("t", t)
     if conditioning is not None:
         conditioning = _check_conditioning(conditioning)
-    sizes = _group_sizes(params.lam * t, n_samples, rng)
+    lt = params.lam * t
+    _check_positive("lam*t", lt)
+    sizes = _group_sizes(lt, n_samples, rng)
     groups = [(n, s) for n, s in enumerate(sizes) if s and (conditioning is None or (
         n >= 1 if conditioning == "all" else n == conditioning))]
     positions = np.empty((sum(s for _, s in groups), params.m))
@@ -163,9 +161,11 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
 
     r = grid.nodes  # bin edges: node midpoints, the origin and the support radius
     edges_r = np.concatenate([[0.0], 0.5 * (r[:-1] + r[1:]), [grid.support_radius]])
+    vols = np.diff(_ball_volume(edges_r, params.m))  # before any flight runs
     polar = isinstance(grid, PolarGrid)
     if polar:
         n_th, dth = grid.n_theta, 2.0 * np.pi / grid.n_theta
+        vols = vols[:, None] * (dth / (2.0 * np.pi))
 
     def one_block(size, ss):
         pos, group_sizes = simulate_batch(params, law, t, size,
@@ -197,9 +197,6 @@ def estimate_density(params: FlightParams, law: DissipationLaw, t: float,
             f"empty conditioning set: no samples with conditioning="
             f"{conditioning!r} out of {n_samples} (zero-event count {n_zero})")
 
-    vols = np.diff(_ball_volume(edges_r, params.m))
-    if polar:
-        vols = vols[:, None] * (dth / (2.0 * np.pi))
     # "all": joint AC density, mass P(N >= 1); j: conditional, mass 1
     norm = n_samples if conditioning == "all" else n_kept
     values = hist / (norm * vols)

@@ -12,6 +12,7 @@ from randflight import (CircularGaussianLaw, DomainError, FlightParams,
                         layer_fourier, next_conv_power, poisson_weight,
                         psi_ladder, seed_layer, next_layer, sphere_cf,
                         tail_mass, transition_density, volterra_cf)
+from randflight import cf
 from randflight.cf import sphere_cf_values
 
 P2 = FlightParams(2, 1.0, 1.0)
@@ -75,10 +76,10 @@ def test_psi_uniform_real_even_bounded():
 
 def test_conv_powers_at_zero_frequency():
     # J_n(0, t) = t^n / n!  (iterated integral of one)
-    lad = psi_ladder(P2, UniformLaw(P2), np.zeros(2), 1.0, 1024)
+    psi = lad = psi_ladder(P2, UniformLaw(P2), np.zeros(2), 1.0, 1024)
     assert lad.values[-1] == pytest.approx(1.0, abs=1e-14)
     for n in range(1, 9):
-        lad = next_conv_power(P2, UniformLaw(P2), lad)
+        lad = next_conv_power(psi, lad)
         exact = 1.0 / math.factorial(n)
         assert lad.values[-1].real == pytest.approx(exact, rel=1e-4)
         assert abs(lad.values[-1].imag) < 1e-15
@@ -92,9 +93,8 @@ def test_first_conv_power_against_nested_quadrature():
     ref, _ = integrate.quad(
         lambda tau: bessel_j0(1.0 - tau) * bessel_j0(tau), 0.0, 1.0,
         limit=200)
-    lad = next_conv_power(P2, UniformLaw(P2),
-                          psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0),
-                                     1.0, 2048))
+    psi = psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), 1.0, 2048)
+    lad = next_conv_power(psi, psi)
     assert lad.values[-1].real == pytest.approx(ref, abs=1e-6)
 
 
@@ -113,10 +113,10 @@ def test_volterra_matches_series():
     law = UniformLaw(P2)
     alpha = alpha_vec(2, 1.0)
     G = volterra_cf(P2, law, alpha, 1.0, 1024)
-    lad = psi_ladder(P2, law, alpha, 1.0, 1024)
+    psi = lad = psi_ladder(P2, law, alpha, 1.0, 1024)
     total = math.exp(-1.0) * lad.values[-1]
     for n in range(1, 13):
-        lad = next_conv_power(P2, law, lad)
+        lad = next_conv_power(psi, lad)
         total += math.exp(-1.0) * lad.values[-1]
     assert abs(total - G.values[-1]) <= 1e-6 + tail_mass(12, P2, 1.0)
 
@@ -228,13 +228,23 @@ def test_laplace_rejects_non_finite_abscissas(s):
 def test_laplace_alpha_zero_is_one_over_s():
     # G == 1, so L[G](s) = 1/s; exercised through the identity checker
     err = laplace_identity_error(P2, UniformLaw(P2), np.zeros(2), [1.0])
-    assert err < 2e-5
+    assert err < 1e-10
 
 
 def test_laplace_identity_uniform_m2():
     err = laplace_identity_error(P2, UniformLaw(P2), alpha_vec(2, 1.0),
                                  [0.5, 1.0, 2.0])
-    assert err < 1e-4
+    assert err < 1e-10
+
+
+@pytest.mark.parametrize("t_max, steps", [(8.0, 129), (100.0, 128)],
+                         ids=["odd", "half-ladder-coarse"])
+def test_laplace_rejects_bad_ladders(t_max, steps):
+    # the half ladder of the Richardson step needs an even step count and
+    # more than lam * t_max steps of its own
+    with pytest.raises(DomainError, match="steps"):
+        laplace_identity_error(P2, UniformLaw(P2), alpha_vec(2, 1.0), [1.0],
+                               t_max=t_max, steps=steps)
 
 
 def test_laplace_tail_control():
@@ -248,6 +258,80 @@ def test_laplace_tail_control():
                                    tail_tol=1.0)
             for tm in (4.0, 8.0, 16.0)]
     assert errs[2] < errs[0]
+
+
+def _spectral_case(lam, c, m=2, k=None, mags=(0.5, 1.0, 2.0), steps=28_672):
+    """The Laplace check at spectral-check's case, scaled to (lam, c):
+    alpha c / lam in ``mags``, s / lam in {0.5, 1, 2}, lam t_max = 56."""
+    params = FlightParams(m, c, lam)
+    law = UniformLaw(params) if k is None else CircularGaussianLaw(params, k)
+    return [laplace_identity_error(params, law, alpha_vec(m, mag * lam / c),
+                                   [0.5 * lam, lam, 2.0 * lam],
+                                   t_max=56.0 / lam, steps=steps)
+            for mag in mags]
+
+
+@pytest.mark.parametrize("m, k, steps, tol", [
+    (2, None, 28_672, 1e-10),
+    (3, None, 28_672, 1e-10),
+    (2, 1.5, 8_192, 1e-8),
+], ids=["m2", "m3", "cg"])
+def test_laplace_identity_at_the_spectral_case(m, k, steps, tol):
+    # both sides by one rule on one psi ladder: 7e-12 to 8e-12 for the
+    # uniform law, 1.2e-9 to 1.5e-9 for the circular Gaussian; reading
+    # L[psi] from its own coarser ladder gave 4.6e-6 to 1.3e-5
+    assert max(_spectral_case(1.0, 1.0, m, k, steps=steps)) <= tol
+
+
+def test_laplace_identity_is_split_free():
+    # one dimensionless case at three (lam, c, t) splits; the figure
+    # once ranged from 1.6e-6 to 1.3e-5 over these
+    errs = [_spectral_case(lam, c, mags=(1.0,))[0]
+            for lam, c in ((1.0, 1.0), (2.5, 0.4), (0.3, 3.0))]
+    assert max(errs) - min(errs) <= 1e-3 * min(errs)
+
+
+def test_laplace_identity_sees_a_wrong_solve(monkeypatch):
+    # a renewal solve off by 1e-7 must read about 1e-7, not hide under
+    # the quadrature bias of the check (it once read 8.9e-6 either way)
+    quotient = cf._series_quotient
+
+    def scaled(b, a, out):
+        quotient(b, a, out)
+        out *= 1.0 + 1e-7
+
+    monkeypatch.setattr(cf, "_series_quotient", scaled)
+    err = _spectral_case(1.0, 1.0, mags=(1.0,))[0]
+    assert 5e-8 <= err <= 2e-7
+
+
+def test_one_psi_ladder_per_spectral_computation(monkeypatch):
+    calls = []
+
+    def spy(*args):
+        calls.append(len(args[-1]))
+        return sphere_cf_values(*args)
+
+    monkeypatch.setattr(cf, "sphere_cf_values", spy)
+    _spectral_case(1.0, 1.0, mags=(1.0,))
+    assert calls == [28_673]  # once read on five ladders
+    psi = lad = psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), 1.0, 64)
+    for _ in range(3):
+        lad = next_conv_power(psi, lad)
+    assert calls == [28_673, 65]
+
+
+@pytest.mark.parametrize("other", [
+    psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), 2.0, 64),
+    psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), 1.0, 128),
+    psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 0.5), 1.0, 64),
+], ids=["t_max", "steps", "alpha"])
+def test_next_conv_power_rejects_a_foreign_psi(other):
+    psi = psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), 1.0, 64)
+    with pytest.raises(DomainError, match="psi"):
+        next_conv_power(other, psi)
+    with pytest.raises(DomainError, match="psi"):  # not index 0
+        next_conv_power(next_conv_power(psi, psi), psi)
 
 
 @pytest.mark.parametrize("params, law, polar", [
@@ -279,9 +363,9 @@ def test_layer_fourier_matches_conv_power(params):
     grid = RadialGrid.build(params, 1.0, 49)
     layer = seed_layer(params, law, 1.0, grid, CFG)
     alpha = alpha_vec(params.m, 1.0)
-    lad = psi_ladder(params, law, alpha, 1.0, 1024)
+    psi = lad = psi_ladder(params, law, alpha, 1.0, 1024)
     for n in range(1, 5):
-        lad = next_conv_power(params, law, lad)
+        lad = next_conv_power(psi, lad)
         ref = math.exp(-1.0) * lad.values[-1].real
         assert abs(layer_fourier(layer, params, alpha) - ref) < tol, n
         layer = next_layer(params, law, layer, config=CFG)

@@ -79,6 +79,33 @@ def test_seed_rejects_bad_grid():
         seed_layer(P2, UniformLaw(P2), 1.0, grid, CFG)
 
 
+_BAD_RESOLUTIONS = [
+    ({"seed_grade": (0.5,)}, "seed_grade"),          # layer 2's mass 42% low
+    ({"seed_grade": (0.1, 1.0, 2.0)}, "seed_grade"),  # 71% high
+    ({"seed_grade": (0.1, 0.01, 1.0)}, "seed_grade"),
+    ({"seed_grade": ()}, "seed_grade"),  # ValueError from np.concatenate
+    ({"n_sigma": 33.5}, "n_sigma"),      # passed as odd, 1.1% off
+    ({"n_theta": 16.0}, "n_theta"),
+    ({"time_order": 0}, "time_order"),   # numpy's "deg must be a positive
+    ({"arc_order": 0}, "arc_order"),     # integer"
+    ({"time_order": 2.5}, "time_order"),
+    ({"K": 2.5}, "K"),                   # TypeError in range()
+    ({"K": True}, "K"),
+]
+
+
+@pytest.mark.parametrize("bad, name", _BAD_RESOLUTIONS,
+                         ids=[f"{k}={v}" for kw, _ in _BAD_RESOLUTIONS
+                              for k, v in kw.items()])
+def test_engine_rejects_bad_resolutions(bad, name):
+    fields = {"n_sigma": 9, "time_order": 4, "arc_order": 4, **bad}
+    K = fields.pop("K", 2)
+    grid = RadialGrid.build(P2, 1.0, 8)
+    with pytest.raises(DomainError, match=rf"\b{name}\b"):
+        transition_density(P2, UniformLaw(P2), 1.0, K, grid,
+                           StepConfig(**fields))
+
+
 def test_engine_rejects_high_dimension():
     p4 = FlightParams(4, 1.0, 1.0)
     grid = RadialGrid.build(p4, 1.0, 8)

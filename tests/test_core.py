@@ -45,6 +45,13 @@ def test_poisson_weight_values(params):
             poisson_weight(2, params, t)
         with pytest.raises(DomainError, match=r"\bt\b"):
             tail_mass(3, params, t)
+    # lam*t past the float range once raised a math domain error, and
+    # below it ZeroDivisionError
+    for lam, t in ((1e300, 1e10), (1e-300, 1e-30)):
+        with pytest.raises(DomainError, match=r"lam\*t"):
+            poisson_weight(2, FlightParams(2, 1.0, lam), t)
+        with pytest.raises(DomainError, match=r"lam\*t"):
+            tail_mass(3, FlightParams(2, 1.0, lam), t)
 
 
 def test_poisson_weights_sum_to_one(params):

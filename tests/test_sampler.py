@@ -9,6 +9,7 @@ from randflight import (CircularGaussianLaw, DomainError, EstimationError,
                         FlightParams, RadialGrid, PolarGrid, UniformLaw,
                         estimate_density, one_turn_profile, poisson_weight,
                         simulate_batch)
+from randflight import sampler
 
 
 @pytest.fixture
@@ -333,25 +334,42 @@ _BAD_ARGUMENTS = [
     ("estimate", {"threads": 2.5}, "threads"),
     ("estimate", {"threads": True}, "threads"),
     ("estimate", {"n_samples": 2e4}, "n_samples"),
+    ("simulate", {"lam": 1e300, "t": 1e10}, r"lam\*t"),  # OverflowError
+    ("simulate", {"lam": 1e-300, "t": 1e-30}, r"lam\*t"),
 ]
 
 
 @pytest.mark.parametrize("route, bad, name", _BAD_ARGUMENTS,
-                         ids=[f"{r}-{k}={v}" for r, kw, _ in _BAD_ARGUMENTS
-                              for k, v in kw.items()])
+                         ids=[f"{r}-" + ",".join(f"{k}={v}" for k, v in kw.items())
+                              for r, kw, _ in _BAD_ARGUMENTS])
 def test_sampler_rejects_bad_arguments(p2, route, bad, name):
     # 1.5 once ran as 1 and was reported as 1.5, True as 1; block_size 0
     # raised ZeroDivisionError; t = 0 read as an empty conditioning set;
     # threads 0, -3 and 2.5 ran serially, n_samples 2e4 failed in range()
-    law = UniformLaw(p2)
     kwargs = {"t": 1.0, "n_samples": 20_000, **bad}
     t, n = kwargs.pop("t"), kwargs.pop("n_samples")
+    if "lam" in kwargs:
+        p2 = FlightParams(2, 1.0, kwargs.pop("lam"))
+    law = UniformLaw(p2)
     with pytest.raises(DomainError, match=rf"\b{name}\b"):
         if route == "estimate":
             estimate_density(p2, law, t, n,
                              RadialGrid.build_uniform(p2, 1.0, 16), **kwargs)
         else:
             simulate_batch(p2, law, t, 1_000, np.random.default_rng(0), **kwargs)
+
+
+def test_estimate_rejects_an_unbinnable_dimension_before_sampling(monkeypatch):
+    # m = 4 once simulated every flight and only then failed to bin them
+    p4 = FlightParams(4, 1.0, 1.0)
+
+    def no_flights(*args, **kwargs):
+        raise AssertionError("simulate_batch ran before the check")
+
+    monkeypatch.setattr(sampler, "simulate_batch", no_flights)
+    with pytest.raises(DomainError, match="m=4"):
+        estimate_density(p4, UniformLaw(p4), 1.0, 20_000,
+                         RadialGrid.build_uniform(p4, 1.0, 16))
 
 
 def test_estimate_needs_a_grid_built_for_its_time(p2):
