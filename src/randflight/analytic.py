@@ -6,7 +6,7 @@ import math
 
 import numpy as np
 
-from .core import FlightParams, _unscaled
+from .core import FlightParams, _check_positive, _unscaled
 from .errors import DomainError
 
 __all__ = [
@@ -41,6 +41,8 @@ def one_turn_profile(params: FlightParams, r: np.ndarray, t) -> np.ndarray:
         raise DomainError("one_turn_profile needs all radii < ct")
     if params.m not in (2, 3):
         raise DomainError("one_turn_profile supports m in {2, 3}")
-    lt = params.lam * t
+    with np.errstate(over="ignore"):  # an infinite product fails the check
+        lt = params.lam * t
+    _check_positive("lam*t", lt)
     return _unscaled(_one_turn_shape(params.m, r / ct), lt * np.exp(-lt),
                      params.m, ct)

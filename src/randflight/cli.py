@@ -138,7 +138,7 @@ def _integer(lo: int):
 # the one rule for each `RunConfig` field but ``command``, whatever its source
 _RULES = {
     "m": _integer(2), "K": _integer(1), "nr": _integer(2),
-    "n_samples": _integer(1), "seed": _integer(0),
+    "n_samples": _integer(10_000), "seed": _integer(0),
     "ntheta": (lambda v: _is_number(v, int) and v >= 8 and v % 2 == 0,
                "an even integer >= 8"),  # PolarGrid's rule, for every law
     **dict.fromkeys(("lam", "c", "t"),

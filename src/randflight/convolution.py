@@ -182,6 +182,12 @@ def _edge(m: int, n: int, one_minus_sig2):
     return np.maximum(x, _TINY) ** (0.5 * (n - 2))
 
 
+def _clipped(at_nodes: np.ndarray, grid: RadialGrid | PolarGrid) -> np.ndarray:
+    """Node values in the grid's shape, clipped at 0."""
+    return np.maximum(at_nodes[:, 0] if isinstance(grid, RadialGrid) else
+                      np.broadcast_to(at_nodes, (grid.n_r, grid.n_theta)), 0.0)
+
+
 def _default_config(law: DissipationLaw) -> StepConfig:
     # the skewed planar pipeline carries full angular tables; keep its
     # default resolution laptop-friendly
@@ -198,11 +204,11 @@ class DensityLayer:
     ``t``: ``weight`` (ct)^(-m) g_n(r / (ct)), with g_n the layer given n
     turns of the flight with c = t = 1, free of lam, c and t.
 
-    ``g_values`` holds g_n at the nodes of ``grid`` clipped at 0, shape
-    (n_r,) or (n_r, n_theta); ``g_at_nodes`` unclipped, shape (n_r,
-    n_theta of the grid, or 1 for isotropic tables); ``values`` and
-    ``at_nodes`` are the layer there (`NumericError` where they leave
-    the float range).  ``tab`` holds h_n = g_n / E_n at the nodes
+    ``g_at_nodes`` holds g_n at the nodes of ``grid``, shape (n_r,
+    n_theta of the grid, or 1 for isotropic tables); ``at_nodes`` is the
+    layer there and ``values`` that clipped at 0 in the grid's shape,
+    (n_r,) or (n_r, n_theta) (`NumericError` where they leave the float
+    range).  ``tab`` holds h_n = g_n / E_n at the nodes
     ``sigma``, shape (n_sigma, n_theta), with n_theta = 1 (``thetas``
     None) for rotation-invariant data; the m=3 seed, consumed through its
     closed form, has none.  ``cfg`` is the resolution the layer was built
@@ -218,7 +224,6 @@ class DensityLayer:
     law: DissipationLaw
     t: float
     grid: RadialGrid | PolarGrid
-    g_values: np.ndarray
     g_at_nodes: np.ndarray
     sigma: np.ndarray
     thetas: np.ndarray | None
@@ -233,10 +238,9 @@ class DensityLayer:
     def __post_init__(self) -> None:
         if self.n < 1:
             raise DomainError("layer index n must be >= 1")
-        if np.any(np.asarray(self.g_values) < 0):
-            raise DomainError("layer values must be nonnegative")
         with np.errstate(over="ignore"):
-            values, at_nodes = self._view(self.g_values), self._view(self.g_at_nodes)
+            values = self._view(_clipped(self.g_at_nodes, self.grid))
+            at_nodes = self._view(self.g_at_nodes)
         if not (np.all(np.isfinite(values)) and np.all(np.isfinite(at_nodes))):
             raise NumericError(f"layer {self.n} leaves the float range at t={self.t!r}")
         values.flags.writeable = False
@@ -317,22 +321,6 @@ class DensityLayer:
         doubled[..., :n_th] = rows
         doubled[..., n_th:] = rows
         return doubled, np.arange(0, doubled.size, 2 * n_th).reshape(i0.shape)
-
-    def read(self, rad: tuple, theta) -> np.ndarray:
-        """Layer values at the points of ``rad`` (from `radial`) and
-        angles ``theta``: linear between two of their angle columns.
-        Isotropic tables ignore ``theta``."""
-        rows, base = rad
-        if base is None:
-            return rows
-        n_th = rows.shape[-1] // 2
-        tf = (np.asarray(theta, dtype=float) + np.pi) / (2.0 * np.pi / n_th)
-        fl = np.floor(tf)
-        tf -= fl
-        col = base + fl.astype(int) % n_th
-        flat = rows.ravel()
-        v0 = flat[col]
-        return v0 + tf * (flat[col + 1] - v0)
 
     def read_turned(self, rad: tuple, thetas: np.ndarray, omega: np.ndarray):
         """Yield (sign, j, values) for each arc branch sign = +-1 and target
@@ -508,8 +496,8 @@ def _one_turn_reg_planar(law: DissipationLaw, sig, theta):
 
 def _seed_profile_generic(m: int, sig: np.ndarray) -> np.ndarray:
     """The one-turn layer of the isotropic law given one turn, in units
-    c = t = 1, through the generic hypergeometric series (kept
-    independent of the elementary forms in :mod:`randflight.analytic`)."""
+    c = t = 1, through the generic hypergeometric series: only the tests'
+    oracle of the closed forms in :mod:`randflight.analytic`."""
     coeff = 2.0 ** (m - 3) * math.gamma(m / 2) / math.pi ** (m / 2.0)
     out = np.empty(len(sig))
     for i, si in enumerate(sig):
@@ -621,19 +609,20 @@ class _Arcs:
     `_position`) of every quadrature point, shape (targets, time, arc),
     and its weight ``w``, of that shape too.
 
-    Where the reads do not depend on the target angle, ``w`` carries chi:
-    for an isotropic table (chi is one constant) summed over both arc
-    branches, and at the origin taken at the turn angles ``theta``, where
-    the reads take place.  Elsewhere an angular table needs chi and the
-    read angle per target angle: ``w`` is the kernel alone, and
-    ``chi_args`` = ((r - d1) / rho, d2 / rho, omega) gives both on each
-    arc branch.
+    Where the reads do not depend on the target angle, chi is folded in:
+    an isotropic table's ``w`` carries it (one constant), summed over both
+    arc branches or, at the origin, taken at each turn angle.  At the
+    origin an angular table's ``w`` is the time weight and ``cols`` one
+    weight per table column: chi at the turn angles times their reads'
+    linear-in-theta weights.  Elsewhere it needs chi and the read angle
+    per target angle: ``w`` is the kernel alone, and ``chi_args`` =
+    ((r - d1) / rho, d2 / rho, omega) gives both on each arc branch.
     """
 
     pos: tuple
     w: np.ndarray
     chi_args: tuple | None = None
-    theta: np.ndarray | None = None
+    cols: np.ndarray | None = None
 
 
 def _blocks(sig_targets: np.ndarray):
@@ -676,11 +665,17 @@ def _arcs(layer: DensityLayer, sig: np.ndarray | None,
         col = (None, slice(None), None)  # (one target, time, angle)
         if m == 3:
             return _Arcs(_position(m, cap, rho[col], tau[col]), kw[col])
-        phi = _angles(64)
-        w = kw[:, None] * layer.law.density_from_axis_cos(-np.cos(phi)) \
-            * (2.0 * np.pi / len(phi))
-        return _Arcs(_position(m, cap, rho[col], tau[col],
-                               (2.0 * tau - 1.0)[col]), w[None], theta=phi)
+        phi = _angles(64)  # the turn angles, each read along rho
+        chi = layer.law.density_from_axis_cos(-np.cos(phi))
+        pos = _position(m, cap, rho[col], tau[col], (2.0 * tau - 1.0)[col])
+        if layer.thetas is None:
+            return _Arcs(pos, (kw[:, None] * chi * (2.0 * np.pi / len(phi)))[None])
+        # a read is linear in theta: a hat of one column's width around
+        # each table column, in the periodic distance d in columns
+        n_th = len(layer.thetas)
+        d = (phi[:, None] - layer.thetas) * (n_th / (2.0 * np.pi))
+        hat = np.maximum(1.0 - np.abs(d - n_th * np.round(d / n_th)), 0.0)
+        return _Arcs(pos, kw[col], cols=chi * (2.0 * np.pi / len(phi)) @ hat)
     tau, rho, s_lo, s_hi, kw = _window(layer, sig, cfg)
     rr = sig[:, None]
     if m == 3:
@@ -726,9 +721,12 @@ def _apply(layer: DensityLayer, arcs: _Arcs, th_targets: np.ndarray,
     """The reads of ``layer``'s table that ``arcs`` weighs, summed per
     target: shape (targets, target angles), or (targets, 1) when every
     angle gets the same."""
-    rad = layer.radial(arcs.pos, scratch)
-    if arcs.chi_args is None:
-        return np.sum(arcs.w * layer.read(rad, arcs.theta), axis=(1, 2))[:, None]
+    rows, base = rad = layer.radial(arcs.pos, scratch)
+    if base is None:
+        return np.sum(arcs.w * rows, axis=(1, 2))[:, None]
+    if arcs.chi_args is None:  # the origin: one weight per table column
+        v = rows[..., :len(arcs.cols)] @ arcs.cols
+        return np.sum(arcs.w * v, axis=(1, 2))[:, None]
     out = np.zeros((len(arcs.w), len(th_targets)))
     a, d2, omega = arcs.chi_args
     for sgn, li, v in layer.read_turned(rad, th_targets, omega):
@@ -783,12 +781,6 @@ def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
     return (layer.n + 1) * out[:, back]  # the kernel's n+1
 
 
-def _clipped(at_nodes: np.ndarray, grid: RadialGrid | PolarGrid) -> np.ndarray:
-    """Node values in the grid's shape, clipped at 0."""
-    return np.maximum(at_nodes[:, 0] if isinstance(grid, RadialGrid) else
-                      np.broadcast_to(at_nodes, (grid.n_r, grid.n_theta)), 0.0)
-
-
 def _node_angles(layer: DensityLayer) -> np.ndarray:
     """The angles a step from ``layer`` takes at its grid's nodes: every
     grid angle for an angular table, one for an isotropic one."""
@@ -812,10 +804,9 @@ def _step_layer(layer: DensityLayer, cfg: StepConfig) -> DensityLayer:
                        for (r, th), geo in zip(targets, geometry or (None, None)))
     n = layer.n + 1
     tab = raw / _edge(p.m, n, 1.0 - sigma**2)[:, None]
-    return DensityLayer(n, p, layer.law, layer.t, grid, _clipped(g_at_nodes, grid),
-                        g_at_nodes, sigma, layer.thetas, tab, cfg,
-                        poisson_weight(n, p, layer.t), source=layer,
-                        geometry=geometry)
+    return DensityLayer(n, p, layer.law, layer.t, grid, g_at_nodes, sigma,
+                        layer.thetas, tab, cfg, poisson_weight(n, p, layer.t),
+                        source=layer, geometry=geometry)
 
 
 # --------------------------------------------------------------------------
@@ -836,11 +827,10 @@ def seed_layer(params: FlightParams, law: DissipationLaw, t: float,
                config: StepConfig | None = None) -> DensityLayer:
     """The one-turn joint layer (n = 1), the seed of the recurrence.
 
-    For the isotropic law on a radial grid the node values are computed
-    through the generic hypergeometric series; ``at_nodes`` holds the
-    closed form (m=3) or the two-point reduction of the sphere-sphere
-    convolution (planar, any law; see `_one_turn_reg_planar`), which also
-    gives the table that :func:`next_layer` consumes.  Raises
+    ``at_nodes`` holds the closed form (m=3) or the two-point reduction
+    of the sphere-sphere convolution (planar, any law; see
+    `_one_turn_reg_planar`), which also gives the table that
+    :func:`next_layer` consumes.  Raises
     `NumericError` where the layer's values leave the float range (m=3
     at t below about 3e-155 for lam = c = 1).
     """
@@ -865,12 +855,8 @@ def seed_layer(params: FlightParams, law: DissipationLaw, t: float,
         if params.m == 2 else None
     g_at_nodes = folded(partial(_seed_values, params.m, law), sig,
                         grid.thetas if angular else None)
-    if isinstance(law, UniformLaw) and isinstance(grid, RadialGrid):
-        g_values = np.maximum(_seed_profile_generic(params.m, sig), 0.0)
-    else:
-        g_values = _clipped(g_at_nodes, grid)
-    return DensityLayer(1, params, law, t, grid, g_values, g_at_nodes, sigma,
-                        thetas, tab, cfg, poisson_weight(1, params, t))
+    return DensityLayer(1, params, law, t, grid, g_at_nodes, sigma, thetas, tab,
+                        cfg, poisson_weight(1, params, t))
 
 
 def next_layer(params: FlightParams, law: DissipationLaw,

@@ -56,6 +56,14 @@ def test_one_turn_rejects_outside_support():
         one_turn_profile(FlightParams(3, 1, 1), np.array([1.2]), 1.0)
 
 
+@pytest.mark.parametrize("lam,t", [(1e300, 1e10), (1e-300, 1e-30)],
+                         ids=["overflow", "underflow"])
+def test_one_turn_rejects_lam_t_past_the_float_range(lam, t):
+    # lam*t = inf once gave nan with a RuntimeWarning, and lam*t = 0 gave 0.0
+    with pytest.raises(DomainError, match=r"lam\*t"):
+        one_turn_profile(FlightParams(2, 1.0, lam), np.array([0.5 * t]), t)
+
+
 @pytest.mark.parametrize("m", [2, 3])
 @pytest.mark.parametrize("lam_t", [0.5, 1.0, 2.0])
 def test_one_turn_mass(m, lam_t):

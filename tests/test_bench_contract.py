@@ -26,9 +26,10 @@ SPANS = ("convolution.transition_density", "convolution.seed_layer",
          "sampler.simulate_batch", "cf.volterra_cf", "cf.sphere_cf",
          "cf.layer_fourier", "cf.laplace_identity_error", "dissipation.chi",
          "dissipation.sample")
+# specfun.gauss_2f1_calls reads 0: no engine path evaluates the series
 COUNTERS = ("sampler.flights", "sampler.kept", "cf.volterra_nodes",
-            "specfun.bessel_j0_calls", "specfun.gauss_2f1_calls",
-            "dissipation.chi_evals", "dissipation.sample_draws")
+            "specfun.bessel_j0_calls", "dissipation.chi_evals",
+            "dissipation.sample_draws")
 
 
 @pytest.fixture

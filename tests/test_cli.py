@@ -306,11 +306,12 @@ def test_simulate_rejects_a_fractional_conditioning(tmp_path):
     ("density", {"law": {"kind": "uniform", "k": 3.0}}),
     ("density", {"seed": -1}), ("density", {"lam": math.inf}),
     ("density", {"law": {"kind": "circular_gaussian", "k": math.nan}}),
-    ("simulate", {"law": {"kind": "circular_gaussian", "k": math.nan}})],
+    ("simulate", {"law": {"kind": "circular_gaussian", "k": math.nan}}),
+    ("simulate", {"n_samples": 5000})],
     ids=["K-float", "m-float", "cf-m-float", "n-float", "lam-string",
          "law-string", "k-string", "nr-float", "K-bool", "threads-zero",
          "alphas-string", "not-an-object", "k-uniform-law", "seed-negative",
-         "lam-inf", "k-nan", "simulate-k-nan"])
+         "lam-inf", "k-nan", "simulate-k-nan", "n-below-1e4"])
 def test_config_rejects_a_value_of_the_wrong_type(tmp_path, command, body):
     # these crashed with a traceback and exit 1, which means a failed
     # validate check, or ran coerced: nr 12.7 as 12 and K true as 1; a
@@ -320,6 +321,16 @@ def test_config_rejects_a_value_of_the_wrong_type(tmp_path, command, body):
     cfgfile.write_text(json.dumps(body))
     out = tmp_path / "x.csv"
     assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_n_samples_rule_is_the_estimators(tmp_path, capsys):
+    # the rule once said >= 1, so --n 5000 passed it and exited 2 only
+    # from inside estimate_density, with the library's own message
+    out = tmp_path / "x.csv"
+    assert run_cli(["simulate", "--n", "5000", "--out", str(out)]) == 2
+    assert "n_samples must be an integer >= 10000, got 5000" \
+        in capsys.readouterr().err
     assert not out.exists()
 
 
