@@ -43,9 +43,10 @@ s = |xi| (planar case: both arc branches summed), where the geometric
 and boundary singularities appear as inverse square roots at the
 interval ends; every panel is mapped through sin^2, which integrates
 those ends exactly.  Time panels split at the cap/full-sphere
-transition, where the integrand has a kink (and, while consuming the
-one-turn layer, a mild logarithmic spike), with extra graded panels in
-the latter case.
+transition, where the integrand has a kink.  Consuming the one-turn
+layer it also has a logarithmic spike there and that layer's edge at
+tau = 1, endpoint singularities that a tanh-sinh rule integrates
+(`_time_rule`).
 """
 
 from __future__ import annotations
@@ -58,8 +59,8 @@ import numpy as np
 
 from .analytic import _one_turn_shape
 from .core import (DensityField, FlightParams, PolarGrid, RadialGrid, _angles,
-                   _ball_volume, _clustered_nodes, _is_count, _unscaled,
-                   check_grid_time, poisson_weight, tail_mass)
+                   _ball_volume, _clustered_nodes, _is_count, _joint_scale,
+                   _unscaled, check_grid_time, poisson_weight, tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError, NumericError
 from .specfun import gauss_2f1
@@ -124,9 +125,10 @@ class StepConfig:
     ladder_slots: int = 64       # unused: a layer keeps one table
     n_sigma: int = 65            # table nodes over the scaled radius (odd)
     n_theta: int = 16            # angular table nodes (non-symmetric laws)
-    time_order: int = 16         # Gauss-Legendre order per time panel
+    time_order: int = 16         # Gauss-Legendre order per time panel; the
+                                 # step from the seed takes 4x in tanh-sinh
     arc_order: int = 24          # Gauss-Legendre order per surface panel
-    seed_grade: tuple = (1e-3, 1e-2, 1e-1, 1.0)  # decade subpanels
+    seed_grade: tuple = (1e-3, 1e-2, 1e-1, 1.0)  # unused: no graded panels
 
     def __post_init__(self) -> None:
         # each field that would otherwise mis-integrate or fail in numpy
@@ -139,28 +141,15 @@ class StepConfig:
             if not (_is_count(x) and x >= low
                     and (parity is None or x % 2 == parity)):
                 raise DomainError(f"{name} must be {rule}, got {x!r}")
-        g = np.asarray(self.seed_grade, dtype=float)
-        if not (g.ndim == 1 and g.size and g[0] > 0.0 and g[-1] == 1.0
-                and np.all(np.diff(g) > 0.0)):
-            raise DomainError("seed_grade must be a non-empty, strictly "
-                              "increasing tuple in (0, 1] ending at 1.0, "
-                              f"got {self.seed_grade!r}")
 
 
-def _radii(r) -> np.ndarray:
-    """``r`` as floats; `DomainError` unless finite and nonnegative."""
-    r = np.asarray(r, dtype=float)
-    if not (np.all(np.isfinite(r)) and np.all(r >= 0.0)):
-        raise DomainError("radii must be finite and nonnegative")
-    return r
-
-
-def _theta(theta) -> np.ndarray:
-    """``theta`` as floats; `DomainError` unless finite."""
-    theta = np.asarray(theta, dtype=float)
-    if not np.all(np.isfinite(theta)):
-        raise DomainError("theta must be finite")
-    return theta
+def _finite(x, name: str, nonnegative: bool = False) -> np.ndarray:
+    """``x`` as floats; `DomainError` naming ``name`` unless finite and,
+    if asked, nonnegative."""
+    x = np.asarray(x, dtype=float)
+    if not np.all(np.isfinite(x)) or nonnegative and np.any(x < 0.0):
+        raise DomainError(f"{name} must be finite" + nonnegative * " and nonnegative")
+    return x
 
 
 def _fold(th: np.ndarray) -> tuple:
@@ -192,8 +181,7 @@ def _default_config(law: DissipationLaw) -> StepConfig:
     # the skewed planar pipeline carries full angular tables; keep its
     # default resolution laptop-friendly
     if isinstance(law, CircularGaussianLaw):
-        return StepConfig(n_sigma=49, n_theta=16, time_order=12, arc_order=16,
-                          seed_grade=(1e-2, 1e-1, 1.0))
+        return StepConfig(n_sigma=49, n_theta=16, time_order=12, arc_order=16)
     return StepConfig()
 
 
@@ -239,17 +227,20 @@ class DensityLayer:
         if self.n < 1:
             raise DomainError("layer index n must be >= 1")
         with np.errstate(over="ignore"):
-            values = self._view(_clipped(self.g_at_nodes, self.grid))
             at_nodes = self._view(self.g_at_nodes)
-        if not (np.all(np.isfinite(values)) and np.all(np.isfinite(at_nodes))):
+        if not np.all(np.isfinite(at_nodes)):
             raise NumericError(f"layer {self.n} leaves the float range at t={self.t!r}")
+        values = _clipped(at_nodes, self.grid)  # the view is a positive scale
         values.flags.writeable = False
         object.__setattr__(self, "values", values)
         object.__setattr__(self, "at_nodes", at_nodes)
 
     def _view(self, g) -> np.ndarray:
-        """Scaled values ``g`` at radius r: weight (ct)^(-m) g."""
-        return _unscaled(g, self.weight, self.params.m, self.params.radius(self.t))
+        """Scaled values ``g`` at radius r: weight (ct)^(-m) g, with the
+        joint layer's factor formed in log space (`_joint_scale`)."""
+        if self.weight == 1.0:  # given n turns: every joint weight is < 1
+            return _unscaled(g, 1.0, self.params.m, self.params.radius(self.t))
+        return _joint_scale(self.n, self.params, self.t) * g
 
     def check_source(self, params: FlightParams, law=None) -> None:
         """Raise `DomainError` unless ``params`` and ``law`` (its type and
@@ -368,9 +359,9 @@ class DensityLayer:
         ``source`` for a stepped layer.  ``theta`` (default 0) has the
         shape of ``r``; isotropic layers ignore it.  Radii must be finite
         and nonnegative, and angles finite."""
-        r = _radii(r)
+        r = _finite(r, "radii", True)
         th = np.zeros_like(r) if theta is None or self.thetas is None \
-            else _theta(theta)
+            else _finite(theta, "theta")
         stored = self._stored(r, th)
         if stored is not None:
             return stored
@@ -523,43 +514,38 @@ def _seed_values(m: int, law: DissipationLaw, sig: np.ndarray,
 # the recurrence step
 # --------------------------------------------------------------------------
 
-def _graded(a: np.ndarray, b: np.ndarray, grade: tuple) -> list:
-    """Subpanels of [a, b] graded geometrically toward ``a``: a decade
-    ladder, so some subpanel matches the scale of a boundary layer of
-    any relative width down to the smallest fraction."""
-    fr = (0.0,) + tuple(grade)
-    return [(a + g0 * (b - a), a + g1 * (b - a))
-            for g0, g1 in zip(fr[:-1], fr[1:])]
+def _tanh_sinh_panels(a: np.ndarray, b, n: int):
+    """Tanh-sinh nodes and weights on per-row intervals (a, b), shape
+    ``a.shape + (n,)``: z = (1 + tanh s) / 2, s = (pi/2) sinh t, at ``n``
+    points t equispaced on [-3.1, 3.1], with trapezoid weights.  Upper-half
+    nodes are b - width (1 - z), as precise near b as a + width z is near
+    a: on a panel wider than a sixth of |b|, none rounds onto an end."""
+    t = np.linspace(-3.1, 3.1, n)
+    s = 0.5 * np.pi * np.sinh(t)
+    z, zc = 1.0 / (1.0 + np.exp(-2.0 * s)), 1.0 / (1.0 + np.exp(2.0 * s))
+    width = (b - a)[..., None]
+    nodes = np.where(z < 0.5, a[..., None] + width * z,
+                     np.asarray(b)[..., None] - width * zc)
+    return nodes, width * (6.2 / (n - 1) * np.pi) * np.cosh(t) * z * zc
 
 
 def _time_rule(layer: DensityLayer, sig: np.ndarray | None, cfg: StepConfig):
     """Time nodes and weights of the step from ``layer`` at target radii
     ``sig``, shape (targets, nodes), or at the origin (``sig`` None),
-    shape (nodes,): sin^2-mapped Gauss panels over (0, 1), split at the
-    cap/full-sphere transition tau = (1 + sigma) / 2.  At the origin the
-    cap stretch has width 0 and only the full-sphere stretch counts.
-
-    Consuming the one-turn layer, the stretches are subdivided by
-    ``cfg.seed_grade``: the full-sphere one geometrically toward the
-    transition, where the integrand has a logarithmic spike, and the cap
-    one toward both of its ends, as the early-time weight of the one-turn
-    layer varies on the scale of tau itself.  At the origin only the m=3
-    seed has that spike (rho = tau at tau = 1/2).
-    """
-    graded = layer.n == 1 and (sig is not None or layer.params.m == 3)
+    shape (nodes,): one panel over the cap stretch (tau_-, tau_+) and one
+    over the full-sphere stretch (tau_+, 1), tau_-+ = (1 -+ sigma) / 2; at
+    the origin the cap stretch has width 0.  A regular step maps
+    ``cfg.time_order`` Gauss nodes per panel through sin^2.  The step from
+    the one-turn layer meets a logarithmic spike at tau_+ and the one-turn
+    edge at tau = 1, endpoint singularities that its 4 ``cfg.time_order``
+    tanh-sinh nodes per panel integrate with near-exponential convergence
+    (Takahasi and Mori, 1974)."""
     tp = np.full(1, 0.5) if sig is None else 0.5 + 0.5 * sig
-    if not graded:
-        bounds = [(tp, 1.0)] if sig is None else [(0.5 - 0.5 * sig, tp), (tp, 1.0)]
-    else:
-        bounds = _graded(tp, 1.0, cfg.seed_grade)
-        if sig is not None:  # the cap stretch (tm, tp), halved, goes first
-            tm = 0.5 - 0.5 * sig
-            mid = 0.5 * (tm + tp)
-            bounds = _graded(tm, mid, cfg.seed_grade) + [
-                (b, a) for a, b in _graded(tp, mid, cfg.seed_grade)] + bounds
-    parts = [_sin2_panels(a, b, cfg.time_order) for a, b in bounds]
-    tau = np.concatenate([nd for nd, _ in parts], axis=-1)
-    wt = np.concatenate([w for _, w in parts], axis=-1)
+    bounds = [(tp, 1.0)] if sig is None else [(0.5 - 0.5 * sig, tp), (tp, 1.0)]
+    rule = partial(_tanh_sinh_panels, n=4 * cfg.time_order) if layer.n == 1 \
+        else partial(_sin2_panels, order=cfg.time_order)
+    tau, wt = (np.concatenate(x, axis=-1)
+               for x in zip(*(rule(a, b) for a, b in bounds)))
     return (tau, wt) if sig is not None else (tau[0], wt[0])
 
 
@@ -909,12 +895,12 @@ def ac_profile(field_obj: DensityField, r, theta=None) -> np.ndarray:
     non-symmetric law) needs ``theta``, broadcast against ``r``; an
     isotropic field ignores it.  Radii must be finite and nonnegative, and
     angles finite."""
-    r = np.atleast_1d(_radii(r))
+    r = np.atleast_1d(_finite(r, "radii", True))
     angular = field_obj.layers[0].thetas is not None
     if angular and theta is None:
         raise DomainError("a field with angular tables needs theta")
     if angular:
-        r, theta = np.broadcast_arrays(r, _theta(theta))
+        r, theta = np.broadcast_arrays(r, _finite(theta, "theta"))
     R = field_obj.params.radius(field_obj.t)
     inside = r < R
     out = np.zeros(r.shape)
@@ -958,5 +944,5 @@ def residual_check(field_obj: DensityField,
         geo = layer.geometry[1] if layer.geometry and cfg == layer.cfg else None
         g = _step_values(layer, grid.nodes / p.radius(t), _node_angles(layer),
                          cfg, geo)
-        rhs = rhs + _unscaled(g, poisson_weight(layer.n + 1, p, t), p.m, p.radius(t))
+        rhs = rhs + _joint_scale(layer.n + 1, p, t) * g
     return float(np.max(np.abs(lhs - rhs)))

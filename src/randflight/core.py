@@ -269,6 +269,20 @@ def poisson_weight(n: int, params: FlightParams, t: float) -> float:
     return math.exp(-_stirlerr(n) - _bd0(n, lt)) / math.sqrt(2.0 * math.pi * n)
 
 
+def _joint_scale(n: int, params: FlightParams, t: float):
+    """pi_n(lam t) (ct)^(-m), which turns g_n (n >= 1 turns, c = t = 1) into
+    the joint layer n at time t, formed in log space, where a subnormal pi_n
+    keeps its bits.  Where the deviance is plain, n log(lam t / n) - m log(ct)
+    is summed as n log(lam / (c n)) + (n - m) log(ct), exact at n = m."""
+    lt, log_ct, m = params.lam * t, math.log(params.radius(t)), params.m
+    if abs(n - lt) >= 0.1 * (n + lt):
+        log_s = n * (math.log(params.lam) - math.log(params.c) - math.log(n)
+                     + 1.0) + (n - m) * log_ct - lt
+    else:
+        log_s = -_bd0(n, lt) - m * log_ct
+    return np.exp(log_s - _stirlerr(n) - 0.5 * math.log(2.0 * math.pi * n))
+
+
 def tail_mass(K: int, params: FlightParams, t: float) -> float:
     """P(N(t) > K): summed from above when its first class is at or past
     the mean, else 1 - sum_{n<=K} poisson_weight(n), which is then >~ 1/2."""
