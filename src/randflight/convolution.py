@@ -35,8 +35,13 @@ hold h_n on sigma nodes equispaced in u = arcsin(sigma / sigma_max);
 reads interpolate them with a 4-point Lagrange stencil in u, and masses
 and transforms integrate them in u by composite Simpson.  Each step
 evaluates the next table, together with the layer's values at the grid
-nodes sigma = r / (ct).  Every layer is even in theta (`DissipationLaw`),
-so angular layers are evaluated only at distinct |theta| (`_fold`).
+nodes sigma = r / (ct).  Stepped tables share their nodes, so a regular
+step's geometry holds each read's stencil, its Lagrange weights times
+the quadrature weight, and the log of its read base B, with
+tau^(n-m) E_n(sigma) = B^((n-m)/2): a step from layer n >= 3 takes one
+exp and four gathers per quadrature point.  Every layer is even in
+theta (`DissipationLaw`), so angular layers are evaluated only at
+distinct |theta| (`_fold`).
 
 Surface integrals over caps are taken in the chord-radius variable
 s = |xi| (planar case: both arc branches summed), where the geometric
@@ -122,13 +127,15 @@ def _sin2_panels(a: np.ndarray, b: np.ndarray, order: int,
 class StepConfig:
     """Resolution knobs of the layer engine."""
 
-    ladder_slots: int = 64       # unused: a layer keeps one table
+    # unused and left out of == and the hash: a layer keeps one table, and
+    # the step from the seed has no graded panels
+    ladder_slots: int = field(default=64, compare=False)
     n_sigma: int = 65            # table nodes over the scaled radius (odd)
     n_theta: int = 16            # angular table nodes (non-symmetric laws)
     time_order: int = 16         # Gauss-Legendre order per time panel; the
                                  # step from the seed takes 4x in tanh-sinh
     arc_order: int = 24          # Gauss-Legendre order per surface panel
-    seed_grade: tuple = (1e-3, 1e-2, 1e-1, 1.0)  # unused: no graded panels
+    seed_grade: tuple = field(default=(1e-3, 1e-2, 1e-1, 1.0), compare=False)
 
     def __post_init__(self) -> None:
         # each field that would otherwise mis-integrate or fail in numpy
@@ -203,8 +210,9 @@ class DensityLayer:
     at and ``source`` the layer its step consumed (None for the seed):
     values away from the grid nodes re-apply that step.  ``geometry`` is
     the n-independent part of a regular step (one that consumed a layer
-    n >= 2) at the table nodes and at the grid nodes, for ``cfg``; the
-    next step at ``cfg`` reuses it, as every stepped table ends at one node.
+    n >= 2) at the table nodes and at the grid nodes, for ``cfg``: each
+    read's stencil and read base (`_Arcs`).  The next step at ``cfg``
+    reuses it, as every stepped table has the same nodes.
     """
 
     n: int
@@ -251,72 +259,50 @@ class DensityLayer:
             raise DomainError(f"arguments differ from the layer's own "
                               f"{self.params} and {type(self.law).__name__}")
 
-    def radial(self, pos: tuple, scratch: dict) -> tuple:
-        """The radial part of a read at points ``pos`` (from `_position`),
-        found once for every read angle: the 4-point stencil in u, its
-        weights carrying the read factor tau^(n-m) E_n(sigma), applied to
-        whole table rows.  Returns the rows, shape points for an isotropic
-        table (its values) or points + (2 n_theta,) for an angular one,
-        whose rows run twice round the angle nodes, so that a column
-        index shifted by up to n_theta - 1 needs no wrap; and for an
-        angular table the flat index of each point's row (None
-        otherwise).  The rows live in ``scratch`` (see `_buffer`) until
-        its next use."""
-        q, edge, u = pos
-        m, n = self.params.m, self.n
-        n_s = len(self.tab)
-        scale = q ** (n - m)
-        if edge is not None:
-            scale = scale * _edge(m, n, edge)
-        # the nodes are equispaced in u, so the stencil's index is a floor.
-        # A step's arrays are large: the arithmetic runs in place
-        d = u * ((n_s - 1) / (0.5 * np.pi))
-        i0 = np.floor(d)
-        i0 -= 1.0
-        np.clip(i0, 0.0, n_s - 4, out=i0)
-        d -= i0
-        d1, d2, d3 = d - 1.0, d - 2.0, d - 3.0
-        w0 = -d1        # -(d-1)(d-2)(d-3)/6
-        w0 *= d2
-        w0 *= d3
-        w0 /= 6.0
-        w1 = 0.5 * d    # d(d-2)(d-3)/2
-        w1 *= d2
-        w1 *= d3
-        w2 = -0.5 * d   # -d(d-1)(d-3)/2
-        w2 *= d1
-        w2 *= d3
-        w3 = d * d1     # d(d-1)(d-2)/6
-        w3 *= d2
-        w3 /= 6.0
-        for wk in (w0, w1, w2, w3):
-            wk *= scale
-        i0 = i0.astype(int)
+    def radial(self, arcs: "_Arcs", scratch: dict) -> tuple:
+        """The radial part of the reads of ``arcs`` (from `_geometry`),
+        found once for every read angle: the four table rows of each
+        read's stencil, weighted by its kept Lagrange weights (which carry
+        the quadrature weight) and summed.  Returns the rows, shape points
+        for an isotropic table (its values) or points + (2 n_theta,) for
+        an angular one, whose rows run twice round the angle nodes, so
+        that a column index shifted by up to n_theta - 1 needs no wrap;
+        for an angular table the flat index of each point's row (None
+        otherwise); and the read factor tau^(n-m) E_n(sigma) =
+        B^((n-m)/2) of each point, from its kept log B.  The rows live in
+        ``scratch`` (see `_buffer`) until its next use."""
         angular = self.tab.shape[1] > 1
         tab = self.tab if angular else self.tab[:, 0]
         ax = (..., None) if angular else ...
+        lag = arcs.lag
+        i0 = _buffer(scratch, "first_row", arcs.i0.shape, np.intp)
+        i0[...] = arcs.i0  # one widening, not one per gather
         rows = _buffer(scratch, "rows", i0.shape + tab.shape[1:])
         doubled = _buffer(scratch, "doubled", (2 * rows.size,))
         f = doubled[:rows.size].reshape(rows.shape)  # unused until filled below
-        # i0 is clipped to the table above; "raise" would copy ``out``
+        # i0 is clipped to the table; "raise" would copy ``out``
         np.take(tab, i0, axis=0, out=rows, mode="clip")
-        rows *= w0[ax]
-        for k, wk in ((1, w1), (2, w2), (3, w3)):
+        rows *= lag[0][ax]
+        for k in (1, 2, 3):
             np.take(tab[k:], i0, axis=0, out=f, mode="clip")
-            f *= wk[ax]
+            f *= lag[k][ax]
             rows += f
+        factor = np.exp((0.5 * (self.n - self.params.m)) * arcs.log_base)
         if not angular:
-            return rows, None
+            return rows, None, factor
         n_th = tab.shape[1]
         doubled = doubled.reshape(i0.shape + (2 * n_th,))
         doubled[..., :n_th] = rows
         doubled[..., n_th:] = rows
-        return doubled, np.arange(0, doubled.size, 2 * n_th).reshape(i0.shape)
+        return (doubled, np.arange(0, doubled.size, 2 * n_th).reshape(i0.shape),
+                factor)
 
-    def read_turned(self, rad: tuple, thetas: np.ndarray, omega: np.ndarray):
+    def read_turned(self, rows: np.ndarray, base: np.ndarray,
+                    thetas: np.ndarray, omega: np.ndarray):
         """Yield (sign, j, values) for each arc branch sign = +-1 and target
-        angle ``thetas[j]``: the layer at the points of ``rad`` (from
-        `radial`, angular table) and angles thetas[j] + sign ``omega``.
+        angle ``thetas[j]``: the weighted table reads at the points of
+        ``rows`` and ``base`` (from `radial`, angular table) and angles
+        thetas[j] + sign ``omega``, without the read factor.
 
         In table columns, a target's coordinate (theta + pi) / dtheta is an
         integer m_j plus a residual e_j, so a point reads column
@@ -326,7 +312,6 @@ class DensityLayer:
         within 1e-9 of a column, rounding noise, count as one), and each
         angle takes two gathers there from the rows shifted by m_j columns.
         """
-        rows, base = rad
         n_th = rows.shape[-1] // 2
         flat = rows.ravel()
         x = (thetas + np.pi) / (2.0 * np.pi / n_th)
@@ -559,54 +544,60 @@ def _log_primitive(s: np.ndarray, a: np.ndarray) -> np.ndarray:
 _TARGET_BLOCK = 8  # targets per pass of the step: bounds its scratch arrays
 
 
-def _buffer(scratch: dict, key: str, shape: tuple) -> np.ndarray:
+def _buffer(scratch: dict, key: str, shape: tuple, dtype=float) -> np.ndarray:
     """An uninitialised array of ``shape`` kept in ``scratch`` under ``key``
     and reused, grown as needed, by the next block of a step: arrays of a
     block's size, allocated afresh for each block, cost page faults."""
     size = math.prod(shape)
     if key not in scratch or scratch[key].size < size:
-        scratch[key] = np.empty(size)
+        scratch[key] = np.empty(size, dtype)
     return scratch[key][:size].reshape(shape)
 
 
-def _position(m: int, cap: float, s: np.ndarray, tau: np.ndarray,
-              support_gap=None) -> tuple:
-    """Where points (radius s, time tau) fall in a layer table whose last
-    node is sigma = ``cap``, free of the layer index: tau, the planar
-    edge argument 1 - sigma^2 (None in dimension 3, which has no edge
-    factor) and u = arcsin(sigma / cap), with sigma = s / tau.
-    `DensityLayer.radial` takes it to the layer's stencil.
-
-    Callers probing close to the support sphere pass ``support_gap``
-    = tau - s computed in a cancellation-free form.
-    """
-    edge = None
-    if m == 2:
-        gap = tau - s if support_gap is None else support_gap
-        edge = gap * (tau + s) / np.maximum(tau * tau, _TINY)
-    sig = np.clip(s / np.maximum(tau, _TINY) / cap, 0.0, 1.0)
-    return tau, edge, np.arcsin(sig)
-
-
 @dataclass(frozen=True, eq=False)
-class _Arcs:
-    """The part of a step at a block of targets that does not depend on
-    the consumed layer's index: the table position ``pos`` (from
-    `_position`) of every quadrature point, shape (targets, time, arc),
-    and its weight ``w``, of that shape too.
+class _Points:
+    """The quadrature points of a step at a block of targets, free of the
+    consumed layer: chord radius ``s`` and time ``tau`` of each point,
+    with sigma = s / tau, and in the plane ``gap`` = tau - s in a
+    cancellation-free form (None in dimension 3, which has no edge
+    factor), all of shape (targets, time, arc) or broadcast to it; and
+    the weight ``w`` of each point.
 
     Where the reads do not depend on the target angle, chi is folded in:
     an isotropic table's ``w`` carries it (one constant), summed over both
-    arc branches or, at the origin, taken at each turn angle.  At the
-    origin an angular table's ``w`` is the time weight and ``cols`` one
-    weight per table column: chi at the turn angles times their reads'
+    arc branches or, at the origin, over the turn angles.  At the origin
+    an angular table's ``w`` is the time weight and ``cols`` one weight
+    per table column: chi at the turn angles times their reads'
     linear-in-theta weights.  Elsewhere it needs chi and the read angle
     per target angle: ``w`` is the kernel alone, and ``chi_args`` =
     ((r - d1) / rho, d2 / rho, omega) gives both on each arc branch.
     """
 
-    pos: tuple
+    s: np.ndarray
+    tau: np.ndarray
+    gap: np.ndarray | None
     w: np.ndarray
+    chi_args: tuple | None = None
+    cols: np.ndarray | None = None
+
+
+@dataclass(frozen=True, eq=False)
+class _Arcs:
+    """The part of a step at a block of targets that does not depend on
+    the consumed layer's index, for tables of one size ending at one
+    node: of each quadrature point (`_Points`), the first table row
+    ``i0`` of its read's 4-point stencil in u, in the smallest unsigned
+    type that holds the table's row numbers, the stencil's Lagrange
+    weights ``lag`` times the point's weight, shape (4,) + points, and
+    ``log_base``, the log of its read base B, so that the read factor
+    tau^(n-m) E_n(sigma) of layer n is B^((n-m)/2): B = (tau - s)(tau + s)
+    in the plane and tau^2 in dimension 3.  ``chi_args`` and ``cols`` are
+    the points'.
+    """
+
+    i0: np.ndarray
+    lag: np.ndarray
+    log_base: np.ndarray
     chi_args: tuple | None = None
     cols: np.ndarray | None = None
 
@@ -636,38 +627,38 @@ def _window(layer: DensityLayer, sig: np.ndarray, cfg: StepConfig):
     return tau, rho, s_lo, s_hi, np.where(s_hi > s_lo, wt, 0.0)
 
 
-def _arcs(layer: DensityLayer, sig: np.ndarray | None,
-          cfg: StepConfig) -> _Arcs:
-    """The surface integrals of the step at target radii ``sig`` (None:
-    the origin).  Planar ones run in the chord-radius variable s over
-    both arc branches; the angle-to-radius Jacobian is
+def _points(layer: DensityLayer, sig: np.ndarray | None,
+            cfg: StepConfig) -> _Points:
+    """The quadrature points of the step at target radii ``sig`` (None:
+    the origin).  Planar surface integrals run in the chord-radius
+    variable s over both arc branches; the angle-to-radius Jacobian is
     2 s / sqrt(((r+rho)^2 - s^2)(s^2 - (r-rho)^2)), whose endpoint
     singularities the sin^2 panel map integrates exactly.  In dimension
     3 the cap integral reduces to (1 / (2 rho r)) int s f(s) ds."""
-    m, cap = layer.params.m, layer.sigma[-1]
+    m = layer.params.m
     if sig is None:
         tau, kw = _time_rule(layer, None, cfg)
         rho = 1.0 - tau
         col = (None, slice(None), None)  # (one target, time, angle)
         if m == 3:
-            return _Arcs(_position(m, cap, rho[col], tau[col]), kw[col])
+            return _Points(rho[col], tau[col], None, kw[col])
         phi = _angles(64)  # the turn angles, each read along rho
-        chi = layer.law.density_from_axis_cos(-np.cos(phi))
-        pos = _position(m, cap, rho[col], tau[col], (2.0 * tau - 1.0)[col])
-        if layer.thetas is None:
-            return _Arcs(pos, (kw[:, None] * chi * (2.0 * np.pi / len(phi)))[None])
+        chi = layer.law.density_from_axis_cos(-np.cos(phi)) * (2.0 * np.pi / len(phi))
+        at = partial(_Points, rho[col], tau[col], (2.0 * tau - 1.0)[col])
+        if layer.thetas is None:  # one read serves every turn angle
+            return at(kw[col] * np.sum(chi))
         # a read is linear in theta: a hat of one column's width around
         # each table column, in the periodic distance d in columns
         n_th = len(layer.thetas)
         d = (phi[:, None] - layer.thetas) * (n_th / (2.0 * np.pi))
         hat = np.maximum(1.0 - np.abs(d - n_th * np.round(d / n_th)), 0.0)
-        return _Arcs(pos, kw[col], cols=chi * (2.0 * np.pi / len(phi)) @ hat)
+        return at(kw[col], cols=chi @ hat)
     tau, rho, s_lo, s_hi, kw = _window(layer, sig, cfg)
     rr = sig[:, None]
     if m == 3:
         ss, ws = _sin2_panels(s_lo, s_hi, cfg.arc_order)
         w = (kw / np.maximum(2.0 * rho * rr, _TINY))[..., None] * ws * ss
-        return _Arcs(_position(m, cap, ss, tau[..., None]), w)
+        return _Points(ss, tau[..., None], None, w)
     ss, ws, lo_gap, hi_gap = _sin2_panels(s_lo, s_hi, cfg.arc_order,
                                           with_gaps=True)
     # endpoint distances in cancellation-free form: to the inner
@@ -682,24 +673,80 @@ def _arcs(layer: DensityLayer, sig: np.ndarray | None,
         gap_outer * ((rr + rho)[..., None] + ss)
         * lo_gap * (s_lo[..., None] + ss), _TINY))
     ker = 2.0 * ss / two_r_d2
-    pos = _position(m, cap, ss, tau[..., None], gap)
+    at = partial(_Points, ss, tau[..., None], gap)
     wk = kw[..., None] * ws * ker
     if layer.thetas is None:  # isotropic: chi is one constant on both branches
-        return _Arcs(pos, wk * (2.0 * layer.law.density_from_axis_cos(1.0)))
+        return at(wk * (2.0 * layer.law.density_from_axis_cos(1.0)))
     d1 = (rr[..., None] ** 2 + ss**2 - (rho**2)[..., None]) \
         / np.maximum(2.0 * rr[..., None], _TINY)
     d2 = np.divide(two_r_d2, 2.0 * rr[..., None], out=two_r_d2)
     omega = np.arctan2(d2, d1)
     rho3 = np.maximum(rho[..., None], _TINY)  # chi's arguments over rho, once
     a = np.divide(np.subtract(rr[..., None], d1, out=d1), rho3, out=d1)
-    return _Arcs(pos, wk, (a, np.divide(d2, rho3, out=d2), omega))
+    return at(wk, (a, np.divide(d2, rho3, out=d2), omega))
 
 
-def _geometry(layer: DensityLayer, sig_targets: np.ndarray, cfg: StepConfig):
+def _stencil(layer: DensityLayer, pts: _Points,
+             scratch: dict | None = None) -> _Arcs:
+    """The reads of ``layer``'s table at the points ``pts``, in the form
+    `_Arcs` keeps: it depends on the table's size and last node, not on
+    the layer's index.  Its arrays live in ``scratch`` (`_buffer`) until
+    its next use when given, for a geometry used block by block and kept
+    by no one; otherwise they are the geometry's own."""
+    m, cap, n_s = layer.params.m, layer.sigma[-1], len(layer.sigma)
+    s, tau = pts.s, pts.tau
+    buf = partial(_buffer, {} if scratch is None else scratch)
+    shape = np.broadcast_shapes(s.shape, tau.shape)
+    log_base = buf("log_base", shape if m == 2 else tau.shape)
+    if m == 2:
+        np.add(tau, s, out=log_base)
+        log_base *= pts.gap
+    else:
+        np.multiply(tau, tau, out=log_base)
+    np.maximum(log_base, _TINY, out=log_base)
+    np.log(log_base, out=log_base)
+    # the nodes are equispaced in u = arcsin(sigma / cap), so the stencil's
+    # index is a floor.  A step's arrays are large: the arithmetic runs in
+    # place
+    d = buf("u", shape)
+    np.divide(s, np.maximum(tau, _TINY), out=d)
+    d /= cap
+    np.clip(d, 0.0, 1.0, out=d)
+    np.arcsin(d, out=d)
+    d *= (n_s - 1) / (0.5 * np.pi)
+    low = buf("low", shape)
+    np.floor(d, out=low)
+    low -= 1.0
+    np.clip(low, 0.0, n_s - 4, out=low)
+    d -= low
+    i0 = buf("i0", shape, np.min_scalar_type(n_s))  # kept compact
+    i0[...] = low
+    lag = buf("lag", (4,) + shape)
+    d3 = np.subtract(d, 3.0, out=low)
+    d2 = np.subtract(d, 2.0, out=lag[1])
+    d1 = np.subtract(d, 1.0, out=lag[0])
+    np.multiply(d, d1, out=lag[3])
+    np.multiply(lag[3], d3, out=lag[2])
+    lag[2] *= -0.5   # -d(d-1)(d-3)/2
+    lag[3] *= d2
+    lag[3] /= 6.0    # d(d-1)(d-2)/6
+    lag[0] *= d2
+    lag[0] *= d3
+    lag[0] /= -6.0   # -(d-1)(d-2)(d-3)/6
+    lag[1] *= d
+    lag[1] *= d3
+    lag[1] *= 0.5    # d(d-2)(d-3)/2
+    lag *= pts.w
+    return _Arcs(i0, lag, log_base, pts.chi_args, pts.cols)
+
+
+def _geometry(layer: DensityLayer, sig_targets: np.ndarray, cfg: StepConfig,
+              scratch: dict | None = None):
     """Yield (target indices, `_Arcs`) of the step from ``layer``, a block
-    of targets at a time."""
+    of targets at a time.  With ``scratch``, each block's `_Arcs` lives
+    in it only until the next block is made (`_stencil`)."""
     for idx, sig in _blocks(sig_targets):
-        yield idx, _arcs(layer, sig, cfg)
+        yield idx, _stencil(layer, _points(layer, sig, cfg), scratch)
 
 
 def _apply(layer: DensityLayer, arcs: _Arcs, th_targets: np.ndarray,
@@ -707,19 +754,20 @@ def _apply(layer: DensityLayer, arcs: _Arcs, th_targets: np.ndarray,
     """The reads of ``layer``'s table that ``arcs`` weighs, summed per
     target: shape (targets, target angles), or (targets, 1) when every
     angle gets the same."""
-    rows, base = rad = layer.radial(arcs.pos, scratch)
+    rows, base, factor = layer.radial(arcs, scratch)
     if base is None:
-        return np.sum(arcs.w * rows, axis=(1, 2))[:, None]
+        rows *= factor
+        return np.sum(rows, axis=(1, 2))[:, None]
     if arcs.chi_args is None:  # the origin: one weight per table column
         v = rows[..., :len(arcs.cols)] @ arcs.cols
-        return np.sum(arcs.w * v, axis=(1, 2))[:, None]
-    out = np.zeros((len(arcs.w), len(th_targets)))
+        return np.sum(factor * v, axis=(1, 2))[:, None]
+    out = np.zeros((len(factor), len(th_targets)))
     a, d2, omega = arcs.chi_args
-    for sgn, li, v in layer.read_turned(rad, th_targets, omega):
+    for sgn, li, v in layer.read_turned(rows, base, th_targets, omega):
         th = th_targets[li]  # the arc branch sgn: chi times the read
         v *= layer.law.density_from_axis_cos(
             math.cos(th) * a + math.sin(th) * sgn * d2)
-        out[:, li] += np.einsum("tpa,tpa->t", arcs.w, v)
+        out[:, li] += np.einsum("tpa,tpa->t", factor, v)
     return out
 
 
@@ -749,7 +797,7 @@ def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
     if layer.n > 1 or layer.params.m == 2:
         scratch = {} if scratch is None else scratch
         for idx, arcs in geometry if geometry is not None else \
-                _geometry(layer, sig_targets, cfg):
+                _geometry(layer, sig_targets, cfg, scratch):
             out[idx] += _apply(layer, arcs, th_targets, scratch)
     else:
         for idx, sig in _blocks(sig_targets):  # the m=3 seed's closed form

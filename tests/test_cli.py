@@ -2,6 +2,7 @@ import csv
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,21 @@ from randflight.cli import _build_parser, load_config, main
 
 def run_cli(args):
     return main(args)
+
+
+def rejected(capsys, args) -> str:
+    """Run the CLI on ``args``, which it must refuse with exit code 2,
+    by return or, for argparse's own errors, by SystemExit, naming the
+    reason on stderr without a traceback; return that stderr."""
+    try:
+        code = main(args)
+    except SystemExit as exc:
+        code = exc.code
+    err = capsys.readouterr().err
+    assert code == 2
+    assert re.search(r"^randflight[a-z ]*: ", err, re.M), err
+    assert "Traceback" not in err
+    return err
 
 
 def test_density_command_writes_csv_and_sidecar(tmp_path):
@@ -136,31 +152,31 @@ def test_circular_gaussian_cli(tmp_path):
     assert out.read_text().splitlines()[0] == "r,theta,p_ac"
 
 
-def test_invalid_config_exits_2(tmp_path):
-    assert run_cli(["density", "--m", "1",
-                    "--out", str(tmp_path / "x.csv")]) == 2
-    assert run_cli(["density", "--law", "circular_gaussian",
-                    "--out", str(tmp_path / "x.csv")]) == 2
-    assert run_cli(["simulate", "--seed", "-1", "--n", "20000",
-                    "--out", str(tmp_path / "x.csv")]) == 2
+def test_invalid_config_exits_2(tmp_path, capsys):
+    rejected(capsys, ["density", "--m", "1",
+                      "--out", str(tmp_path / "x.csv")])
+    rejected(capsys, ["density", "--law", "circular_gaussian",
+                      "--out", str(tmp_path / "x.csv")])
+    rejected(capsys, ["simulate", "--seed", "-1", "--n", "20000",
+                      "--out", str(tmp_path / "x.csv")])
     # validate once ended in numpy's ValueError and exit 1, a failed check
-    assert run_cli(["validate", "--seed", "-1"]) == 2
+    rejected(capsys, ["validate", "--seed", "-1"])
     # threads 0 once ran on one thread, and its sidecar could not replay
-    assert run_cli(["simulate", "--threads", "0", "--n", "20000",
-                    "--out", str(tmp_path / "x.csv")]) == 2
+    rejected(capsys, ["simulate", "--threads", "0", "--n", "20000",
+                      "--out", str(tmp_path / "x.csv")])
     bad = tmp_path / "bad.json"
     bad.write_text("{\"schema\": 99}")
-    assert run_cli(["density", "--config", str(bad),
-                    "--out", str(tmp_path / "x.csv")]) == 2
+    rejected(capsys, ["density", "--config", str(bad),
+                      "--out", str(tmp_path / "x.csv")])
 
 
 @pytest.mark.parametrize("k", ["nan", "inf"])
-def test_a_non_finite_k_exits_2(tmp_path, k):
+def test_a_non_finite_k_exits_2(tmp_path, capsys, k):
     # --k nan once ran and exited 3, "layer 1 leaves the float range", and
     # --k inf exited 3 as an I0 overflow
     out = tmp_path / "x.csv"
-    assert run_cli(["density", "--law", "circular_gaussian", "--k", k,
-                    "--out", str(out)]) == 2
+    rejected(capsys, ["density", "--law", "circular_gaussian", "--k", k,
+                      "--out", str(out)])
     assert not out.exists()
 
 
@@ -186,13 +202,13 @@ def test_sidecar_config_replays_the_run(tmp_path):
                                   {"suite": "core"}],
                          ids=["unknown", "old-name", "other-command",
                               "retired-key", "retired-suite"])
-def test_config_rejects_keys_it_would_ignore(tmp_path, body):
+def test_config_rejects_keys_it_would_ignore(tmp_path, capsys, body):
     # unknown keys were once skipped: {"lambda": 5, "nR": 3} ran with
     # the defaults
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps(body))
-    assert run_cli(["density", "--config", str(bad),
-                    "--out", str(tmp_path / "x.csv")]) == 2
+    rejected(capsys, ["density", "--config", str(bad),
+                      "--out", str(tmp_path / "x.csv")])
     assert not (tmp_path / "x.csv").exists()
 
 
@@ -229,8 +245,7 @@ def test_validate_command(capsys):
     assert "PASS" in captured.out
     assert "FAIL" not in captured.out
     # validate has no --suite option
-    with pytest.raises(SystemExit):
-        run_cli(["validate", "--suite", "all"])
+    rejected(capsys, ["validate", "--suite", "all"])
 
 
 def test_validate_positions_only_the_zero_turn_flights(monkeypatch, capsys):
@@ -278,20 +293,20 @@ def test_env_threads_fallback(tmp_path, monkeypatch):
     ["layers", "--m", "2", "--ntheta", "5"],
     ["layers", "--m", "2", "--ntheta", "0"],
 ], ids=["k-default-law", "k-uniform-law", "ntheta-odd", "ntheta-zero"])
-def test_config_rejects_flags_it_would_ignore(tmp_path, args):
+def test_config_rejects_flags_it_would_ignore(tmp_path, capsys, args):
     # --k with the uniform law, and an ntheta that PolarGrid refuses, once
     # ran and wrote the ignored value into the sidecar
     out = tmp_path / "x.csv"
-    assert run_cli(args + ["--out", str(out)]) == 2
+    rejected(capsys, args + ["--out", str(out)])
     assert not out.exists()
 
 
-def test_simulate_rejects_a_fractional_conditioning(tmp_path):
+def test_simulate_rejects_a_fractional_conditioning(tmp_path, capsys):
     # a config file's 1.5 once ran as conditioning 1
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps({"conditioning": 1.5, "n_samples": 20000}))
     out = tmp_path / "x.csv"
-    assert run_cli(["simulate", "--config", str(cfgfile), "--out", str(out)]) == 2
+    rejected(capsys, ["simulate", "--config", str(cfgfile), "--out", str(out)])
     assert not out.exists()
 
 
@@ -312,7 +327,8 @@ def test_simulate_rejects_a_fractional_conditioning(tmp_path):
          "law-string", "k-string", "nr-float", "K-bool", "threads-zero",
          "alphas-string", "not-an-object", "k-uniform-law", "seed-negative",
          "lam-inf", "k-nan", "simulate-k-nan", "n-below-1e4"])
-def test_config_rejects_a_value_of_the_wrong_type(tmp_path, command, body):
+def test_config_rejects_a_value_of_the_wrong_type(tmp_path, capsys, command,
+                                                  body):
     # these crashed with a traceback and exit 1, which means a failed
     # validate check, or ran coerced: nr 12.7 as 12 and K true as 1; a
     # uniform law's k and a seed of -1 ran and were written to the sidecar,
@@ -320,7 +336,7 @@ def test_config_rejects_a_value_of_the_wrong_type(tmp_path, command, body):
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps(body))
     out = tmp_path / "x.csv"
-    assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]) == 2
+    rejected(capsys, [command, "--config", str(cfgfile), "--out", str(out)])
     assert not out.exists()
 
 
@@ -328,9 +344,8 @@ def test_n_samples_rule_is_the_estimators(tmp_path, capsys):
     # the rule once said >= 1, so --n 5000 passed it and exited 2 only
     # from inside estimate_density, with the library's own message
     out = tmp_path / "x.csv"
-    assert run_cli(["simulate", "--n", "5000", "--out", str(out)]) == 2
     assert "n_samples must be an integer >= 10000, got 5000" \
-        in capsys.readouterr().err
+        in rejected(capsys, ["simulate", "--n", "5000", "--out", str(out)])
     assert not out.exists()
 
 
@@ -339,18 +354,16 @@ def test_n_samples_rule_is_the_estimators(tmp_path, capsys):
     ["cf", "--alphas", "1,x"]], ids=["conditioning-fraction", "alphas-word"])
 def test_flags_are_converted_where_they_are_parsed(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        run_cli(args + ["--out", str(out)])
-    assert exc.value.code == 2
+    rejected(capsys, args + ["--out", str(out)])
     assert not out.exists()
-    assert "Traceback" not in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("value", ["abc", "0", "-3", "2.5"])
-def test_env_threads_must_be_a_positive_integer(tmp_path, monkeypatch, value):
+def test_env_threads_must_be_a_positive_integer(tmp_path, monkeypatch, capsys,
+                                               value):
     monkeypatch.setenv("RANDFLIGHT_THREADS", value)
     out = tmp_path / "x.csv"
-    assert run_cli(["simulate", "--n", "20000", "--out", str(out)]) == 2
+    rejected(capsys, ["simulate", "--n", "20000", "--out", str(out)])
     assert not out.exists()
 
 
@@ -365,11 +378,11 @@ def test_k_overrides_a_config_file_circular_gaussian(tmp_path):
 
 @pytest.mark.parametrize("out", ["nodir/x.csv", "."],
                          ids=["missing-directory", "a-directory"])
-def test_out_directory_must_exist(tmp_path, monkeypatch, out):
+def test_out_directory_must_exist(tmp_path, monkeypatch, capsys, out):
     # these were once found only after the whole run, as a FileNotFoundError
     # or IsADirectoryError traceback and exit 1, a failed validate check
     monkeypatch.chdir(tmp_path)
-    assert run_cli(["density", "--K", "1", "--nr", "8", "--out", out]) == 2
+    rejected(capsys, ["density", "--K", "1", "--nr", "8", "--out", out])
     assert list(tmp_path.iterdir()) == []
 
 
@@ -380,15 +393,15 @@ def test_out_directory_must_exist(tmp_path, monkeypatch, out):
     ("simulate", {"K": 3})],
     ids=["density-sampler-fields", "cf-seed", "layers-threads",
          "validate-out", "validate-nr", "simulate-K"])
-def test_config_rejects_fields_the_command_does_not_read(tmp_path, command,
-                                                         body):
+def test_config_rejects_fields_the_command_does_not_read(tmp_path, capsys,
+                                                         command, body):
     # these ran and were written to the sidecar as if they had been used
     cfgfile = tmp_path / "run.json"
     cfgfile.write_text(json.dumps(body))
     out = tmp_path / "x.csv"
-    assert run_cli([command, "--config", str(cfgfile), "--out", str(out)]
-                   if command != "validate" else
-                   [command, "--config", str(cfgfile)]) == 2
+    rejected(capsys, [command, "--config", str(cfgfile), "--out", str(out)]
+                     if command != "validate" else
+                     [command, "--config", str(cfgfile)])
     assert not out.exists()
 
 
@@ -398,11 +411,9 @@ def test_config_rejects_fields_the_command_does_not_read(tmp_path, command,
     ["validate", "--out", "v.csv"], ["simulate", "--K", "3"]],
     ids=["density-seed", "density-threads", "layers-n", "cf-conditioning",
          "validate-out", "simulate-K"])
-def test_commands_take_only_the_flags_they_read(tmp_path, args):
+def test_commands_take_only_the_flags_they_read(tmp_path, capsys, args):
     out = tmp_path / "x.csv"
-    with pytest.raises(SystemExit) as exc:
-        run_cli(args + ["--out", str(out)] if "--out" not in args else args)
-    assert exc.value.code == 2
+    rejected(capsys, args + ["--out", str(out)] if "--out" not in args else args)
     assert not out.exists()
 
 

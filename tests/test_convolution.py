@@ -651,10 +651,10 @@ def _count_geometry_builds(monkeypatch):
     builds = []
     build = conv._geometry
 
-    def counted(layer, r, cfg):
+    def counted(layer, r, *rest):
         if layer.n >= 2:
             builds.append(np.array_equal(r, layer.grid.nodes))
-        return build(layer, r, cfg)
+        return build(layer, r, *rest)
 
     monkeypatch.setattr(conv, "_geometry", counted)
     return builds
@@ -678,6 +678,50 @@ def test_regular_step_geometry_is_built_once_per_field(monkeypatch, params,
     assert sorted(builds) == [False, True]
     assert all(layer.geometry is field.layers[2].geometry
                for layer in field.layers[2:])
+
+
+@pytest.mark.parametrize("params,law_of,grid_of", _FIELD_CASES,
+                         ids=["m2", "m3", "circular-gaussian"])
+def test_stencils_are_formed_only_with_a_geometry(monkeypatch, params, law_of,
+                                                  grid_of):
+    # each read's stencil and base are formed once per block of targets
+    # while a geometry is built: the seed step's (planar; the m=3 seed is
+    # read through its closed form) and the step from layer 2's, at the
+    # table and the grid nodes.  The steps to layers 4..6 and the
+    # residual's step read the kept ones
+    formed = []
+    stencil = conv._stencil
+
+    def counted(layer, *rest):
+        formed.append(layer.n)
+        return stencil(layer, *rest)
+
+    monkeypatch.setattr(conv, "_stencil", counted)
+    law, grid = law_of(params), grid_of(params)
+    field = transition_density(params, law, 1.0, 6, grid, _GEOMETRY_CFG)
+    ac_profile(field, grid.nodes[:, None],
+               grid.thetas[None, :] if isinstance(grid, PolarGrid) else None)
+    residual_check(field)
+    blocks = sum(len(list(conv._blocks(r)))  # ct = 1
+                 for r in (field.layers[1].sigma, grid.nodes))
+    assert formed == [1] * blocks * (params.m == 2) + [2] * blocks
+
+
+def test_unused_config_fields_keep_the_geometry(monkeypatch):
+    # == and the hash of StepConfig ignore ladder_slots and seed_grade,
+    # which no step reads: a layer built with others, stepped at the
+    # default config, reuses its kept geometry and node values
+    law, grid = UniformLaw(P2), RadialGrid.build(P2, 1.0, 10)
+    built = StepConfig(ladder_slots=8, seed_grade=(1e-1, 1.0))
+    assert built == StepConfig() and hash(built) == hash(StepConfig())
+    field = transition_density(P2, law, 1.0, 3, grid, built)
+    builds = _count_geometry_builds(monkeypatch)
+    at_default = next_layer(P2, law, field.layers[-1], config=StepConfig())
+    assert builds == []
+    assert np.array_equal(at_default.values,
+                          next_layer(P2, law, field.layers[-1]).values)
+    assert residual_check(field, StepConfig()) == residual_check(field)
+    assert builds == []
 
 
 def test_new_grid_or_config_builds_new_geometry(monkeypatch):
@@ -823,16 +867,19 @@ def test_circular_gaussian_layers_are_even_in_theta(k, lam, c, t):
 
 def _reference_step(layer, sig, th):
     """Oracle: the step from ``layer`` at scaled radii ``sig`` and angles
-    ``th`` over the quadrature points and weights of `_geometry`, reading
+    ``th`` over the quadrature points and weights of `_points`, reading
     the table point by point: Lagrange through the 4 u-nodes around the
     point, each node value linear in theta between the 2 angle nodes
-    around the read angle."""
-    tab, n = layer.tab, layer.n
+    around the read angle (one column for an isotropic table), times the
+    read factor tau^(n-m) (1 - sigma^2)^((n-2)/2), whose planar edge
+    factor has 1 - sigma^2 = (tau - s)(tau + s) / tau^2."""
+    tab, n, m, cap = layer.tab, layer.n, layer.params.m, layer.sigma[-1]
     n_s, n_th = tab.shape
     h = 2.0 * np.pi / n_th
 
-    def read(pos, phi):
-        q, edge, u = pos
+    def read(pts, phi):
+        s, tau = pts.s, pts.tau
+        u = np.arcsin(np.clip(s / tau / cap, 0.0, 1.0))
         x = u * (n_s - 1) / (0.5 * np.pi)
         i0 = np.clip(np.floor(x) - 1, 0, n_s - 4).astype(int)
         y = (np.asarray(phi) + np.pi) / h
@@ -845,22 +892,30 @@ def _reference_step(layer, sig, th):
             node = (1.0 - f) * tab[i0 + k, j0 % n_th] \
                 + f * tab[i0 + k, (j0 + 1) % n_th]
             val = val + lag * node
-        return q ** (n - 2) * conv._edge(2, n, edge) * val
+        factor = tau ** (n - m)
+        if m == 2:
+            edge = pts.gap * (tau + s) / tau**2
+            factor = factor * np.maximum(edge, 1e-300) ** (0.5 * (n - 2))
+        return factor * val
 
     out = np.zeros((len(sig), len(th)))
-    for idx, arcs in conv._geometry(layer, sig, layer.cfg):
-        if arcs.chi_args is None:  # the origin: reads at 64 turn angles
+    for idx, sig_b in conv._blocks(sig):
+        pts = conv._points(layer, sig_b, layer.cfg)
+        if pts.cols is not None:  # angular, the origin: 64 turn angles
             phi = -np.pi + 2.0 * np.pi * np.arange(64) / 64
             ch = layer.law.density_from_axis_cos(-np.cos(phi)) * (2.0 * np.pi / 64)
-            out[idx] += np.sum(arcs.w * ch * read(arcs.pos, phi),
+            out[idx] += np.sum(pts.w * ch * read(pts, phi),
                                axis=(1, 2))[:, None]
             continue
-        a_rho, d2_rho, omega = arcs.chi_args
+        if pts.chi_args is None:  # isotropic: chi is in the weights
+            out[idx] += np.sum(pts.w * read(pts, 0.0), axis=(1, 2))[:, None]
+            continue
+        a_rho, d2_rho, omega = pts.chi_args
         for li, a in enumerate(th):
             for sgn in (1.0, -1.0):
                 ch = layer.law.density_from_axis_cos(
                     np.cos(a) * a_rho + np.sin(a) * sgn * d2_rho)
-                out[idx, li] += np.sum(arcs.w * ch * read(arcs.pos, a + sgn * omega),
+                out[idx, li] += np.sum(pts.w * ch * read(pts, a + sgn * omega),
                                        axis=(1, 2))
     return (n + 1) * out
 
@@ -906,9 +961,9 @@ def test_off_node_values_step_each_distinct_abs_theta_once(monkeypatch):
     builds = []
     build = conv._geometry
 
-    def counted(layer, sig, cfg):
+    def counted(layer, *rest):
         builds.append(layer.n)
-        return build(layer, sig, cfg)
+        return build(layer, *rest)
 
     monkeypatch.setattr(conv, "_geometry", counted)
     rr, th = np.broadcast_arrays(r[:, None], grid.thetas[None, :])
@@ -922,22 +977,47 @@ def test_off_node_values_step_each_distinct_abs_theta_once(monkeypatch):
 
 
 def test_isotropic_step_takes_one_column_for_every_angle():
-    # an isotropic table's reads do not depend on the target angle: its
-    # geometry carries chi in the weights, one array per block, and the
-    # step's one column serves every requested angle
+    # an isotropic table's reads do not depend on the target angle: chi
+    # sits in the weights of its points, one array per block, which the
+    # kept stencil carries (its Lagrange weights sum to 1), and the step's
+    # one column serves every requested angle
     grid = RadialGrid.build(P2, 1.0, 10)
     layer = transition_density(P2, UniformLaw(P2), 1.0, 2, grid,
                                _GEOMETRY_CFG).layers[1]
     sig = np.array([0.0, 0.05, 0.3, 0.62, 0.97])
-    for _, arcs in conv._geometry(layer, sig, layer.cfg):
-        assert arcs.chi_args is None
-        assert arcs.w.ndim == 3
+    for _, sig_b in conv._blocks(sig):
+        pts = conv._points(layer, sig_b, layer.cfg)
+        arcs = conv._stencil(layer, pts)
+        assert pts.chi_args is pts.cols is arcs.chi_args is arcs.cols is None
+        assert arcs.lag.shape == (4,) + pts.w.shape
+        assert np.allclose(arcs.lag.sum(axis=0), pts.w, rtol=1e-13, atol=0.0)
     one = conv._step_values(layer, sig, np.zeros(1), layer.cfg)
     three = conv._step_values(layer, sig, np.array([0.0, 1.3, -2.9]),
                               layer.cfg)
     assert three.shape == (len(sig), 3)
     for col in three.T:
         assert np.array_equal(col, one[:, 0])
+
+
+@pytest.fixture(scope="module")
+def m3_layers():
+    cfg = StepConfig(n_sigma=17, time_order=8, arc_order=8)
+    return transition_density(P3, UniformLaw(P3), 1.0, 6,
+                              RadialGrid.build(P3, 1.0, 8), cfg).layers
+
+
+@pytest.mark.parametrize("m,n", [(2, 3), (2, 12), (3, 3), (3, 6)])
+def test_isotropic_read_matches_the_pointwise_reference(planar_deep_layers,
+                                                        m3_layers, m, n):
+    # the kept stencil and read base against reads formed afresh from the
+    # quadrature points: the read factor tau^(n-m) E_n past n = 2, out to
+    # the support edge
+    layer = (planar_deep_layers[1.0][1] if m == 2 else m3_layers)[n - 1]
+    sig = np.array([0.0, 0.05, 0.5, 0.97, 0.999])
+    want = _reference_step(layer, sig, np.zeros(1))
+    got = conv._step_values(layer, sig, np.zeros(1), layer.cfg)
+    # pointwise: m=3 layer 4 at sigma = 0.999 reads a raw -4.3e-7 here
+    assert np.max(np.abs(got - want) / np.abs(want)) <= 1e-13
 
 
 @pytest.mark.parametrize("n,n_theta", [
