@@ -8,8 +8,8 @@ and the characteristic-function (spectral) route.
 """
 
 from .analytic import one_turn_profile
-from .cf import (CFLadder, laplace_identity_error, layer_fourier,
-                 next_conv_power, psi_ladder, sphere_cf, volterra_cf)
+from .cf import (CFLadder, laplace_identity_error, layer_fourier, sphere_cf,
+                 volterra_cf)
 from .convolution import (DensityLayer, StepConfig, ac_profile,
                           conditional_layer, next_layer, residual_check,
                           seed_layer, transition_density)
@@ -19,7 +19,6 @@ from .dissipation import (CircularGaussianLaw, DissipationLaw, UniformLaw,
                           law_from_config)
 from .errors import DomainError, EstimationError, NumericError
 from .sampler import DensityEstimate, estimate_density, simulate_batch
-from .specfun import bessel_j0, gauss_2f1
 
 __version__ = "0.1.0"
 
@@ -27,13 +26,12 @@ __all__ = [
     "__version__",
     "FlightParams", "RadialGrid", "PolarGrid",
     "DensityLayer", "DensityField", "poisson_weight", "tail_mass",
-    "gauss_2f1", "bessel_j0",
     "DissipationLaw", "UniformLaw", "CircularGaussianLaw", "law_from_config",
     "one_turn_profile",
     "DensityEstimate", "simulate_batch", "estimate_density",
     "StepConfig", "seed_layer", "next_layer", "conditional_layer",
     "transition_density", "ac_profile", "residual_check",
-    "CFLadder", "sphere_cf", "psi_ladder", "next_conv_power", "volterra_cf",
-    "laplace_identity_error", "layer_fourier",
+    "CFLadder", "sphere_cf", "volterra_cf", "laplace_identity_error",
+    "layer_fourier",
     "DomainError", "NumericError", "EstimationError",
 ]

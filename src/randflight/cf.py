@@ -5,11 +5,11 @@ conditional transform given n turns is an (n+1)-fold time convolution
 power of the sphere transform ``psi``, and the unconditional transform
 solves a Volterra equation of the second kind with kernel
 lam * exp(-lam (t - tau)) * psi(alpha, t - tau).  Every spectral
-computation reads psi from one uniform time ladder: the convolution
-powers extend it, and the Volterra solve and the Laplace-domain check
-use its kernel ladder.  Spatial layers are Fourier-transformed for the
-cross-pipeline comparison; a layer's transform and its mass are one
-radial moment taken against different kernels.
+computation reads psi from one uniform time ladder: the Volterra solve
+and the Laplace-domain check use its kernel ladder.  Spatial layers are
+Fourier-transformed for the cross-pipeline comparison; a layer's
+transform and its mass are one radial moment taken against different
+kernels.
 
 Values are complex throughout: for the isotropic law they are real up
 to rounding, but the circular Gaussian law is skewed along the first
@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .convolution import DensityLayer
-from .core import FlightParams, _angles, _check_positive
+from .core import FlightParams, _angles, _check_positive, _is_count
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError, NumericError
 from .specfun import bessel_j0
@@ -34,8 +34,6 @@ from .specfun import bessel_j0
 __all__ = [
     "CFLadder",
     "sphere_cf",
-    "psi_ladder",
-    "next_conv_power",
     "volterra_cf",
     "laplace_identity_error",
     "layer_fourier",
@@ -106,52 +104,36 @@ def sphere_cf_values(params: FlightParams, law: DissipationLaw, alpha,
 class CFLadder:
     """Values of a transform on the uniform time ladder [0, t_max]."""
 
-    n: int
-    alpha: tuple
     times: np.ndarray
     values: np.ndarray
 
 
-def psi_ladder(params: FlightParams, law: DissipationLaw, alpha,
-               t_max: float, steps: int) -> CFLadder:
-    """The base ladder: the zeroth convolution power is psi itself."""
-    if steps < 64:
-        raise DomainError("ladder needs at least 64 steps")
-    alpha_t = _check_alpha(params, alpha)
+def _psi_ladder(params: FlightParams, law: DissipationLaw, alpha,
+                t_max: float, steps) -> tuple:
+    """psi on ``steps`` uniform steps over [0, t_max]: the times and the
+    values.  Raises `DomainError` unless ``steps`` is an integer of at
+    least 64, ``t_max`` positive and finite and ``alpha`` a finite
+    m-vector."""
+    if not (_is_count(steps) and steps >= 64):
+        raise DomainError(f"the psi ladder needs an integer of at least 64 "
+                          f"steps, got {steps!r}")
+    alpha = _check_alpha(params, alpha)
     _check_positive("t_max", t_max)
     times = np.linspace(0.0, t_max, steps + 1)
-    return CFLadder(0, alpha_t, times,
-                    sphere_cf_values(params, law, alpha, times))
-
-
-def next_conv_power(psi: CFLadder, prev: CFLadder) -> CFLadder:
-    """Time-convolution step: the ladder of index n from index n-1 and
-    the chain's `psi_ladder` ``psi``, by trapezoid product quadrature of
-    int_0^t psi(t - tau) J_{n-1}(tau) dtau; index n is the (n+1)-fold
-    convolution power of psi.  Raises `DomainError` unless ``psi`` is
-    index 0 on the times and alpha of ``prev``."""
-    if psi.n != 0 or psi.alpha != prev.alpha or not np.array_equal(
-            psi.times, prev.times):
-        raise DomainError("next_conv_power needs psi's ladder on prev's "
-                          "times and alpha")
-    p, h = psi.values, float(prev.times[1])
-    full = np.convolve(p, prev.values)[:len(prev.times)]
-    vals = h * (full - 0.5 * p * prev.values[0] - 0.5 * p[0] * prev.values)
-    return CFLadder(prev.n + 1, prev.alpha, prev.times, vals)
+    return times, sphere_cf_values(params, law, alpha, times)
 
 
 def volterra_cf(params: FlightParams, law: DissipationLaw, alpha,
                 t_max: float, steps: int = 1024) -> CFLadder:
     """Unconditional characteristic function: the renewal solve
-    (`_renewal`) on the kernel ladder e^{-lam t} psi of `psi_ladder`.
-    Raises `DomainError` for fewer than 64 steps, a ``t_max`` that is
-    not positive and finite, an ``alpha`` that is not a finite m-vector,
-    or fewer than one step per mean time 1/lam between turns."""
-    psi = psi_ladder(params, law, alpha, t_max, steps)
-    kern = psi.values  # this call's own ladder: scaled in place
-    kern *= np.exp(-params.lam * psi.times)
-    return CFLadder(-1, psi.alpha, psi.times,
-                    _renewal(psi.times, kern, params.lam))
+    (`_renewal`) on the kernel ladder e^{-lam t} psi of `_psi_ladder`.
+    Raises `DomainError` for ``steps`` other than an integer of at least
+    64, a ``t_max`` that is not positive and finite, an ``alpha`` that
+    is not a finite m-vector, or fewer than one step per mean time 1/lam
+    between turns."""
+    times, kern = _psi_ladder(params, law, alpha, t_max, steps)
+    kern *= np.exp(-params.lam * times)
+    return CFLadder(times, _renewal(times, kern, params.lam))
 
 
 def _renewal(times: np.ndarray, kern: np.ndarray, lam: float) -> np.ndarray:
@@ -248,17 +230,20 @@ def laplace_identity_error(params: FlightParams, law: DissipationLaw,
     transform at s of the kernel ladder e^{-lam t} psi, L[G](s) that of
     the renewal solve on it, each with its half on every other node.
     The planar isotropic side is also checked against the closed form
-    L[psi](s + lam) = 1/sqrt((s + lam)^2 + (c |alpha|)^2)."""
+    L[psi](s + lam) = 1/sqrt((s + lam)^2 + (c |alpha|)^2).  Raises
+    `DomainError` for ``steps`` other than an even integer of at least
+    64 and for a ``tail_tol`` that is not positive and finite."""
     s_values = np.atleast_1d(np.asarray(s_values, dtype=float))
     _check_positive("Laplace abscissas s_values", s_values)
+    _check_positive("tail_tol", tail_tol)
     if t_max is None:
         t_max = max(8.0, 28.0 / float(s_values.min()))
     if steps is None:
         steps = 2 * min(20_000, max(2048, int(256 * t_max)))
-    if steps % 2:
-        raise DomainError(f"the Laplace check needs even steps, got {steps}")
-    psi = psi_ladder(params, law, alpha, t_max, steps)
-    times, kern = psi.times, psi.values
+    if not _is_count(steps) or steps % 2:
+        raise DomainError(f"the Laplace check needs an even integer number "
+                          f"of steps, got {steps!r}")
+    times, kern = _psi_ladder(params, law, alpha, t_max, steps)
     kern *= np.exp(-params.lam * times)  # L[kern](s) = L[psi](s + lam)
     G = _renewal(times, kern, params.lam)
     G_half = _renewal(times[::2], kern[::2], params.lam)

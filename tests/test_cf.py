@@ -4,14 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy import integrate
+from scipy import integrate, special
 
 from randflight import (CircularGaussianLaw, DomainError, FlightParams,
                         NumericError, PolarGrid, RadialGrid, StepConfig,
                         UniformLaw, conditional_layer, laplace_identity_error,
-                        layer_fourier, next_conv_power, poisson_weight,
-                        psi_ladder, seed_layer, next_layer, sphere_cf,
-                        tail_mass, transition_density, volterra_cf)
+                        layer_fourier, poisson_weight, seed_layer, next_layer,
+                        sphere_cf, transition_density, volterra_cf)
 from randflight import cf
 from randflight.cf import sphere_cf_values
 
@@ -21,10 +20,43 @@ PCG = FlightParams(2, 0.7, 1.8)
 CFG = StepConfig(ladder_slots=48, n_sigma=49, time_order=12, arc_order=16)
 
 
-def alpha_vec(m, a):
+def alpha_vec(m, a, phi=0.0):
     v = np.zeros(m)
-    v[0] = a
+    v[:2] = a * math.cos(phi), a * math.sin(phi)
     return v
+
+
+def _laplace_psi(law, rho, phi, p, w):
+    """L[psi](p) at c = 1 on the contour p = (i rho / 2)(w + 1/w)."""
+    if isinstance(law, CircularGaussianLaw):
+        th = 2.0 * np.pi * np.arange(4096) / 4096
+        chi = law.density_from_axis_cos(np.cos(th)) * (2.0 * np.pi / 4096)
+        return (1.0 / (p[:, None] - 1j * rho * np.cos(th - phi))) @ chi
+    if law.params.m == 2:  # 1/sqrt(p^2 + rho^2), analytic in w
+        return 1.0 / (0.5j * rho * (w - 1.0 / w))
+    return np.arctan(rho / p) / rho
+
+
+def exact_cf(law, alpha, n_max):
+    """Oracle: the complex transforms G_0..G_{n_max} given n turns at
+    c = t = 1, G_n = n! L^-1[L[psi]^(n+1)](1): the n+1 leg lengths are
+    uniform on the simplex.  L[psi] is analytic off the segment
+    [-i rho, i rho], so the inversion is the periodic trapezoid rule on
+    an ellipse around it, p = (i rho / 2)(w + 1/w) with |w| = e^mu, which
+    converges geometrically (Trefethen and Weideman, SIAM Review 2014).
+    mu follows the saddle of e^p p^-(n+1): a larger ellipse loses digits
+    to e^(rho sinh mu)."""
+    rho = float(np.linalg.norm(alpha))
+    phi = math.atan2(alpha[1], alpha[0])
+    theta = 2.0 * np.pi * np.arange(512) / 512
+    out = np.empty(n_max + 1, dtype=complex)
+    for n in range(n_max + 1):
+        w = np.exp(max(0.08, math.asinh((n + 1) / rho)) + 1j * theta)
+        p = 0.5j * rho * (w + 1.0 / w)
+        dp = -0.5 * rho * (w - 1.0 / w)  # dp / dtheta
+        terms = np.exp(p) * dp * _laplace_psi(law, rho, phi, p, w) ** (n + 1)
+        out[n] = math.factorial(n) * terms.sum() / (512j)
+    return out
 
 
 def test_psi_at_zero_is_one():
@@ -74,28 +106,48 @@ def test_psi_uniform_real_even_bounded():
         assert abs(v) <= 1.0 + 1e-12
 
 
-def test_conv_powers_at_zero_frequency():
-    # J_n(0, t) = t^n / n!  (iterated integral of one)
-    psi = lad = psi_ladder(P2, UniformLaw(P2), np.zeros(2), 1.0, 1024)
-    assert lad.values[-1] == pytest.approx(1.0, abs=1e-14)
-    for n in range(1, 9):
-        lad = next_conv_power(psi, lad)
-        exact = 1.0 / math.factorial(n)
-        assert lad.values[-1].real == pytest.approx(exact, rel=1e-4)
-        assert abs(lad.values[-1].imag) < 1e-15
-    assert lad.n == 8
+def test_exact_cf_matches_the_planar_closed_form():
+    # G_n = n 2^(n/2-1) Gamma(n/2) J_{n/2}(rho) / rho^(n/2), G_0 = J0;
+    # the worst miss is 1.8e-14 here, 3.3e-14 over 40 values of rho
+    law = UniformLaw(P2)
+    for rho in np.geomspace(0.05, 60.0, 13):
+        n = np.arange(1, 21)
+        closed = n * 2.0 ** (n / 2 - 1) * special.gamma(n / 2) \
+            * special.jv(n / 2, rho) / rho ** (n / 2)
+        got = exact_cf(law, alpha_vec(2, rho), 20)
+        assert abs(got[0] - special.j0(rho)) <= 1e-13, rho
+        assert np.max(np.abs(got[1:] - closed)) <= 1e-13, rho
 
 
 def test_first_conv_power_against_nested_quadrature():
-    # oracle: brute-force nested quadrature of the defining integral
-    from randflight.specfun import bessel_j0
+    # the oracle at n = 1 and 2 against nested quadrature of the defining
+    # time convolutions, complex; psi of the circular Gaussian from its
+    # Jacobi-Anger series.  The worst miss is 3.4e-16
+    def quad(f, a, b):
+        return integrate.quad(f, a, b, complex_func=True, epsabs=1e-13,
+                              epsrel=1e-13, limit=200)[0]
 
-    ref, _ = integrate.quad(
-        lambda tau: bessel_j0(1.0 - tau) * bessel_j0(tau), 0.0, 1.0,
-        limit=200)
-    psi = psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), 1.0, 2048)
-    lad = next_conv_power(psi, psi)
-    assert lad.values[-1].real == pytest.approx(ref, abs=1e-6)
+    j = np.arange(-40, 41)
+    m3, cg = UniformLaw(P3), CircularGaussianLaw(P2, 1.5)
+    for law, rho, phi in ((m3, 0.5, 0.0), (m3, 5.0, 0.0), (cg, 0.5, 0.0),
+                          (cg, 2.0, 1.0), (cg, 5.0, 2.5)):
+        if law is m3:
+            def psi(t):
+                return complex(np.sinc(rho * t / np.pi))
+        else:
+            coef = special.ive(j, cg.k) / special.ive(0, cg.k) * 1j ** j \
+                * np.exp(-1j * j * phi)
+
+            def psi(t):
+                return coef @ special.jv(j, rho * t)
+
+        def two_legs(s):
+            return quad(lambda tau: psi(s - tau) * psi(tau), 0.0, s)
+
+        three_legs = 2.0 * quad(lambda s: psi(1.0 - s) * two_legs(s), 0.0, 1.0)
+        got = exact_cf(law, alpha_vec(law.params.m, rho, phi), 2)
+        assert abs(got[1] - two_legs(1.0)) <= 1e-13, (rho, phi)
+        assert abs(got[2] - three_legs) <= 1e-13, (rho, phi)
 
 
 def test_volterra_total_probability():
@@ -109,25 +161,56 @@ def test_volterra_short_time_limit():
     assert abs(G.values[5] - 1.0) < 0.01
 
 
+# |G(t) - sum_n pi_n(lam t) G_n| of the 2048-step solve at c = t = 1,
+# lam t = 0.05, 1, 5, 10; the circular Gaussian (k = 1.5) at phi = 1
+VOLTERRA_MISS = {
+    ("m2", 0.5): (2.36e-10, 1.53e-8, 2.43e-6, 1.97e-5),
+    ("m2", 2.0): (2.28e-9, 2.95e-8, 1.70e-6, 1.65e-5),
+    ("m3", 0.5): (1.58e-10, 1.68e-8, 2.45e-6, 1.98e-5),
+    ("m3", 2.0): (1.72e-9, 1.68e-8, 1.94e-6, 1.76e-5),
+    ("cg", 0.5): (1.67e-10, 1.67e-8, 2.45e-6, 1.98e-5),
+    ("cg", 2.0): (1.71e-9, 1.85e-8, 1.92e-6, 1.75e-5),
+}
+
+
 def test_volterra_matches_series():
-    law = UniformLaw(P2)
-    alpha = alpha_vec(2, 1.0)
-    G = volterra_cf(P2, law, alpha, 1.0, 1024)
-    psi = lad = psi_ladder(P2, law, alpha, 1.0, 1024)
-    total = math.exp(-1.0) * lad.values[-1]
-    for n in range(1, 13):
-        lad = next_conv_power(psi, lad)
-        total += math.exp(-1.0) * lad.values[-1]
-    assert abs(total - G.values[-1]) <= 1e-6 + tail_mass(12, P2, 1.0)
+    # the renewal solve against the exact series, complex: its trapezoid
+    # error is O(h^2) and grows with lam t, unchecked by the solve.  45 terms
+    # leave a Poisson tail below 1e-15 at lam t = 10
+    def law_of(name, p):
+        return CircularGaussianLaw(p, 1.5) if name == "cg" else UniformLaw(p)
+
+    for (name, rho), misses in VOLTERRA_MISS.items():
+        m = 3 if name == "m3" else 2
+        alpha = alpha_vec(m, rho, 1.0 if name == "cg" else 0.0)
+        G = exact_cf(law_of(name, FlightParams(m, 1.0, 1.0)), alpha, 45)
+        for lam, measured in zip((0.05, 1.0, 5.0, 10.0), misses):
+            p = FlightParams(m, 1.0, lam)
+            law = law_of(name, p)
+            series = np.array([poisson_weight(n, p, 1.0)
+                               for n in range(46)]) @ G
+            miss = [abs(volterra_cf(p, law, alpha, 1.0, steps).values[-1]
+                        - series) for steps in (1024, 2048)]
+            case = (name, rho, lam, miss)
+            assert miss[1] <= 1.5 * measured, case
+            assert 3.5 <= miss[0] / miss[1] <= 4.5, case
 
 
 def test_volterra_rejects_coarse_ladder():
-    with pytest.raises(DomainError):
-        volterra_cf(P2, UniformLaw(P2), np.zeros(2), 1.0, 32)
+    for steps in (32, 1024.0, np.float64(1024), "1024", True):
+        with pytest.raises(DomainError, match="steps"):
+            volterra_cf(P2, UniformLaw(P2), np.zeros(2), 1.0, steps)
+    assert volterra_cf(P2, UniformLaw(P2), np.zeros(2), 1.0,
+                       np.int64(64)).values.shape == (65,)
 
 
-@pytest.mark.parametrize("ladder", [volterra_cf, psi_ladder],
-                         ids=["volterra_cf", "psi_ladder"])
+def _laplace_at(params, law, alpha, t_max, steps):
+    return laplace_identity_error(params, law, alpha, [1.0], t_max=t_max,
+                                  steps=steps)
+
+
+@pytest.mark.parametrize("ladder", [volterra_cf, _laplace_at],
+                         ids=["volterra_cf", "laplace_identity_error"])
 @pytest.mark.parametrize("t_max", [0.0, -1.0, math.nan, math.inf],
                          ids=["zero", "negative", "nan", "inf"])
 def test_ladder_rejects_bad_t_max(ladder, t_max):
@@ -157,10 +240,11 @@ def test_layer_fourier_rejects_another_flight():
 
 @pytest.mark.parametrize("ladder", [
     lambda alpha: volterra_cf(P3, UniformLaw(P3), alpha, 1.0, 64),
-    lambda alpha: psi_ladder(P3, UniformLaw(P3), alpha, 1.0, 64),
+    lambda alpha: _laplace_at(P3, UniformLaw(P3), alpha, 8.0, 128),
     lambda alpha: sphere_cf(P3, UniformLaw(P3), alpha, 1.0),
     lambda alpha: layer_fourier(_seed_m3(), P3, alpha),
-], ids=["volterra_cf", "psi_ladder", "sphere_cf", "layer_fourier"])
+], ids=["volterra_cf", "laplace_identity_error", "sphere_cf",
+        "layer_fourier"])
 @pytest.mark.parametrize("alpha", [np.ones(2), np.ones(4), 1.0,
                                    np.ones((1, 3)), np.array([1.0, 0, np.nan])],
                          ids=["short", "long", "scalar", "matrix", "nan"])
@@ -237,14 +321,22 @@ def test_laplace_identity_uniform_m2():
     assert err < 1e-10
 
 
-@pytest.mark.parametrize("t_max, steps", [(8.0, 129), (100.0, 128)],
-                         ids=["odd", "half-ladder-coarse"])
-def test_laplace_rejects_bad_ladders(t_max, steps):
+@pytest.mark.parametrize("t_max, steps, tail_tol, match", [
+    (8.0, 129, 1e-6, "steps"),
+    (100.0, 128, 1e-6, "steps"),
+    (8.0, 2048.0, 1e-6, "steps"),
+    (8.0, "2048", 1e-6, "steps"),
+    (8.0, 128, -1.0, "tail_tol"),
+    (8.0, 128, math.nan, "tail_tol"),
+], ids=["odd", "half-ladder-coarse", "float-steps", "string-steps",
+        "negative-tail-tol", "nan-tail-tol"])
+def test_laplace_rejects_bad_ladders(t_max, steps, tail_tol, match):
     # the half ladder of the Richardson step needs an even step count and
-    # more than lam * t_max steps of its own
-    with pytest.raises(DomainError, match="steps"):
+    # more than lam * t_max steps of its own; a non-integer steps and a
+    # tail_tol that is not positive fail as inputs, not in the arithmetic
+    with pytest.raises(DomainError, match=match):
         laplace_identity_error(P2, UniformLaw(P2), alpha_vec(2, 1.0), [1.0],
-                               t_max=t_max, steps=steps)
+                               t_max=t_max, steps=steps, tail_tol=tail_tol)
 
 
 def test_laplace_tail_control():
@@ -315,23 +407,6 @@ def test_one_psi_ladder_per_spectral_computation(monkeypatch):
     monkeypatch.setattr(cf, "sphere_cf_values", spy)
     _spectral_case(1.0, 1.0, mags=(1.0,))
     assert calls == [28_673]  # once read on five ladders
-    psi = lad = psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), 1.0, 64)
-    for _ in range(3):
-        lad = next_conv_power(psi, lad)
-    assert calls == [28_673, 65]
-
-
-@pytest.mark.parametrize("other", [
-    psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), 2.0, 64),
-    psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), 1.0, 128),
-    psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 0.5), 1.0, 64),
-], ids=["t_max", "steps", "alpha"])
-def test_next_conv_power_rejects_a_foreign_psi(other):
-    psi = psi_ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), 1.0, 64)
-    with pytest.raises(DomainError, match="psi"):
-        next_conv_power(other, psi)
-    with pytest.raises(DomainError, match="psi"):  # not index 0
-        next_conv_power(next_conv_power(psi, psi), psi)
 
 
 @pytest.mark.parametrize("params, law, polar", [
@@ -354,21 +429,53 @@ def test_layer_fourier_at_zero_is_mass(params, law, polar):
         pytest.approx(poisson_weight(1, params, 1.0), rel=1e-9)
 
 
-# largest miss of layers 1..4 against the 1024-step convolution powers,
-# x 1.5: 6.9e-8 (m=2) and 1.9e-7 (m=3, layer 2; 2.0e-7 at 4096 steps)
+# misses of layers 1..4 against the exact transforms, x 1.5 to two digits
+# (m=3 layer 2, 2.03e-7, x 1.43, to stay under the earlier bound 3.0e-7);
+# layer 1 is the closed-form seed and misses by rounding (5.0e-16 for m=2,
+# 5.6e-17 for m=3), so its tolerance is a rounding floor
+LAYER_TOL = {2: (1e-14, 2.5e-8, 8.2e-8, 1.7e-9),
+             3: (1e-14, 2.9e-7, 3.3e-8, 1.4e-9)}
+
+
 @pytest.mark.parametrize("params", [P2, P3])
 def test_layer_fourier_matches_conv_power(params):
-    tol = {2: 1.1e-7, 3: 3.0e-7}[params.m]
+    # the joint layer n's transform is pi_n G_n, G_n the exact (n+1)-fold
+    # time convolution power of psi times n!
     law = UniformLaw(params)
     grid = RadialGrid.build(params, 1.0, 49)
     layer = seed_layer(params, law, 1.0, grid, CFG)
     alpha = alpha_vec(params.m, 1.0)
-    psi = lad = psi_ladder(params, law, alpha, 1.0, 1024)
-    for n in range(1, 5):
-        lad = next_conv_power(psi, lad)
-        ref = math.exp(-1.0) * lad.values[-1].real
-        assert abs(layer_fourier(layer, params, alpha) - ref) < tol, n
+    G = exact_cf(law, alpha, 4)
+    for n, tol in enumerate(LAYER_TOL[params.m], start=1):
+        ref = poisson_weight(n, params, 1.0) * G[n].real
+        assert abs(layer_fourier(layer, params, alpha) - ref) <= tol, n
         layer = next_layer(params, law, layer, config=CFG)
+
+
+# misses of the conditional circular-Gaussian layers 1..4 (k = 1.5, a
+# 24 x 16 polar grid, the default StepConfig) in the real part, per
+# (rho, phi_alpha): the baseline for a higher-order angular read.  The
+# linear read between table angles sets layers 2-4
+CG_LAYER_MISS = {
+    (0.5, 0.0): (2.01e-12, 1.06e-3, 2.34e-3, 3.87e-3),
+    (2.0, 0.0): (4.53e-11, 5.90e-3, 1.14e-2, 1.66e-2),
+    (2.0, 1.0): (1.64e-9, 6.01e-4, 6.73e-4, 4.04e-4),
+    (5.0, 2.5): (1.21e-6, 3.56e-3, 8.57e-3, 1.45e-2),
+}
+
+
+def test_circular_gaussian_layers_against_the_exact_transform():
+    law = CircularGaussianLaw(P2, 1.5)
+    layers = [seed_layer(P2, law, 1.0, PolarGrid.build(P2, 1.0, 24, 16))]
+    while len(layers) < 4:
+        layers.append(next_layer(P2, law, layers[-1]))
+    for (rho, phi), misses in CG_LAYER_MISS.items():
+        alpha = alpha_vec(2, rho, phi)
+        G = exact_cf(law, alpha, 4)
+        for layer, measured in zip(layers, misses):
+            cond = conditional_layer(layer, P2)
+            miss = abs(layer_fourier(cond, P2, alpha) - G[layer.n].real)
+            assert miss <= 1.5 * measured, (rho, phi, layer.n, miss)
 
 
 @pytest.mark.parametrize("params", [P2, P3])

@@ -5,7 +5,8 @@ import pytest
 from scipy import special
 
 from randflight import (CircularGaussianLaw, DomainError, FlightParams,
-                        NumericError, bessel_j0, gauss_2f1)
+                        NumericError)
+from randflight.specfun import bessel_j0, gauss_2f1
 
 
 def hyp_series(a, b, c, z, terms=400):
