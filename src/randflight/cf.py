@@ -11,11 +11,12 @@ Fourier-transformed for the cross-pipeline comparison; a layer's
 transform and its mass are one radial moment taken against different
 kernels.
 
-Values are complex throughout: for the isotropic law they are real up
-to rounding, but the circular Gaussian law is skewed along the first
-axis and its transforms carry genuine imaginary parts (the density
-couples to cos(theta), so the odd part of e^{i a ct cos(theta)} does
-not cancel).
+Values are real for the isotropic law, whose psi is the angular average
+J0 or sinc of a real kernel: its ladder, renewal solve and their FFTs
+stay real.  They are complex for the circular Gaussian law, which is
+skewed along the first axis, so its transforms carry genuine imaginary
+parts (the density couples to cos(theta), so the odd part of
+e^{i a ct cos(theta)} does not cancel).
 """
 
 from __future__ import annotations
@@ -40,6 +41,9 @@ __all__ = [
 ]
 
 _N_ANGLE = 512  # angular quadrature for the planar non-symmetric transform
+# times per block of the circular-Gaussian phase matrix: a block of
+# _CG_BLOCK x _N_ANGLE complex values bounds psi's working memory
+_CG_BLOCK = 1024
 
 
 def _check_alpha(params: FlightParams, alpha) -> tuple:
@@ -74,15 +78,20 @@ def sphere_cf(params: FlightParams, law: DissipationLaw, alpha,
               t: float) -> complex:
     """Transform psi(alpha, t) of the scaled dissipation density on the
     sphere of radius c*t; psi(0, t) = 1 for every law.  Raises
-    `DomainError` for an ``alpha`` that is not a finite m-vector."""
+    `DomainError` for an ``alpha`` that is not a finite m-vector and for
+    a ``t`` that is negative or not finite."""
     alpha = _check_alpha(params, alpha)
+    if not 0.0 <= t < math.inf:
+        raise DomainError(f"t must be nonnegative and finite, got {t!r}")
     return complex(sphere_cf_values(params, law, alpha, np.array([t]))[0])
 
 
 def sphere_cf_values(params: FlightParams, law: DissipationLaw, alpha,
                      times: np.ndarray) -> np.ndarray:
-    """Vectorized psi over an array of times (complex); ``alpha`` is a
-    checked m-vector."""
+    """Vectorized psi over an array of nonnegative times; ``alpha`` is a
+    checked m-vector.  Real for the uniform law; complex for the
+    circular Gaussian, whose 512-angle rule is taken over blocks of
+    `_CG_BLOCK` times, so its memory does not grow with the ladder."""
     times = np.asarray(times, dtype=float)
     ct = params.c * times
     if isinstance(law, UniformLaw):
@@ -90,19 +99,27 @@ def sphere_cf_values(params: FlightParams, law: DissipationLaw, alpha,
             raise DomainError(
                 "sphere_cf supports the uniform law for m in {2, 3}")
         a = float(np.linalg.norm(alpha))
-        return _radial_kernel(params.m, a, ct).astype(complex)
+        return _radial_kernel(params.m, a, ct)
     if isinstance(law, CircularGaussianLaw):
         th = _angles(_N_ANGLE)
         u = np.column_stack([np.cos(th), np.sin(th)])
         chi = law.density_from_axis_cos(np.cos(th))
-        phase = np.exp(1j * np.outer(ct, u @ np.asarray(alpha, dtype=float)))
-        return phase @ chi * (2.0 * np.pi / _N_ANGLE)
+        proj = u @ np.asarray(alpha, dtype=float)
+        psi = []
+        # blocks of equal size: a one-row block would take numpy's
+        # vector-product path, which rounds differently from a matrix's row
+        for part in np.array_split(ct, -(-len(ct) // _CG_BLOCK)):
+            phase = 1j * np.outer(part, proj)
+            np.exp(phase, out=phase)
+            psi.append(phase @ chi * (2.0 * np.pi / _N_ANGLE))
+        return np.concatenate(psi)
     raise DomainError(f"unsupported law {type(law).__name__}")
 
 
 @dataclass(frozen=True)
 class CFLadder:
-    """Values of a transform on the uniform time ladder [0, t_max]."""
+    """Values of a transform on the uniform time ladder [0, t_max]: real
+    for the uniform law, complex for the circular Gaussian."""
 
     times: np.ndarray
     values: np.ndarray
@@ -126,7 +143,9 @@ def _psi_ladder(params: FlightParams, law: DissipationLaw, alpha,
 def volterra_cf(params: FlightParams, law: DissipationLaw, alpha,
                 t_max: float, steps: int = 1024) -> CFLadder:
     """Unconditional characteristic function: the renewal solve
-    (`_renewal`) on the kernel ladder e^{-lam t} psi of `_psi_ladder`.
+    (`_renewal`) on the kernel ladder e^{-lam t} psi of `_psi_ladder`,
+    in psi's dtype: real for the uniform law, complex for the circular
+    Gaussian.
     Raises `DomainError` for ``steps`` other than an integer of at least
     64, a ``t_max`` that is not positive and finite, an ``alpha`` that
     is not a finite m-vector, or fewer than one step per mean time 1/lam
@@ -142,9 +161,9 @@ def _renewal(times: np.ndarray, kern: np.ndarray, lam: float) -> np.ndarray:
     With G[0] = 1 the system for G[1:] is lower-triangular Toeplitz,
     a * G[1:] = b modulo x^steps with a[0] = 1 - lam h kern[0] / 2,
     a[k] = -lam h kern[k] and b = (1 + lam h / 2) kern[1:], solved as
-    b / a in O(N log N) (`_series_quotient`).  Raises `DomainError` for
-    lam h >= 1: a[0] vanishes at lam h = 2, and near it the solve
-    amplifies without bound."""
+    b / a in O(N log N) (`_series_quotient`), in ``kern``'s dtype.
+    Raises `DomainError` for lam h >= 1: a[0] vanishes at lam h = 2, and
+    near it the solve amplifies without bound."""
     steps = len(times) - 1
     lh = lam * float(times[1])
     if lh >= 1.0:
@@ -152,21 +171,32 @@ def _renewal(times: np.ndarray, kern: np.ndarray, lam: float) -> np.ndarray:
                           f" = {lh * steps:.6g}, got steps={steps}")
     a = -lh * kern[:-1]
     a[0] = 1.0 - 0.5 * lh * kern[0]
-    G = np.empty(steps + 1, dtype=complex)
+    G = np.empty(steps + 1, dtype=kern.dtype)
     G[0] = 1.0
     np.multiply(kern[1:], 1.0 + 0.5 * lh, out=G[1:])  # b, divided in place
     _series_quotient(G[1:], a, G[1:])
     return G
 
 
+def _ffts(x: np.ndarray) -> tuple:
+    """The forward and inverse FFT for series of x's dtype: rfft and
+    irfft, on half the spectrum, for a real series; fft and ifft for a
+    complex one."""
+    if np.iscomplexobj(x):
+        return np.fft.fft, np.fft.ifft
+    return np.fft.rfft, np.fft.irfft
+
+
 def _mul_head(x_hat: np.ndarray, y: np.ndarray, size: int,
               lo: int, hi: int) -> np.ndarray:
     """Coefficients lo..hi-1 of the series product x y, with x given by
-    its `size`-point FFT x_hat; exact while the cyclic wrap stays below
-    lo, i.e. len(x) + len(y) - 1 - size <= lo, and hi <= size."""
-    y_hat = np.fft.fft(y, size)
+    its `size`-point transform x_hat from `_ffts` (x and y of one dtype);
+    exact while the cyclic wrap stays below lo, i.e. len(x) + len(y) - 1
+    - size <= lo, and hi <= size."""
+    fft, ifft = _ffts(y)
+    y_hat = fft(y, size)
     y_hat *= x_hat
-    return np.fft.ifft(y_hat, out=y_hat)[lo:hi]
+    return ifft(y_hat, size)[lo:hi]
 
 
 def _series_reciprocal(a: np.ndarray, n: int) -> np.ndarray:
@@ -174,17 +204,19 @@ def _series_reciprocal(a: np.ndarray, n: int) -> np.ndarray:
     r <- r + r (1 - a r), each step on FFTs of the next power of two
     at or above its length."""
     if n == 1:
-        return np.array([1.0 / a[0]], dtype=complex)
+        return 1.0 / a[:1]
     h = (n + 1) // 2
     r = _series_reciprocal(a, h)
     size = 1 << (n - 1).bit_length()
-    r_hat = np.fft.fft(r, size)
+    fft, _ = _ffts(r)
+    r_hat = fft(r, size)
     e = _mul_head(r_hat, a[:n], size, h, n)  # a r = 1 + x^h e
     return np.concatenate([r, -_mul_head(r_hat, e, size, 0, n - h)])
 
 
 def _series_quotient(b: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
-    """Write the first len(out) coefficients of b(x) / a(x) into out.
+    """Write the first len(out) coefficients of b(x) / a(x) into out, all
+    three of one dtype: real series take real FFTs (`_ffts`).
 
     The reciprocal is taken to half the length only; the last Newton
     step is folded into the quotient (Karp and Markstein): q = b r on
@@ -197,9 +229,10 @@ def _series_quotient(b: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
     h = (n + 1) // 2
     r = _series_reciprocal(a, h)
     size = 1 << (n - 1).bit_length()
-    r_hat = np.fft.fft(r, size)
+    fft, _ = _ffts(out)
+    r_hat = fft(r, size)
     out[:h] = _mul_head(r_hat, b[:h], size, 0, h)
-    resid = b[h:n] - _mul_head(np.fft.fft(out[:h], size), a[:n], size, h, n)
+    resid = b[h:n] - _mul_head(fft(out[:h], size), a[:n], size, h, n)
     out[h:] = _mul_head(r_hat, resid, size, 0, n - h)
 
 

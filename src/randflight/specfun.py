@@ -80,28 +80,30 @@ for _j in range(1, 24):
 
 
 def bessel_j0(x):
-    """Bessel function J0(x) for x >= 0, accurate to 1e-12 on [0, 120].
+    """Bessel function J0(x) for finite x >= 0, accurate to 1e-12 on
+    [0, 120]; raises `DomainError` for a negative or non-finite x.
 
     Ascending series up to the switch point, Hankel asymptotic expansion
-    beyond it.  Takes a scalar (returns a float) or an array; each
-    element sums its series until its own term is negligible, so an
-    element's value does not depend on the rest of the array.
+    beyond it.  Takes a scalar (returns a float) or an array.  The series
+    runs over all small x at once under a live mask: each element sums
+    its terms until its own term is negligible, then drops out of the
+    mask, so an element's value does not depend on the rest of the array.
     """
     xa = np.asarray(x, dtype=float)
-    if np.any(xa < 0):
-        raise DomainError("bessel_j0 requires x >= 0")
+    if not np.all((xa >= 0.0) & (xa < math.inf)):
+        raise DomainError("bessel_j0 requires finite x >= 0")
     out = np.empty(xa.shape)
     small = xa <= _J0_SWITCH
     q = 0.25 * xa[small] ** 2
     total = np.ones(q.shape)
     term = np.ones(q.shape)
-    live = np.arange(q.size)
+    live = np.ones(q.shape, dtype=bool)
     k = 0
-    while live.size:
+    while live.any():
         k += 1
-        term[live] *= -q[live] / (k * k)
-        total[live] += term[live]
-        live = live[np.abs(term[live]) >= 1e-18 * (np.abs(total[live]) + 1.0)]
+        np.multiply(term, -q / (k * k), out=term, where=live)
+        np.add(total, term, out=total, where=live)
+        live &= np.abs(term) >= 1e-18 * (np.abs(total) + 1.0)
     out[small] = total
     xl = xa[~small]
     p = np.zeros(xl.shape)

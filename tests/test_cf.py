@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -218,6 +219,20 @@ def test_ladder_rejects_bad_t_max(ladder, t_max):
         ladder(P2, UniformLaw(P2), alpha_vec(2, 1.0), t_max, 64)
 
 
+@pytest.mark.parametrize("params, law", [
+    (P2, UniformLaw(P2)),
+    (P3, UniformLaw(P3)),
+    (P2, CircularGaussianLaw(P2, 1.5)),
+], ids=["m2", "m3", "cg"])
+@pytest.mark.parametrize("t", [-1.0, math.nan, math.inf],
+                         ids=["negative", "nan", "inf"])
+def test_sphere_cf_rejects_bad_t(params, law, t):
+    # at t = -1 m=3 read sinc(|alpha| c |t|), the circular Gaussian
+    # 0.741 - 0.392j, and m=2 failed inside J0; NaN read NaN
+    with pytest.raises(DomainError, match="t must be"):
+        sphere_cf(params, law, alpha_vec(params.m, 1.0), t)
+
+
 @pytest.mark.parametrize("lam_h", [1.0, 2.0, 2.5])
 def test_volterra_rejects_fewer_steps_than_turns(lam_h):
     # the alpha = 0 ladder is 1; at lam h = 1 it read 551, at lam h = 2
@@ -281,6 +296,51 @@ def test_volterra_quotient_matches_the_march(params, law, steps):
     got = volterra_cf(params, law, alpha, 3.0, steps).values
     ref = _march(params, law, alpha, 3.0, steps)
     assert np.max(np.abs(got - ref)) <= 1e-13
+
+
+@pytest.mark.parametrize("law, dtype", [
+    (UniformLaw(P2), np.float64),
+    (UniformLaw(P3), np.float64),
+    (CircularGaussianLaw(P2, 1.5), np.complex128),
+    (CircularGaussianLaw(P2, 0.0), np.complex128),
+], ids=["m2", "m3", "cg", "cg-k0"])
+def test_volterra_keeps_psi_dtype(law, dtype):
+    # the isotropic psi is real and so is its solve; the circular
+    # Gaussian's is complex even at k = 0
+    params = law.params
+    got = volterra_cf(params, law, alpha_vec(params.m, 1.0), 1.0, 64)
+    assert got.values.dtype == dtype
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 64, 65, 1000, 4096])
+def test_real_series_quotient_matches_complex(n):
+    # rfft keeps half the spectrum, which at n = 2 is as long as the FFT
+    rng = np.random.default_rng(n)
+    a = np.concatenate([[1.0], rng.uniform(-0.9, 0.9, n - 1) / n])
+    b = rng.standard_normal(n)
+    got = np.empty(n)
+    cf._series_quotient(b, a, got)
+    ref = np.empty(n, dtype=complex)
+    cf._series_quotient(b.astype(complex), a.astype(complex), ref)
+    assert np.max(np.abs(got - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+
+def test_circular_gaussian_psi_memory_is_bounded(monkeypatch):
+    # the 512-angle phase matrix of an 8,192-step ladder once peaked at
+    # 128 MB; blocks of _CG_BLOCK times keep it near 18 MB, bitwise equal
+    params = FlightParams(2, 1.0, 1.0)
+    law = CircularGaussianLaw(params, 1.5)
+    alpha = alpha_vec(2, 1.0, 0.5)
+    tracemalloc.start()
+    try:
+        blocked = volterra_cf(params, law, alpha, 1.0, 8192).values
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 40e6
+    monkeypatch.setattr(cf, "_CG_BLOCK", 10**9)
+    assert np.array_equal(volterra_cf(params, law, alpha, 1.0, 8192).values,
+                          blocked)
 
 
 @settings(max_examples=40, deadline=None)

@@ -132,6 +132,14 @@ def test_j0_arrays_match_scipy_and_scalars():
         bessel_j0(np.array([1.0, -1e-3]))
 
 
+@pytest.mark.parametrize("x", [math.nan, math.inf, np.array([1.0, math.nan])],
+                         ids=["nan", "inf", "array-nan"])
+def test_j0_rejects_non_finite(x):
+    # NaN once read NaN, inf ended in a RuntimeWarning from cos
+    with pytest.raises(DomainError, match="finite"):
+        bessel_j0(x)
+
+
 def test_j0_bounded():
     rng = np.random.default_rng(2)
     xs = rng.uniform(0.0, 100.0, 200)
