@@ -7,12 +7,10 @@ simulation, the spatial convolution recurrence over turn-count layers,
 and the characteristic-function (spectral) route.
 """
 
-from .analytic import one_turn_profile
 from .cf import (CFLadder, laplace_identity_error, layer_fourier, sphere_cf,
                  volterra_cf)
-from .convolution import (DensityLayer, StepConfig, ac_profile,
-                          conditional_layer, next_layer, residual_check,
-                          seed_layer, transition_density)
+from .convolution import (DensityLayer, StepConfig, ac_profile, next_layer,
+                          residual_check, seed_layer, transition_density)
 from .core import (DensityField, FlightParams, PolarGrid, RadialGrid,
                    poisson_weight, tail_mass)
 from .dissipation import (CircularGaussianLaw, DissipationLaw, UniformLaw,
@@ -27,10 +25,9 @@ __all__ = [
     "FlightParams", "RadialGrid", "PolarGrid",
     "DensityLayer", "DensityField", "poisson_weight", "tail_mass",
     "DissipationLaw", "UniformLaw", "CircularGaussianLaw", "law_from_config",
-    "one_turn_profile",
     "DensityEstimate", "simulate_batch", "estimate_density",
-    "StepConfig", "seed_layer", "next_layer", "conditional_layer",
-    "transition_density", "ac_profile", "residual_check",
+    "StepConfig", "seed_layer", "next_layer", "transition_density",
+    "ac_profile", "residual_check",
     "CFLadder", "sphere_cf", "volterra_cf", "laplace_identity_error",
     "layer_fourier",
     "DomainError", "NumericError", "EstimationError",

@@ -236,21 +236,26 @@ def _series_quotient(b: np.ndarray, a: np.ndarray, out: np.ndarray) -> None:
     out[h:] = _mul_head(r_hat, resid, size, 0, n - h)
 
 
-def _laplace(times: np.ndarray, fine: np.ndarray, half: np.ndarray,
-             s: float, tail_tol: float) -> complex:
-    """Transform at s of a ladder ``fine`` truncated at t_max: trapezoid
-    rules on it and on ``half``, its counterpart on every other node,
-    Richardson-extrapolated.  Raises `NumericError` if the tail bound
-    past t_max exceeds ``tail_tol`` relative to the value."""
+def _laplace(times: np.ndarray, ladders: tuple, s: float,
+             tail_tol: float) -> list:
+    """Transforms at s of ladders truncated at t_max, one per pair (fine,
+    half) in ``ladders``, with ``half`` its counterpart on every other
+    node: trapezoid rules on both, Richardson-extrapolated, under one set
+    of weights e^{-s t}.  Raises `NumericError` if a tail bound past t_max
+    exceeds ``tail_tol`` relative to its value."""
     w = np.exp(-s * times)
-    tail = abs(fine[-1]) * w[-1] / s
+    end = w[-1]  # the tail's factor, before the trapezoid halves it
     w[[0, -1]] *= 0.5  # trapezoid weights over h, on both ladders
-    val = complex(4.0 * (w @ fine) - 2.0 * (w[::2] @ half)) * times[1] / 3.0
-    if tail > tail_tol * max(abs(val), 1e-30):
-        raise NumericError(f"t_max={times[-1]} too small for s={s}: tail "
-                           f"bound {tail:.3e} exceeds {tail_tol:.1e} of "
-                           f"|L|={abs(val):.3e}")
-    return val
+    out = []
+    for fine, half in ladders:
+        tail = abs(fine[-1]) * end / s
+        val = complex(4.0 * (w @ fine) - 2.0 * (w[::2] @ half)) * times[1] / 3.0
+        if tail > tail_tol * max(abs(val), 1e-30):
+            raise NumericError(f"t_max={times[-1]} too small for s={s}: tail "
+                               f"bound {tail:.3e} exceeds {tail_tol:.1e} of "
+                               f"|L|={abs(val):.3e}")
+        out.append(val)
+    return out
 
 
 def laplace_identity_error(params: FlightParams, law: DissipationLaw,
@@ -282,8 +287,8 @@ def laplace_identity_error(params: FlightParams, law: DissipationLaw,
     G_half = _renewal(times[::2], kern[::2], params.lam)
     worst = 0.0
     for s in s_values:
-        lhs = _laplace(times, G, G_half, s, tail_tol)
-        lp = _laplace(times, kern, kern[::2], s, tail_tol)
+        lhs, lp = _laplace(times, ((G, G_half), (kern, kern[::2])), s,
+                           tail_tol)
         rhs = lp / (1.0 - params.lam * lp)
         worst = max(worst, abs(lhs - rhs) / abs(rhs))
         if isinstance(law, UniformLaw) and params.m == 2:
@@ -299,9 +304,9 @@ def laplace_identity_error(params: FlightParams, law: DissipationLaw,
 # --------------------------------------------------------------------------
 
 def layer_fourier(layer: DensityLayer, params: FlightParams, alpha) -> float:
-    """Real part of the Fourier transform of a layer, joint or
-    conditional, at the inversion vector alpha (the whole transform for
-    symmetric laws).
+    """Real part of the Fourier transform of a joint layer at the
+    inversion vector alpha (the whole transform for symmetric laws); over
+    the layer's ``weight`` it is the transform given n turns.
 
     The kernel is cos(|alpha| r cos(theta - phi)) on angular layers and
     its angular average, J0(|alpha| r) in the plane or sinc(|alpha| r)

@@ -20,7 +20,7 @@ is self-similar:
 
 The engine steps the layers g_n given n turns of the flight with
 c = t = 1, free of lam, c and t.  A layer keeps one table of g_n and its
-mass as a weight: pi_n(lam t) when joint, 1 when given n turns.  As
+mass pi_n(lam t) as a weight; g_n is its density given n turns.  As
 pi_n(lam tau) lam e^{-lam (t - tau)} = pi_{n+1}(lam t) (n+1) tau^n / t^(n+1),
 the step's kernel is (n+1) tau^n, and it reads g_n at every time tau:
 
@@ -57,25 +57,23 @@ tau = 1, endpoint singularities that a tanh-sinh rule integrates
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import lru_cache, partial
 
 import numpy as np
 
-from .analytic import _one_turn_shape
 from .core import (DensityField, FlightParams, PolarGrid, RadialGrid, _angles,
                    _ball_volume, _clustered_nodes, _is_count, _joint_scale,
-                   _unscaled, check_grid_time, poisson_weight, tail_mass)
+                   check_grid_time, poisson_weight, tail_mass)
 from .dissipation import CircularGaussianLaw, DissipationLaw, UniformLaw
 from .errors import DomainError, NumericError
-from .specfun import gauss_2f1
+from .specfun import gauss_2f1  # noqa: F401  perfbench counts calls through it
 
 __all__ = [
     "StepConfig",
     "DensityLayer",
     "seed_layer",
     "next_layer",
-    "conditional_layer",
     "transition_density",
     "ac_profile",
     "residual_check",
@@ -194,10 +192,11 @@ def _default_config(law: DissipationLaw) -> StepConfig:
 
 @dataclass(frozen=True, eq=False)
 class DensityLayer:
-    """The density of position jointly with (``weight`` pi_n(lam t), its
-    mass) or given (``weight`` 1) exactly ``n`` direction changes at time
-    ``t``: ``weight`` (ct)^(-m) g_n(r / (ct)), with g_n the layer given n
-    turns of the flight with c = t = 1, free of lam, c and t.
+    """The density of position jointly with exactly ``n`` direction
+    changes at time ``t``: ``weight`` (ct)^(-m) g_n(r / (ct)), with
+    ``weight`` pi_n(lam t), its mass, and g_n the layer given n turns of
+    the flight with c = t = 1, free of lam, c and t.  The density given
+    n turns is ``values / weight``, or ``g_at_nodes`` in scaled units.
 
     ``g_at_nodes`` holds g_n at the nodes of ``grid``, shape (n_r,
     n_theta of the grid, or 1 for isotropic tables); ``at_nodes`` is the
@@ -245,9 +244,7 @@ class DensityLayer:
 
     def _view(self, g) -> np.ndarray:
         """Scaled values ``g`` at radius r: weight (ct)^(-m) g, with the
-        joint layer's factor formed in log space (`_joint_scale`)."""
-        if self.weight == 1.0:  # given n turns: every joint weight is < 1
-            return _unscaled(g, 1.0, self.params.m, self.params.radius(self.t))
+        factor formed in log space (`_joint_scale`)."""
         return _joint_scale(self.n, self.params, self.t) * g
 
     def check_source(self, params: FlightParams, law=None) -> None:
@@ -343,7 +340,7 @@ class DensityLayer:
         quadrature (planar) for the seed, and the step re-applied to
         ``source`` for a stepped layer.  ``theta`` (default 0) has the
         shape of ``r``; isotropic layers ignore it.  Radii must be finite
-        and nonnegative, and angles finite."""
+        and nonnegative (a seed's below ct), and angles finite."""
         r = _finite(r, "radii", True)
         th = np.zeros_like(r) if theta is None or self.thetas is None \
             else _finite(theta, "theta")
@@ -409,7 +406,7 @@ class DensityLayer:
             k = kern(ct * np.append(sig, 1.0), np.zeros(len(sig) + 1))
             dk = k[:-1] - k[-1]
             return self.weight * float(k[-1] + 4.0 * math.pi * np.sum(
-                ws * _one_turn_shape(3, sig) * dk * sig * sig))
+                ws * _one_turn_shape(sig) * dk * sig * sig))
         # composite Simpson in u over h_n * kern (averaged over the table
         # angles) * E_n * the volume element, with sigma = sigma_max sin(u)
         sig, n_s, cap = self.sigma, len(self.sigma), float(self.sigma[-1])
@@ -470,27 +467,29 @@ def _one_turn_reg_planar(law: DissipationLaw, sig, theta):
     return np.sum(ws * acc, axis=-1)
 
 
-def _seed_profile_generic(m: int, sig: np.ndarray) -> np.ndarray:
-    """The one-turn layer of the isotropic law given one turn, in units
-    c = t = 1, through the generic hypergeometric series: only the tests'
-    oracle of the closed forms in :mod:`randflight.analytic`."""
-    coeff = 2.0 ** (m - 3) * math.gamma(m / 2) / math.pi ** (m / 2.0)
-    out = np.empty(len(sig))
-    for i, si in enumerate(sig):
-        out[i] = coeff * gauss_2f1(0.5 * (m - 1), 2.0 - 0.5 * m, 0.5 * m,
-                                   si**2, 1e-14, 200_000)
-    return out
+def _one_turn_shape(sigma) -> np.ndarray:
+    """The m=3 uniform law's one-turn layer given one turn, for the flight
+    with c = t = 1, at scaled radii ``sigma`` < 1: log((1+sigma)/(1-sigma))
+    / (4 pi sigma)."""
+    sigma = np.asarray(sigma, dtype=float)
+    # log((1+u)/(1-u)) / (2u) = 1 + u^2/3 + u^4/5 + ... bridges the
+    # removable singularity at r -> 0
+    small = sigma < 1e-4
+    u = np.where(small, 0.5, sigma)
+    full = np.log((1.0 + u) / (1.0 - u)) / (2.0 * u)
+    series = 1.0 + sigma * sigma / 3.0 + sigma**4 / 5.0
+    return np.where(small, series, full) / (2.0 * math.pi)
 
 
 def _seed_values(m: int, law: DissipationLaw, sig: np.ndarray,
                  th: np.ndarray) -> np.ndarray:
-    """The one-turn layer given one turn at scaled radii ``sig`` and
+    """The one-turn layer given one turn at scaled radii ``sig`` < 1 and
     angles ``th`` (the shape of ``sig``), in units c = t = 1: the closed
     form (m=3) or quadrature (planar)."""
+    if np.any(sig >= 1.0):
+        raise DomainError("the one-turn layer needs all radii < ct")
     if m == 3:
-        if np.any(sig >= 1.0):
-            raise DomainError("the one-turn layer needs all radii < ct")
-        return _one_turn_shape(3, sig)
+        return _one_turn_shape(sig)
     g = _one_turn_reg_planar(law, sig, th)
     return g / np.sqrt(np.maximum(1.0 - sig * sig, _TINY))
 
@@ -804,7 +803,7 @@ def _step_values(layer: DensityLayer, sig_targets: np.ndarray,
             if sig is None:
                 tau, kw = _time_rule(layer, None, cfg)
                 rho = np.minimum(1.0 - tau, tau * (1.0 - 1e-12))
-                out[idx] += np.sum(kw * _one_turn_shape(3, rho / tau) / tau**2)
+                out[idx] += np.sum(kw * _one_turn_shape(rho / tau) / tau**2)
                 continue
             tau, rho, s_lo, s_hi, kw = _window(layer, sig, cfg)
             # s tau^-2 g_1(s / tau) = B log((tau + s) / (tau - s))
@@ -896,30 +895,15 @@ def seed_layer(params: FlightParams, law: DissipationLaw, t: float,
 def next_layer(params: FlightParams, law: DissipationLaw,
                layer: DensityLayer,
                config: StepConfig | None = None) -> DensityLayer:
-    """Apply the recurrence once: layer n, joint or conditional -> joint
-    layer n+1 on the layer's grid, at the resolution the layer was built
-    at unless ``config`` is given.  ``params`` and ``law`` must be those
-    the layer was built with.  A step at the layer's own resolution
-    reuses the step geometry the layer keeps (layers 3 and up).  The new
-    layer's values at other radii come from `DensityLayer.top_values`
-    and `ac_profile`."""
+    """Apply the recurrence once: joint layer n -> joint layer n+1 on the
+    layer's grid, at the resolution the layer was built at unless
+    ``config`` is given.  ``params`` and ``law`` must be those the layer
+    was built with.  A step at the layer's own resolution reuses the step
+    geometry the layer keeps (layers 3 and up).  The new layer's values
+    at other radii come from `DensityLayer.top_values` and `ac_profile`."""
     layer.check_source(params, law)
     _check_grid(params, law, layer.t, layer.grid)
     return _step_layer(layer, config or layer.cfg)
-
-
-def conditional_layer(layer: DensityLayer,
-                      params: FlightParams) -> DensityLayer:
-    """The position density given exactly n turns: the layer with weight
-    1, its mass.  A conditional layer comes back equal.  ``params`` must
-    be those the layer was built with.  Raises `NumericError` where the
-    joint layer's weight underflows: its turn count then has no
-    probability in floating point to condition on."""
-    layer.check_source(params)
-    if layer.weight < 1e-290:
-        raise NumericError(f"poisson weight underflow: n={layer.n}, "
-                           f"lam*t={params.lam * layer.t}")
-    return replace(layer, weight=1.0)
 
 
 def transition_density(params: FlightParams, law: DissipationLaw, t: float,

@@ -53,8 +53,9 @@ class FlightParams:
     lam: float
 
     def __post_init__(self) -> None:
-        if self.m < 2:
-            raise DomainError(f"dimension m must be >= 2, got {self.m}")
+        if not (_is_count(self.m) and self.m >= 2):
+            raise DomainError(f"dimension m must be an integer >= 2, "
+                              f"got {self.m!r}")
         _check_positive("speed c", self.c)
         _check_positive("rate lam", self.lam)
 
@@ -169,17 +170,6 @@ def check_grid_time(grid: RadialGrid | PolarGrid, t: float) -> None:
         raise DomainError(f"grid built for t={grid.t!r} used at t={t!r}")
 
 
-def _unscaled(g, weight, m: int, ct):
-    """weight (ct)^(-m) g: a density g of the flight with c = t = 1 (a
-    function of sigma = r/(ct)), carrying mass ``weight``, as a density
-    of the flight that reaches radius ``ct``.  It divides by ct m times
-    and never forms (ct)^m, which leaves the float range first."""
-    out = weight * np.asarray(g, dtype=float)
-    for _ in range(m):
-        out = out / ct
-    return out
-
-
 def _ball_volume(r, m: int):
     """Volume of the ball of radius ``r`` in dimension m in {2, 3}."""
     if m == 2:
@@ -259,8 +249,9 @@ def poisson_weight(n: int, params: FlightParams, t: float) -> float:
     and log(n!) are large and nearly cancel (C. Loader, "Fast and
     accurate computation of binomial probabilities", 2000).
     """
-    if n < 0:
-        raise DomainError(f"event count must be nonnegative, got {n}")
+    if not _is_count(n):
+        raise DomainError(f"event count n must be a nonnegative integer, "
+                          f"got {n!r}")
     _check_positive("time t", t)
     lt = params.lam * t
     _check_positive("lam*t", lt)
@@ -286,8 +277,9 @@ def _joint_scale(n: int, params: FlightParams, t: float):
 def tail_mass(K: int, params: FlightParams, t: float) -> float:
     """P(N(t) > K): summed from above when its first class is at or past
     the mean, else 1 - sum_{n<=K} poisson_weight(n), which is then >~ 1/2."""
-    if K < 0:
-        raise DomainError(f"truncation index must be nonnegative, got {K}")
+    if not _is_count(K):
+        raise DomainError(f"truncation index K must be a nonnegative integer, "
+                          f"got {K!r}")
     lt = params.lam * t
     _check_positive("lam*t", lt)
     if K + 1 < lt:

@@ -1,9 +1,11 @@
-"""Self-contained special functions used by the closed-form densities.
+"""Self-contained special functions.
 
-Everything here is double precision and needs only numpy: the Gauss
-hypergeometric series on [0, 1) (scalar) and the Bessel function J0
-(scalar or array).  The modified Bessel function I0 of the circular
-Gaussian law comes from numpy (``np.i0``).
+Everything here is double precision and needs only numpy: the Bessel
+function J0 (scalar or array), which gives the spectral route's planar
+sphere transform psi, and the Gauss hypergeometric series on [0, 1)
+(scalar), in which the one-turn profile of every dimension has a form
+that checks the closed forms.  The modified Bessel function I0 of the
+circular Gaussian law comes from numpy (``np.i0``).
 """
 
 from __future__ import annotations

@@ -12,13 +12,13 @@ import numpy as np
 import pytest
 from scipy import integrate
 
+from oracles import one_turn_density
 from randflight import (CircularGaussianLaw, DensityField, FlightParams,
                         PolarGrid, RadialGrid, StepConfig, UniformLaw,
-                        ac_profile, conditional_layer, estimate_density,
-                        laplace_identity_error, layer_fourier, next_layer,
-                        one_turn_profile, poisson_weight, residual_check,
-                        seed_layer, sphere_cf, tail_mass, transition_density,
-                        volterra_cf)
+                        ac_profile, estimate_density, laplace_identity_error,
+                        layer_fourier, next_layer, poisson_weight,
+                        residual_check, seed_layer, sphere_cf, tail_mass,
+                        transition_density, volterra_cf)
 
 P2 = FlightParams(2, 1.0, 1.0)
 P3 = FlightParams(3, 1.0, 1.0)
@@ -71,12 +71,12 @@ def planar_closed_form(r: float) -> float:
 def test_criterion_1_one_turn_closed_form():
     grid2 = RadialGrid.build(P2, 1.0, 50)
     seed2 = seed_layer(P2, UniformLaw(P2), 1.0, grid2)
-    ref2 = one_turn_profile(P2, grid2.nodes, 1.0)
+    ref2 = one_turn_density(P2, grid2.nodes, 1.0)
     err2 = float(np.max(np.abs(seed2.values - ref2) / ref2))
 
     grid3 = RadialGrid.build(P3, 1.0, 50)
     seed3 = seed_layer(P3, UniformLaw(P3), 1.0, grid3)
-    ref3 = one_turn_profile(P3, grid3.nodes, 1.0)
+    ref3 = one_turn_density(P3, grid3.nodes, 1.0)
     err3 = float(np.max(np.abs(seed3.values - ref3) / ref3))
     report("criterion 1 (one-turn closed form)",
            err2 < 1e-6 and err3 < 1e-10,
@@ -235,10 +235,10 @@ def test_criterion_8_gaussian_degeneration():
     # one-turn skew confirmed against the conditional simulation
     est = estimate_density(P2, cg1, 1.0, 10_000_000, pgrid, conditioning=1,
                            seed=77)
-    cond1 = conditional_layer(layers[0], P2)
+    cond1 = layers[0].values / layers[0].weight
     mc_ok = True
     for j in (j0, jpi):
-        diff = abs(est.values[i05, j] - cond1.values[i05, j])
+        diff = abs(est.values[i05, j] - cond1[i05, j])
         mc_ok &= diff < 4 * est.standard_errors[i05, j]
     ok = parity < 1e-6 and sym < 1e-8 and skew and mc_ok
     report("criterion 8 (Gaussian degeneration)", ok,

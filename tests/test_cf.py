@@ -9,7 +9,7 @@ from scipy import integrate, special
 
 from randflight import (CircularGaussianLaw, DomainError, FlightParams,
                         NumericError, PolarGrid, RadialGrid, StepConfig,
-                        UniformLaw, conditional_layer, laplace_identity_error,
+                        UniformLaw, laplace_identity_error,
                         layer_fourier, poisson_weight, seed_layer, next_layer,
                         sphere_cf, transition_density, volterra_cf)
 from randflight import cf
@@ -475,14 +475,13 @@ def test_one_psi_ladder_per_spectral_computation(monkeypatch):
     (P2, CircularGaussianLaw(P2, 1.0), True),
 ], ids=["m2-radial", "m3-radial", "cg-polar"])
 def test_layer_fourier_at_zero_is_mass(params, law, polar):
-    # mass and transform are one radial moment: bitwise equal at alpha = 0,
-    # for joint and conditional layers alike
+    # mass and transform are one radial moment: bitwise equal at alpha = 0
     grid = PolarGrid.build(params, 1.0, 24, 16) if polar \
         else RadialGrid.build(params, 1.0, 49)
     layers = [seed_layer(params, law, 1.0, grid, CFG)]
     while len(layers) < 3:
         layers.append(next_layer(params, law, layers[-1]))
-    for layer in layers + [conditional_layer(lay, params) for lay in layers]:
+    for layer in layers:
         got = layer_fourier(layer, params, np.zeros(params.m))
         assert got == layer.mass()
     assert layer_fourier(layers[0], params, np.zeros(params.m)) == \
@@ -533,8 +532,8 @@ def test_circular_gaussian_layers_against_the_exact_transform():
         alpha = alpha_vec(2, rho, phi)
         G = exact_cf(law, alpha, 4)
         for layer, measured in zip(layers, misses):
-            cond = conditional_layer(layer, P2)
-            miss = abs(layer_fourier(cond, P2, alpha) - G[layer.n].real)
+            cond = layer_fourier(layer, P2, alpha) / layer.weight
+            miss = abs(cond - G[layer.n].real)
             assert miss <= 1.5 * measured, (rho, phi, layer.n, miss)
 
 

@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 from scipy import integrate, special
 
+from oracles import one_turn, one_turn_density
 from randflight import (CircularGaussianLaw, DensityField, DomainError,
                         FlightParams, NumericError, PolarGrid, RadialGrid,
-                        StepConfig, UniformLaw, ac_profile, conditional_layer,
-                        next_layer, one_turn_profile, poisson_weight,
-                        residual_check, seed_layer, tail_mass,
+                        StepConfig, UniformLaw, ac_profile, next_layer,
+                        poisson_weight, residual_check, seed_layer, tail_mass,
                         transition_density)
 from randflight import convolution as conv
 
@@ -36,11 +36,10 @@ def f_n_planar(n, r, lam=1.0, c=1.0, t=1.0):
 def test_seed_matches_analytic_m2():
     grid = RadialGrid.build(P2, 1.0, 50)
     layer = seed_layer(P2, UniformLaw(P2), 1.0, grid, CFG)
-    ref = one_turn_profile(P2, grid.nodes, 1.0)
+    ref = one_turn_density(P2, grid.nodes, 1.0)
     assert np.max(np.abs(layer.values - ref) / ref) < 1e-6
     i = int(np.argmin(np.abs(grid.nodes - 0.5)))
-    assert layer.values[i] == pytest.approx(
-        one_turn_profile(P2, grid.nodes[[i]], 1.0)[0], rel=1e-9)
+    assert layer.values[i] == pytest.approx(ref[i], rel=1e-9)
 
 
 def test_seed_circular_gaussian_k0_equals_uniform():
@@ -59,7 +58,7 @@ def test_seed_circular_gaussian_skew_and_mc():
     law = CircularGaussianLaw(P2, 1.0)
     grid = PolarGrid.build(P2, 1.0, 24, 16)
     layer = seed_layer(P2, law, 1.0, grid, CFG)
-    cond = conditional_layer(layer, P2)
+    cond = layer.values / layer.weight
     i = int(np.argmin(np.abs(grid.nodes - 0.5)))
     j0 = int(np.argmin(np.abs(grid.thetas - 0.0)))
     jpi = int(np.argmin(np.abs(grid.thetas + np.pi)))
@@ -69,7 +68,7 @@ def test_seed_circular_gaussian_skew_and_mc():
                            seed=2)
     for j in (j0, jpi):
         se = est.standard_errors[i, j]
-        assert abs(est.values[i, j] - cond.values[i, j]) < 4 * se + 5e-3
+        assert abs(est.values[i, j] - cond[i, j]) < 4 * se + 5e-3
 
 
 def test_seed_rejects_bad_grid():
@@ -191,37 +190,28 @@ def test_layers_rotation_invariant_via_gaussian_k0():
 
 
 def test_conditional_layer_values_and_mass():
+    # the layer given n turns is the joint layer over its weight, and in
+    # scaled units (c = t = 1 here) its g_at_nodes
     grid = RadialGrid.build(P2, 1.0, 40)
     seed = seed_layer(P2, UniformLaw(P2), 1.0, grid, CFG)
-    cond = conditional_layer(seed, P2)
+    assert seed.weight == poisson_weight(1, P2, 1.0)
+    cond = seed.values / seed.weight
+    np.testing.assert_allclose(seed.g_at_nodes[:, 0], cond, rtol=1e-15)
+    assert cond[0] == pytest.approx(1.0 / (2 * math.pi), rel=1e-9)
     i = int(np.argmin(np.abs(grid.nodes - 0.5)))
-    assert cond.values[i] == pytest.approx(
-        one_turn_profile(P2, grid.nodes[[i]], 1.0)[0]
-        / poisson_weight(1, P2, 1.0), rel=1e-9)
+    assert cond[i] == pytest.approx(one_turn(2, grid.nodes[i]), rel=1e-9)
     # ratio of the established values at r = 1/2 exactly: 1/(2 pi sqrt(3/4))
-    at_half = one_turn_profile(P2, np.array([0.5]), 1.0)[0] \
+    at_half = one_turn_density(P2, np.array([0.5]), 1.0)[0] \
         / poisson_weight(1, P2, 1.0)
     assert at_half == pytest.approx(1.0 / (2 * math.pi * math.sqrt(0.75)),
                                     rel=1e-12)
-    # every field is conditional: the joint ones once read a mass of pi_1
-    # and node values e times below ``values``
-    assert cond.mass() == pytest.approx(1.0, abs=1e-3)
-    np.testing.assert_allclose(cond.top_values(grid.nodes), cond.values,
+    # the conditional layer's mass is 1
+    assert seed.mass() / seed.weight == pytest.approx(1.0, abs=1e-3)
+    np.testing.assert_allclose(seed.top_values(grid.nodes) / seed.weight, cond,
                                rtol=1e-9)
-    off = np.array([0.123, 0.77])
-    np.testing.assert_allclose(cond.top_values(off),
-                               seed.top_values(off) / poisson_weight(1, P2, 1.0),
-                               rtol=1e-15)
-    layer2 = conditional_layer(next_layer(P2, UniformLaw(P2), seed), P2)
-    assert layer2.mass() == pytest.approx(1.0, abs=1e-3)
+    layer2 = next_layer(P2, UniformLaw(P2), seed)
+    assert layer2.mass() / layer2.weight == pytest.approx(1.0, abs=1e-3)
     np.testing.assert_array_equal(layer2.top_values(grid.nodes), layer2.values)
-    # a conditional layer is its own conditional layer
-    again = conditional_layer(cond, P2)
-    assert again.weight == cond.weight == 1.0
-    for a, b in ((again.values, cond.values), (again.at_nodes, cond.at_nodes),
-                 (again.tab, cond.tab)):
-        assert np.array_equal(a, b)
-    assert again.mass() == cond.mass()
 
 
 P_FAST = FlightParams(2, 1.0, 3.0)
@@ -242,17 +232,6 @@ def test_next_layer_rejects_another_flight():
     with pytest.raises(DomainError, match="differ from the layer"):
         next_layer(P2, CircularGaussianLaw(P2, 2.0), cg)
     assert next_layer(P2, CircularGaussianLaw(P2, 1.0), cg).n == 2
-
-
-def test_conditional_layer_rejects_another_flight():
-    # a lam = 1 seed divided by the lam = 3 weight once read 0.392 at
-    # r = 0 instead of the conditional density 1 / (2 pi) = 0.159
-    grid = RadialGrid(1.0, np.array([0.0, 0.5, 0.9]), 1e-3)
-    seed = seed_layer(P2, UniformLaw(P2), 1.0, grid, TINY_CFG)
-    with pytest.raises(DomainError, match="differ from the layer"):
-        conditional_layer(seed, P_FAST)
-    assert conditional_layer(seed, P2).values[0] == pytest.approx(
-        1.0 / (2 * math.pi), rel=1e-9)
 
 
 def test_conditional_recurrence_cross_check():
@@ -287,11 +266,10 @@ def test_conditional_recurrence_cross_check():
     layer2 = next_layer(P2, UniformLaw(P2), seed_layer(P2, UniformLaw(P2),
                                                        1.0, grid, CFG),
                         config=CFG)
-    cond2 = conditional_layer(layer2, P2)
+    cond2 = layer2.values / layer2.weight
     for r in (0.3, 0.6):
         i = int(np.argmin(np.abs(grid.nodes - r)))
-        assert cond2.values[i] == pytest.approx(q2_oracle(grid.nodes[i]),
-                                                rel=1e-3)
+        assert cond2[i] == pytest.approx(q2_oracle(grid.nodes[i]), rel=1e-3)
 
 
 # --------------------------------------------------------------------------
@@ -456,9 +434,9 @@ def test_graded_seed_step_runs_once_per_field(monkeypatch):
 def test_conditional_layers_are_self_similar(m, k, lam_t):
     # given n turns, X(t)/(ct) has a law free of lam, c and t: the tables
     # are those of the unit flight bit for bit, and conditional layers
-    # times (ct)^m, on grids scaled with ct, match it at every lam t.  The
-    # circular Gaussian's arc reads once cancelled at ct != 1 and missed
-    # by 1.3e-8
+    # (values over weight) times (ct)^m, on grids scaled with ct, match it
+    # at every lam t.  The circular Gaussian's arc reads once cancelled at
+    # ct != 1 and missed by 1.3e-8
     cfg = StepConfig(n_sigma=17, n_theta=8, time_order=8, arc_order=8)
 
     def scaled(lam, c, t):
@@ -470,7 +448,7 @@ def test_conditional_layers_are_self_similar(m, k, lam_t):
             grid = PolarGrid.build(params, t, 12, 8)
         field = transition_density(params, law, t, 4, grid, cfg)
         return [(layer.tab,
-                 conditional_layer(layer, params).values * params.radius(t) ** m)
+                 layer.values / layer.weight * params.radius(t) ** m)
                 for layer in field.layers]
 
     for (tab, a), (tab1, b) in zip(scaled(2.5, 0.4, lam_t / 2.5),
@@ -513,8 +491,8 @@ def test_m3_origin_step_takes_every_time_node_at_once():
     # one-turn profile at all its time nodes in one call
     tau = np.linspace(0.5, 1.0, 66)[1:-1]
     rho = P3.c * (1.0 - tau)
-    once = one_turn_profile(P3, rho, tau)
-    each = np.array([one_turn_profile(P3, np.array([r]), t)[0]
+    once = conv._one_turn_shape(rho / tau)
+    each = np.array([conv._one_turn_shape(np.array([r / t]))[0]
                      for r, t in zip(rho, tau)])
     assert np.max(np.abs(once - each) / each) <= 1e-15
 

@@ -30,6 +30,31 @@ def test_params_validation():
             FlightParams(2, c, lam)
 
 
+_NOT_COUNTS = [2.0, 2.5, np.float64(2.0), True, "2"]
+_COUNT_ARGS = [
+    ("m", lambda x: FlightParams(x, 1.0, 1.0)),
+    ("n", lambda x: poisson_weight(x, FlightParams(2, 1.0, 1.0), 1.0)),
+    ("K", lambda x: tail_mass(x, FlightParams(2, 1.0, 1.0), 1.0)),
+]
+
+
+@pytest.mark.parametrize("x", _NOT_COUNTS,
+                         ids=["float", "2.5", "float64", "bool", "str"])
+@pytest.mark.parametrize("name, call", _COUNT_ARGS,
+                         ids=[name for name, _ in _COUNT_ARGS])
+def test_counts_and_the_dimension_must_be_integers(name, call, x):
+    # m = 2.0 once failed in UniformLaw.sample inside numpy, n = 1.5 with
+    # "tuple indices must be integers", and n = True read e^-1
+    with pytest.raises(DomainError, match=rf"\b{name}\b.*integer"):
+        call(x)
+
+
+def test_numpy_integers_are_counts():
+    p = FlightParams(np.int64(2), 1.0, 1.0)
+    assert poisson_weight(np.int64(3), p, 1.0) == poisson_weight(3, p, 1.0)
+    assert tail_mass(np.int64(2), p, 1.0) == tail_mass(2, p, 1.0)
+
+
 def test_poisson_weight_values(params):
     # P(no event) and a plain pmf value
     assert poisson_weight(0, params, 1.0) == pytest.approx(math.exp(-1), rel=1e-14)
@@ -100,10 +125,9 @@ def test_tail_mass_decreasing(params):
 
 
 def test_conditional_weight_underflow_guard():
-    # a joint layer carries its Poisson weight; conditional_layer sets it
-    # to 1, and raises where the weight underflows
-    from randflight import StepConfig, conditional_layer, seed_layer
-    from randflight.errors import NumericError
+    # a joint layer carries its Poisson weight.  Where that underflows, its
+    # density given n turns is still its g_at_nodes, the unit flight's
+    from randflight import StepConfig, seed_layer
 
     cfg = StepConfig(n_sigma=9, time_order=4, arc_order=4)
     grid = RadialGrid.build(FlightParams(2, 1.0, 1.0), 1.0, 8)
@@ -113,10 +137,9 @@ def test_conditional_weight_underflow_guard():
 
     params = FlightParams(2, 1.0, 1.0)
     assert seed(params).weight == pytest.approx(math.exp(-1), rel=1e-14)
-    assert conditional_layer(seed(params), params).weight == 1.0
-    fast = FlightParams(2, 1.0, 1000.0)
-    with pytest.raises(NumericError):
-        conditional_layer(seed(fast), fast)
+    fast = seed(FlightParams(2, 1.0, 1000.0))
+    assert fast.weight == 0.0 and not np.any(fast.values)
+    assert np.array_equal(fast.g_at_nodes, seed(params).g_at_nodes)
 
 
 def test_radial_grid_shape(params):

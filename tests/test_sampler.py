@@ -5,10 +5,10 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from oracles import one_turn
 from randflight import (CircularGaussianLaw, DomainError, EstimationError,
                         FlightParams, RadialGrid, PolarGrid, UniformLaw,
-                        estimate_density, one_turn_profile, poisson_weight,
-                        simulate_batch)
+                        estimate_density, simulate_batch)
 from randflight import sampler
 
 
@@ -202,8 +202,7 @@ def test_conditional_one_turn_estimate(p2):
     est = estimate_density(p2, law, 1.0, 1_000_000, grid, conditioning=1,
                            seed=5)
     i = int(np.argmin(np.abs(grid.nodes - 0.5)))
-    target = one_turn_profile(p2, grid.nodes[[i]], 1.0)[0] \
-        / poisson_weight(1, p2, 1.0)
+    target = one_turn(2, grid.nodes[i])
     assert abs(est.values[i] - target) < 4 * est.standard_errors[i]
     assert est.n_conditioned > 300_000
 
